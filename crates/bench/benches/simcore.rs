@@ -1,36 +1,21 @@
 //! Criterion benchmarks for the simulator fast path: memory-hierarchy
 //! accesses per second (hit-heavy, miss-heavy, and range-batched),
-//! access-program resolution (batched/memoized resolver vs the per-call
-//! reference walk), and event-queue throughput (calendar queue vs. the
-//! binary-heap reference). These are the host-side hot loops behind
-//! every figure sweep; `DESIGN.md` § "Simulator performance" explains
-//! the structures under test.
+//! access-program resolution (the tight walk vs the per-call reference
+//! walk), and event-queue throughput (calendar queue vs. the binary-heap
+//! reference). `DESIGN.md` § "Simulator performance" explains the
+//! structures under test.
 //!
 //! Honest-result notes (shared, throttling-prone host — ratios are the
 //! claim, absolute rates are weather):
-//! * The `programs/*_replay` vs `*_reference` pairs run the *same*
-//!   program against the same bases, so after the first iteration the
-//!   fast resolver replays an armed signature while the reference walks
-//!   every line per call. The gap is the memoization win in isolation;
-//!   real sweeps see it on only ~⅓ of program runs (poll words,
-//!   dispatch, element state), diluted further by non-program host work.
-//! * `payload23_batched` vs `payload23_reference` isolates the batched
-//!   tight-loop walk for a `no_memoize` program (ring/payload shapes,
-//!   bases cycle every call): both walk all 23 lines; the difference is
-//!   hoisted TLB/attribution and loop structure only — measured ~1.3×,
-//!   a loop-overhead gap, not the ~8× a replayed signature shows.
-//! * The event-queue pairs historically show the calendar queue ~2-4×
-//!   the heap at engine-like populations; regressions there dwarf any
-//!   hierarchy-level tuning, so check them first when a sweep slows.
-//! * The `delta_replay/*` group times the round-3 machinery: strided
-//!   bases that exact-base memoization can never hit but delta-class
-//!   re-keying replays (`wqe_stride16`, `batch32`). `classflip` is the
-//!   honest loser — bases whose line counts alternate put every call on
-//!   the verify-bail-walk-rearm path, so the fast resolver pays the
-//!   failed verification *on top of* the reference walk. The loss is
-//!   bounded (one read-only pass over an armed entry), but it is a
-//!   loss; shapes like it are why the Packet-pool program in the Click
-//!   runtime keeps `no_memoize`.
+//! * The `programs/*_walk` vs `*_reference` pairs run the *same* program
+//!   against the same bases. Both touch every line; the gap is the
+//!   resident filter, one attribution window per call (per batch for
+//!   `wqe_batch32`) and loop structure — 1.5–2.4× here. A multiple on
+//!   these fixed-base loops says little about a real packet mix;
+//!   end-to-end claims go through `pm-benchmark` (DESIGN.md §10).
+//! * The event-queue pairs show the binary heap ~2× *ahead* of the
+//!   calendar queue at simulator populations (16–256 standing events);
+//!   the engine uses neither (DESIGN.md §10).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pm_mem::{AccessKind, Cost, HierarchyParams, MemoryHierarchy, ProgramBuilder};
@@ -91,16 +76,14 @@ fn bench_hierarchy(c: &mut Criterion) {
     g.finish();
 }
 
-/// Access-program resolution at representative charge-set sizes, fast
-/// resolver vs the lock-step reference walk (`with_reference_walk`).
-/// Fixed bases keep the lines L1-resident after the first iteration, so
-/// `*_replay` rows measure the armed-signature replay and `*_reference`
-/// rows the identical outcome paid per line per call.
+/// Access-program resolution at representative charge-set sizes: the
+/// default tight walk vs the lock-step reference walk
+/// (`with_reference_walk`), identical outcomes by contract.
 fn bench_programs(c: &mut Criterion) {
     let mut g = c.benchmark_group("programs");
 
     // Dispatch-shaped: prefetch + vtable load + compute + state load
-    // (2 demand lines, 2 bases) — the hottest replayable shape.
+    // (2 demand lines, 2 bases) — the hottest shape.
     let dispatch = || {
         ProgramBuilder::new()
             .prefetch(0, 0, 64)
@@ -121,25 +104,24 @@ fn bench_programs(c: &mut Criterion) {
             .compute(12)
             .build()
     };
-    // Payload-shaped: one MTU store span, bases cycle in real use so the
-    // builder disables memoization — this pair isolates the batched
-    // tight-loop walk against the per-call reference.
-    let payload = || ProgramBuilder::new().no_memoize().store(0, 0, 1472).build();
+    // Payload-shaped: one MTU store span (23 lines).
+    let payload = || ProgramBuilder::new().store(0, 0, 1472).build();
 
     let fast = || MemoryHierarchy::skylake(1);
     let reference = || MemoryHierarchy::with_reference_walk(&HierarchyParams::skylake(1));
 
     type MakeProgram = fn() -> pm_mem::AccessProgram;
-    let pairs: [(&str, &str, MakeProgram); 3] = [
-        ("dispatch2", "replay", dispatch as fn() -> _),
-        ("metadata6", "replay", metadata as fn() -> _),
-        ("payload23", "batched", payload as fn() -> _),
+    let modes = [
+        ("walk", fast as fn() -> MemoryHierarchy),
+        ("reference", reference as fn() -> MemoryHierarchy),
     ];
-    for (name, fast_tag, make) in pairs {
-        for (tag, mk_mem) in [
-            (fast_tag, fast as fn() -> MemoryHierarchy),
-            ("reference", reference as fn() -> MemoryHierarchy),
-        ] {
+    let shapes: [(&str, MakeProgram); 3] = [
+        ("dispatch2", dispatch as fn() -> _),
+        ("metadata6", metadata as fn() -> _),
+        ("payload23", payload as fn() -> _),
+    ];
+    for (name, make) in shapes {
+        for (tag, mk_mem) in modes {
             g.bench_function(&format!("{name}_{tag}"), |b| {
                 let mut mem = mk_mem();
                 let prog = make();
@@ -153,77 +135,16 @@ fn bench_programs(c: &mut Criterion) {
         }
     }
 
-    g.finish();
-}
-
-/// Delta-class replay at the shapes round 3 converted from
-/// `no_memoize`: bases stride through a ring, so the exact-base key
-/// never repeats, but per-step line counts do — the fast resolver
-/// re-keys the armed signature in place instead of walking. Each
-/// `*_reference` row pays the identical outcome per line per call.
-fn bench_delta_replay(c: &mut Criterion) {
-    let mut g = c.benchmark_group("delta_replay");
-
-    // RX-WQE-shaped: one 16-byte slot store + doorbell arithmetic, the
-    // densest converted ring shape (4 slots per line).
-    let wqe = || ProgramBuilder::new().store(0, 0, 16).compute(4).build();
-    // Offset-sensitive: 56 bytes from offset 0 is one line, from offset
-    // 16 it is two — alternating bases flip the delta class every call.
-    let flip = || ProgramBuilder::new().load(0, 0, 56).compute(4).build();
-
-    type MkMem = fn() -> MemoryHierarchy;
-    let modes: [(&str, MkMem); 2] = [
-        ("fast", (|| MemoryHierarchy::skylake(1)) as MkMem),
-        (
-            "reference",
-            (|| MemoryHierarchy::with_reference_walk(&HierarchyParams::skylake(1))) as MkMem,
-        ),
-    ];
-
-    // A 64-slot (16-line) WQE ring visited round-robin: every call is a
-    // fresh base in the same class, so after warm-up every call is a
-    // delta replay + re-key on the fast resolver.
-    for (tag, mk_mem) in modes {
-        g.bench_function(&format!("wqe_stride16_{tag}"), |b| {
-            let mut mem = mk_mem();
-            let prog = wqe();
-            let mut i = 0u64;
-            b.iter(|| {
-                i = (i + 1) & 63;
-                let mut cost = Cost::ZERO;
-                mem.run_program(0, &prog, &[0x40_000 + i * 16], &mut cost);
-                black_box(cost)
-            });
-        });
-    }
-
     // The PMD's burst shape: one `run_program_batch` call resolving 32
-    // strided rows under a single attribution window.
+    // strided 16-byte WQE rows under a single attribution window.
     for (tag, mk_mem) in modes {
-        g.bench_function(&format!("batch32_{tag}"), |b| {
+        g.bench_function(&format!("wqe_batch32_{tag}"), |b| {
             let mut mem = mk_mem();
-            let prog = wqe();
+            let prog = ProgramBuilder::new().store(0, 0, 16).compute(4).build();
             let rows: Vec<[u64; 1]> = (0..32u64).map(|k| [0x48_000 + k * 16]).collect();
             b.iter(|| {
                 let mut cost = Cost::ZERO;
                 mem.run_program_batch(0, &prog, &rows, &mut cost);
-                black_box(cost)
-            });
-        });
-    }
-
-    // Where replay loses: the class flips every call, so the fast
-    // resolver verifies, bails, walks, and re-arms — pure overhead over
-    // the reference walk. See the module notes.
-    for (tag, mk_mem) in modes {
-        g.bench_function(&format!("classflip_{tag}"), |b| {
-            let mut mem = mk_mem();
-            let prog = flip();
-            let mut i = 0u64;
-            b.iter(|| {
-                i = (i + 1) & 1;
-                let mut cost = Cost::ZERO;
-                mem.run_program(0, &prog, &[0x50_000 + i * 16], &mut cost);
                 black_box(cost)
             });
         });
@@ -287,11 +208,5 @@ fn bench_events(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_hierarchy,
-    bench_programs,
-    bench_delta_replay,
-    bench_events
-);
+criterion_group!(benches, bench_hierarchy, bench_programs, bench_events);
 criterion_main!(benches);

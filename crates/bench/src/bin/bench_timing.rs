@@ -15,11 +15,10 @@
 //! rounds run and are discarded: the first pass through each benchmark
 //! pays one-time host costs no steady sample should carry — binary
 //! page-in, allocator arena growth, branch-predictor training on the
-//! simulator's hot loops. (Armed signature tables are per-run state and
-//! warm up inside every sample identically.) For an A/B
-//! comparison between two checkouts, run this harness from each build
-//! alternately and compare the emitted files; within one invocation the
-//! interleaving only de-skews the benchmarks against each other.
+//! simulator's hot loops. For an A/B comparison between two checkouts,
+//! run this harness from each build alternately and compare the emitted
+//! files; within one invocation the interleaving only de-skews the
+//! benchmarks against each other.
 //!
 //! The emitted JSON (`BENCH_simulator.json` by convention) records the
 //! per-round samples plus mean and min. **`min_s` is the headline

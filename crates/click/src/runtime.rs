@@ -387,13 +387,8 @@ impl GraphRuntime {
                     // are touched lazily by the elements that use them,
                     // which is why reordering them matters).
                     let copy_lines = &self.copy_lines;
-                    // `no_memoize` even with delta-class replay: Packet
-                    // objects come from a FIFO pool (the engine's
-                    // default), so successive bases cycle cold through
-                    // the whole pool and the L1-residency proof would
-                    // fail every packet — the arming probe stays off.
                     let prog = self.copy_prog.get_or_insert_with(|| {
-                        let mut b = ProgramBuilder::new().no_memoize().load(0, 0, 32);
+                        let mut b = ProgramBuilder::new().load(0, 0, 32);
                         for &l in copy_lines {
                             b = b.store(1, l as u32 * 64, 64);
                         }
@@ -526,10 +521,7 @@ impl GraphRuntime {
 
     /// Resolves element `idx`'s dispatch charge set — vtable load, call
     /// penalty, per-hop bookkeeping, and state touch — as one access
-    /// program over bases `[vtable, state]`. These fixed-base programs
-    /// are the hierarchy's hottest signature-replay site: a hop whose
-    /// two lines stayed L1-MRU since the last packet costs no per-line
-    /// walk at all.
+    /// program over bases `[vtable, state]`.
     #[inline]
     fn charge_hop(&mut self, ctx: &mut Ctx<'_>, idx: usize) {
         if self.hop_progs.is_none() {

@@ -72,10 +72,11 @@ pub struct EngineConfig {
     /// pure function of `(spec.seed, nic, seq)` — independent of thread
     /// count and of the timeline window.
     pub trace: Option<TraceSpec>,
-    /// Resolve every access program through the reference per-line walk
-    /// (no signature memoization, no batch replay, no fast-forward).
-    /// Bit-identical to the default fast resolver by construction — the
-    /// regression tests run both and assert byte-equal artifacts.
+    /// Resolve every access program through the reference per-call walk
+    /// (no resident filter, no invalidation-scan elision, no batched
+    /// attribution). Bit-identical to the default resolver by
+    /// construction — the regression tests run both and assert
+    /// byte-equal artifacts.
     pub reference_walk: bool,
     /// Back element-owned lookup tables (flow tables, route tries)
     /// with 2-MiB hugepages, like DPDK's `rte_hash` on hugepage

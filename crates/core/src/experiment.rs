@@ -361,9 +361,9 @@ impl ExperimentBuilder {
             .unwrap_or_else(|| crate::sweep::default_trace().is_some())
     }
 
-    /// Resolves every access program through the reference per-line walk
-    /// (signature arming, delta-class replay, and fast-forward all off).
-    /// This is the bit-identity regression knob: a run with the flag on
+    /// Resolves every access program through the reference per-call walk
+    /// (resident filter and invalidation-scan elision off). This is the
+    /// bit-identity regression knob: a run with the flag on
     /// must produce byte-identical artifacts to the same run with it off.
     pub fn reference_walk(mut self, on: bool) -> Self {
         self.reference_walk = on;

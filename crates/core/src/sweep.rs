@@ -525,7 +525,7 @@ impl SweepSpec {
         let cursor = AtomicUsize::new(0);
         let completed = AtomicUsize::new(0);
 
-        let worker = |_worker_id: usize| loop {
+        let claim_runs = || loop {
             let idx = cursor.fetch_add(1, Ordering::Relaxed);
             if idx >= n {
                 break;
@@ -568,6 +568,12 @@ impl SweepSpec {
                 seconds,
                 report,
             });
+        };
+
+        let worker = |_worker_id: usize| {
+            // One DMA pool image per worker, not one per run.
+            let _reuse = pm_nic::BackingReuse::open();
+            claim_runs();
         };
 
         let threads = threads.min(n.max(1));

@@ -171,14 +171,6 @@ pub struct Pmd {
     /// Reused base-register rows for the batched per-completion
     /// conversion program (no per-burst allocation).
     rows_scratch: Vec<[u64; 3]>,
-    /// `MemoryHierarchy::signature_kills` observed at the end of the
-    /// previous non-empty burst (host-side steady-state witness).
-    kills_seen: u64,
-    /// Consecutive non-empty bursts with no signature kills.
-    steady_streak: u32,
-    /// Diagnostics: see [`Pmd::batch_replays`] / [`Pmd::steady_bursts`].
-    batch_replays: u64,
-    steady_bursts: u64,
     /// Precompiled access programs for the hot per-packet charge sets
     /// (see [`pm_mem::program`]): CQE poll, per-completion mbuf-write
     /// conversion, TX metadata load, TX WQE store. Built on first use;
@@ -235,10 +227,6 @@ impl Pmd {
             stats: PmdStats::default(),
             comps_scratch: Vec::new(),
             rows_scratch: Vec::new(),
-            kills_seen: 0,
-            steady_streak: 0,
-            batch_replays: 0,
-            steady_bursts: 0,
             poll_prog: None,
             rx_mbuf_prog: None,
             rx_wqe_prog: None,
@@ -259,26 +247,20 @@ impl Pmd {
         self.stats
     }
 
-    /// Per-completion conversion programs resolved by signature replay
-    /// instead of a walk (host-side diagnostic, no simulated effect).
+    /// Always 0: `pm-mem` no longer memoizes access signatures, so no
+    /// program is ever replayed. Kept only because the frozen
+    /// `benchmark/` crate reads it; retire together with
+    /// [`Pmd::steady_bursts`] and the benchmark's
+    /// `mem.batch_replay_ratio` / `dpdk.steady_burst_ratio` metrics in
+    /// the next `benchmark` PR.
     pub fn batch_replays(&self) -> u64 {
-        self.batch_replays
+        0
     }
 
-    /// Non-empty RX bursts processed at the proven steady-state fixed
-    /// point: at least [`Pmd::STEADY_K`] consecutive non-empty bursts
-    /// with no armed-signature kills anywhere in the hierarchy, so the
-    /// working set's signatures are stable and replays (increasingly the
-    /// closed-form fast-forward kind) dominate resolution. Host-side
-    /// diagnostic for tests and benches; any DMA/fault/flush-driven kill
-    /// resets the streak.
+    /// Always 0; see [`Pmd::batch_replays`].
     pub fn steady_bursts(&self) -> u64 {
-        self.steady_bursts
+        0
     }
-
-    /// Kill-free non-empty bursts required before the PMD considers the
-    /// hierarchy at its steady-state fixed point.
-    pub const STEADY_K: u32 = 4;
 
     /// Free buffers in the port's mempool right now (an observation
     /// point for the flight recorder; reads no simulated memory and
@@ -382,9 +364,7 @@ impl Pmd {
         let mut pool_cost = Cost::ZERO;
         let mut cost = Cost::ZERO;
         // Poll-loop entry + the next CQE slot read (happens even when
-        // empty), as one program. The poll word's base changes only when
-        // completions were reaped, so an idle queue replays its armed
-        // signature instead of walking.
+        // empty), as one program.
         let poll_prog = self
             .poll_prog
             .get_or_insert_with(|| ProgramBuilder::new().compute(8).load(0, 0, 8).build());
@@ -462,14 +442,8 @@ impl Pmd {
             let prog = match self.cfg.model {
                 MetadataModel::Copying | MetadataModel::Overlaying => {
                     // Full rte_mbuf RX field set: all in the first line.
-                    // `no_memoize`: the CQE and packet-header lines are
-                    // rewritten by DMA (`dma_write_set`) on every
-                    // arrival, so they are never L1-resident at poll
-                    // time and the delta-class residency proof would
-                    // fail per packet — the arming probe stays off.
                     self.rx_mbuf_prog.get_or_insert_with(|| {
                         ProgramBuilder::new()
-                            .no_memoize()
                             .prefetch(0, 0, 64)
                             .load(0, 0, 32)
                             .compute(18)
@@ -501,11 +475,7 @@ impl Pmd {
                             .filter_map(|f| ring.layout().field(f.name()))
                             .map(|fl| (fl.offset, fl.size))
                             .collect();
-                        // `no_memoize` for the same DMA reason as the
-                        // mbuf program: bases 0 and 1 are DMA-rewritten
-                        // every arrival, never L1-resident at poll time.
                         let mut b = ProgramBuilder::new()
-                            .no_memoize()
                             .prefetch(0, 0, 64)
                             .load(0, 0, 32)
                             .compute(18)
@@ -519,8 +489,7 @@ impl Pmd {
                     &slot_prog.as_ref().unwrap().1
                 }
             };
-            let replayed = mem.run_program_batch(core, prog, &rows, &mut cost);
-            self.batch_replays += u64::from(replayed);
+            mem.run_program_batch(core, prog, &rows, &mut cost);
         }
         self.rows_scratch = rows;
         // Replenish the ring back to full (covers this burst plus any
@@ -563,10 +532,6 @@ impl Pmd {
                 buf_id: b,
                 data_addr: dma.data_addr(b),
             });
-            // Memoizable since delta-class replay: the 16-byte WQE
-            // store strides through the ring (4 slots per line), so
-            // successive bases stay in one line's equivalence class and
-            // replay after the first slot's walk arms the signature.
             let wqe_prog = self
                 .rx_wqe_prog
                 .get_or_insert_with(|| ProgramBuilder::new().store(0, 0, 16).compute(7).build());
@@ -584,20 +549,6 @@ impl Pmd {
             mem.profile_charge_at(SCOPE_RX, cost - pool_cost);
             mem.profile_charge_at(SCOPE_MEMPOOL, pool_cost);
             mem.profile_packets_at(SCOPE_RX, out.len() as u64);
-            // Steady-state witness (host-side only): a burst that ended
-            // with no new signature kills anywhere extends the streak;
-            // STEADY_K such bursts in a row prove the working set's
-            // signatures have reached their fixed point.
-            let kills = mem.signature_kills();
-            if kills == self.kills_seen {
-                self.steady_streak = self.steady_streak.saturating_add(1);
-            } else {
-                self.steady_streak = 0;
-                self.kills_seen = kills;
-            }
-            if self.steady_streak >= Self::STEADY_K {
-                self.steady_bursts += 1;
-            }
         }
         mem.set_scope(outer_scope);
         self.comps_scratch = comps;
@@ -645,18 +596,9 @@ impl Pmd {
         for s in sends {
             // Convert metadata to the TX descriptor: load the metadata
             // structure (hot for X-Change, pool-cycled otherwise).
-            // `no_memoize` even with delta-class replay: the bases cycle
-            // with the mbuf pool, so the L1-MRU residency proof fails
-            // nearly every packet and an armed signature would pay a
-            // failed verification plus a re-arm (a full entry install)
-            // per call on top of the walk it falls back to.
-            let meta_prog = self.tx_meta_prog.get_or_insert_with(|| {
-                ProgramBuilder::new()
-                    .no_memoize()
-                    .load(0, 0, 16)
-                    .compute(13)
-                    .build()
-            });
+            let meta_prog = self
+                .tx_meta_prog
+                .get_or_insert_with(|| ProgramBuilder::new().load(0, 0, 16).compute(13).build());
             mem.run_program(core, meta_prog, &[s.desc.meta_addr], &mut cost);
 
             let req = TxRequest {
@@ -668,11 +610,6 @@ impl Pmd {
             };
             match nic.tx_send(q, req, now, mem) {
                 Some((departed, wqe_addr)) => {
-                    // Memoizable since delta-class replay: under steady
-                    // load the TX ring's in-flight depth is stable, so
-                    // the 64-byte descriptor slots oscillate over a
-                    // small line set that stays L1-resident and the
-                    // strided stores replay.
                     let wqe_prog = self.tx_wqe_prog.get_or_insert_with(|| {
                         ProgramBuilder::new().store(0, 0, 32).compute(10).build()
                     });

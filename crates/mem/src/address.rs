@@ -72,6 +72,16 @@ pub struct AddressSpace {
     next: u64,
 }
 
+/// Exclusive upper bound on simulated byte addresses (32 GiB).
+///
+/// The cache model packs a line's set-local tag into 28 bits and the TLB
+/// keeps 4-KiB page keys clear of its hugepage marker bit; both hold for
+/// every address below this limit on any geometry
+/// [`crate::MemoryHierarchy::new`] accepts. [`AddressSpace`] never mints
+/// an address at or above it, so the per-access paths carry no range
+/// check of their own in release builds.
+pub const ADDR_LIMIT: u64 = 1 << 35;
+
 /// Default alignment for allocated regions (one cache line).
 pub const DEFAULT_ALIGN: u64 = 64;
 const GUARD: u64 = 4096;
@@ -87,11 +97,16 @@ impl AddressSpace {
     ///
     /// # Panics
     ///
-    /// Panics if `align` is not a power of two or `size` is zero.
+    /// Panics if `align` is not a power of two, `size` is zero, or the
+    /// region would reach [`ADDR_LIMIT`].
     pub fn alloc_aligned(&mut self, size: u64, align: u64) -> Region {
         assert!(align.is_power_of_two(), "alignment must be a power of two");
         assert!(size > 0, "zero-sized region");
         let base = (self.next + align - 1) & !(align - 1);
+        assert!(
+            base.checked_add(size).is_some_and(|end| end <= ADDR_LIMIT),
+            "simulated address space exhausted: {size} bytes at {base:#x} passes ADDR_LIMIT"
+        );
         self.next = base + size + GUARD;
         Region { base, size }
     }
@@ -194,6 +209,21 @@ mod tests {
         assert_eq!(r.base % 4096, 0);
         let r = a.alloc(10);
         assert_eq!(r.base % 64, 0);
+    }
+
+    #[test]
+    fn allocation_up_to_the_limit_succeeds() {
+        let mut a = AddressSpace::new();
+        let r = a.alloc_aligned(ADDR_LIMIT - 0x1_0000, 64);
+        assert_eq!(r.base + r.size, ADDR_LIMIT);
+    }
+
+    #[test]
+    #[should_panic(expected = "ADDR_LIMIT")]
+    fn over_limit_allocation_panics() {
+        let mut a = AddressSpace::new();
+        let _ = a.alloc(ADDR_LIMIT / 2);
+        let _ = a.alloc(ADDR_LIMIT / 2);
     }
 
     #[test]

@@ -90,9 +90,10 @@ pub struct SetAssocCache {
     /// low 4 — one 32-bit word per slot, so an access touches a single
     /// compact row in the *host's* caches, and a rotation moves tag and
     /// way together (a line keeps its way while its recency position
-    /// moves). The simulated address space is a small bump-allocated
-    /// span, so tags never come near the 28-bit limit (debug-asserted
-    /// on access).
+    /// moves). The hierarchy and TLB build their levels through
+    /// [`Self::covering`], which checks the tag range against
+    /// [`crate::ADDR_LIMIT`] once at construction, so the per-access
+    /// check is a `debug_assert!`.
     slots: Vec<u32>,
     /// Per-set count of non-empty slots; when a set is full the miss
     /// path skips the empty-way probe entirely.
@@ -131,6 +132,23 @@ impl SetAssocCache {
                 .collect(),
             filled: vec![0; sets],
         }
+    }
+
+    /// [`Self::new`], for a cache that must represent every byte address
+    /// below `limit` exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry has too few sets: some address below
+    /// `limit` would need a tag that does not fit a slot word (it would
+    /// alias the empty-slot sentinel).
+    pub fn covering(p: CacheParams, limit: u64) -> Self {
+        let c = Self::new(p);
+        assert!(
+            u64::from(EMPTY_TAG) << (c.set_bits + c.set_shift) >= limit,
+            "too few sets to tag every address below {limit:#x}"
+        );
+        c
     }
 
     /// Splits `addr` into its set index and set-local tag.
@@ -300,35 +318,6 @@ impl SetAssocCache {
             hit: false,
             evicted: victim_tag.map(|t| self.line_addr(t, set)),
         }
-    }
-
-    /// Host-side hint: touches this set's slot row through
-    /// [`std::hint::black_box`] so a lookup issued shortly after finds
-    /// the row already in the host's cache. Simulated state is
-    /// untouched — this is a software prefetch for the simulator
-    /// itself, useful when the row load can overlap other work.
-    #[inline]
-    pub fn prefetch_row(&self, addr: u64) {
-        let (_, set) = self.set_of(addr);
-        std::hint::black_box(self.slots[set * self.assoc]);
-    }
-
-    /// Returns true if the line containing `addr` is the MRU entry of
-    /// its set (slot 0). A further access to an MRU line is guaranteed
-    /// to hit without changing any recency state — the residency proof
-    /// the hierarchy's access-signature cache is built on. No state
-    /// change.
-    #[inline]
-    pub fn is_mru(&self, addr: u64) -> bool {
-        let (tag, set) = self.set_of(addr);
-        self.slots[set * self.assoc] >> WAY_BITS == tag
-    }
-
-    /// The set index the line containing `addr` maps to (for conflict
-    /// summaries over sets; no state change).
-    #[inline]
-    pub fn set_index(&self, addr: u64) -> usize {
-        self.set_of(addr).1
     }
 
     /// Returns true if the line containing `addr` is resident (no LRU
@@ -529,6 +518,13 @@ mod tests {
         }
         c.flush();
         assert_eq!(c, small(), "flushed cache must equal a fresh one");
+    }
+
+    #[test]
+    #[should_panic(expected = "too few sets")]
+    fn covering_rejects_a_geometry_that_would_alias() {
+        // One set: tags are whole line numbers, 28 bits of them.
+        let _ = SetAssocCache::covering(CacheParams::new(256, 4, 64), crate::ADDR_LIMIT);
     }
 
     #[test]

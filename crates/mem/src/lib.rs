@@ -36,7 +36,7 @@ pub mod program;
 pub(crate) mod resident;
 pub mod tlb;
 
-pub use address::{AddressSpace, Region, ScatterAlloc};
+pub use address::{AddressSpace, Region, ScatterAlloc, ADDR_LIMIT};
 pub use cache::{CacheParams, SetAssocCache};
 pub use classic::ClassicSetAssocCache;
 pub use cost::{Cost, LatencyModel};

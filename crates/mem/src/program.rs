@@ -9,9 +9,7 @@
 //! paper's "pay at compile time, not per packet" LLVM passes — as a flat
 //! list of steps over numbered base registers. The hierarchy resolves a
 //! program in one tight loop ([`crate::MemoryHierarchy::run_program`])
-//! with a single attribution update, and can memoize the entire outcome
-//! when the residency of every line is provably known (see the
-//! access-signature cache in `hierarchy`).
+//! with a single attribution update.
 //!
 //! A program is *semantically defined* as the equivalent call sequence:
 //!
@@ -24,17 +22,12 @@
 //! }
 //! ```
 //!
-//! and every resolver path (tight walk, signature replay, reference
-//! mode) must be bit-identical to that sequence — same `f64` operation
-//! order, same counters, same cache/TLB state.
+//! and both resolver paths (tight walk, reference mode) must be
+//! bit-identical to that sequence — same `f64` operation order, same
+//! counters, same cache/TLB state.
 
 use crate::cost::Cost;
 use crate::{lines_spanned, LINE};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Program identities only key memo tables; values never influence
-/// simulated state, so a process-wide counter is fine.
-static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
 /// One step of an [`AccessProgram`].
 #[derive(Debug, Clone, Copy)]
@@ -67,7 +60,7 @@ pub struct Step {
 impl Step {
     /// True for Load/Store/Prefetch.
     #[inline]
-    pub(crate) fn is_mem(&self) -> bool {
+    fn is_mem(&self) -> bool {
         matches!(self.op, StepOp::Load | StepOp::Store | StepOp::Prefetch)
     }
 
@@ -82,28 +75,14 @@ impl Step {
 #[derive(Debug, Clone)]
 pub struct AccessProgram {
     pub(crate) steps: Vec<Step>,
-    pub(crate) id: u64,
-    pub(crate) n_bases: u8,
+    n_bases: u8,
     /// Total lines spanned by Load + Store steps (prefetch excluded —
     /// prefetch touches count no demand events).
-    pub(crate) load_lines: u64,
-    pub(crate) store_lines: u64,
-    /// Total lines spanned by all memory steps (every one consults the
-    /// TLB once in the all-resident case).
-    pub(crate) mem_lines: u64,
-    /// Whether the hierarchy should ever try to memoize this program's
-    /// access signature. Builders turn this off for touch sites whose
-    /// bases cycle every invocation (per-completion descriptor/buffer
-    /// programs), where the post-walk arming probe is pure waste.
-    pub(crate) memoize: bool,
+    load_lines: u64,
+    store_lines: u64,
 }
 
 impl AccessProgram {
-    /// The program's identity (keys the hierarchy's signature cache).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
     /// Number of base registers the caller must supply.
     pub fn base_count(&self) -> usize {
         usize::from(self.n_bases)
@@ -136,7 +115,6 @@ impl AccessProgram {
 #[derive(Debug)]
 pub struct ProgramBuilder {
     steps: Vec<Step>,
-    memoize: bool,
 }
 
 impl Default for ProgramBuilder {
@@ -148,19 +126,7 @@ impl Default for ProgramBuilder {
 impl ProgramBuilder {
     /// Starts an empty program.
     pub fn new() -> Self {
-        ProgramBuilder {
-            steps: Vec::new(),
-            memoize: true,
-        }
-    }
-
-    /// Declares that this program's bases cycle per invocation (ring
-    /// slots, pool buffers), so the hierarchy should skip signature
-    /// arming entirely: a signature keyed on ever-changing bases would
-    /// never be replayed.
-    pub fn no_memoize(mut self) -> Self {
-        self.memoize = false;
-        self
+        ProgramBuilder { steps: Vec::new() }
     }
 
     fn mem(mut self, op: StepOp, base: u8, offset: u32, len: u32) -> Self {
@@ -214,19 +180,15 @@ impl ProgramBuilder {
     /// Finalizes the program.
     pub fn build(self) -> AccessProgram {
         let mut n_bases = 0u16;
-        let (mut load_lines, mut store_lines, mut mem_lines) = (0u64, 0u64, 0u64);
+        let (mut load_lines, mut store_lines) = (0u64, 0u64);
         for s in &self.steps {
             if s.is_mem() {
                 n_bases = n_bases.max(u16::from(s.base) + 1);
-                // Worst-case line count (an unaligned base can add one
-                // more line); exact counts are recomputed per resolve
-                // from the live base values. These totals only size the
-                // all-resident signature bookkeeping, which is rebuilt
-                // per (program, bases) anyway — but with every simulated
-                // allocator line-aligning bases, offset-relative counts
-                // are exact in practice.
+                // Offset-relative line count: exact for the line-aligned
+                // bases every simulated allocator hands out (an
+                // unaligned base can add one more line; the resolver
+                // recomputes exact counts from the live base values).
                 let n = lines_spanned(u64::from(s.offset), u64::from(s.len));
-                mem_lines += n;
                 match s.op {
                     StepOp::Load => load_lines += n,
                     StepOp::Store => store_lines += n,
@@ -237,12 +199,9 @@ impl ProgramBuilder {
         assert!(n_bases <= 16, "too many base registers");
         AccessProgram {
             steps: self.steps,
-            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             n_bases: n_bases as u8,
             load_lines,
             store_lines,
-            mem_lines,
-            memoize: self.memoize,
         }
     }
 }
@@ -287,14 +246,6 @@ mod tests {
         assert_eq!(p.step_count(), 7);
         assert_eq!(p.load_lines, 1);
         assert_eq!(p.store_lines, 1);
-        assert_eq!(p.mem_lines, 5); // 1 + 1 + 2 prefetch + 1 store
-    }
-
-    #[test]
-    fn ids_are_unique() {
-        let a = ProgramBuilder::new().load(0, 0, 8).build();
-        let b = ProgramBuilder::new().load(0, 0, 8).build();
-        assert_ne!(a.id(), b.id());
     }
 
     #[test]

@@ -6,21 +6,19 @@
 //! never demand-touched by any core. This filter records every line that
 //! is demand- or warm-filled into a private cache; a line absent from the
 //! filter is therefore provably absent from every L1/L2 (and, via the
-//! last-line invariant, from every memo and armed signature), so the
-//! invalidation scan can be skipped with bit-identical simulated state.
+//! last-line invariant, from every last-line memo), so the invalidation
+//! scan can be skipped with bit-identical simulated state.
 //!
 //! False positives are harmless (the scan runs and finds nothing); the
 //! filter only ever skips work that would have been a no-op. Entries are
 //! removed when an invalidation scan actually runs for a line, which
 //! keeps the set tight around the live private-cache footprint.
 //!
-//! The same absence proof serves as the delta-class replay's fast-fail:
-//! before paying an L1 `is_mru` probe for a line the armed signature has
-//! not seen, the hierarchy asks the filter — a line in no private cache
-//! cannot be L1-MRU-resident, so the miss is decided on one word test.
-//! (The converse direction is the invariant that makes the probe order
-//! sound: every L1-resident line was inserted by its fill, and removal
-//! happens only through invalidations that also purge the L1 copy.)
+//! The same absence proof lets a demand touch of an absent line skip
+//! the L1/L2 hit scans and allocate straight away. (The invariant that
+//! makes this sound: every private fill inserts its line, and removal
+//! happens only through invalidations that also purge the private
+//! copies.)
 //!
 //! Implementation: a plain bitmap indexed by line number. Simulated
 //! addresses come from a bump allocator and stay within a few hundred

@@ -35,14 +35,6 @@ pub struct Tlb {
     accesses: u64,
     /// The page passed to the most recent [`Tlb::translate_page`] call.
     last_page: u64,
-    /// DTLB fill generation: bumped whenever the DTLB's *contents* can
-    /// change — a miss fills a new entry (possibly evicting one) and a
-    /// reset empties the structure. Hits only reorder recency, never
-    /// membership, so an unchanged generation proves that every page
-    /// previously observed DTLB-resident is still resident. This is the
-    /// witness the hierarchy's steady-state fast-forward uses to skip
-    /// re-proving a recorded replay trajectory.
-    gen: u64,
 }
 
 /// Where a translation was found.
@@ -67,7 +59,10 @@ impl Tlb {
     ///
     /// # Panics
     ///
-    /// Panics if entries/associativity do not form power-of-two set counts.
+    /// Panics if entries/associativity do not form power-of-two set
+    /// counts, or leave too few sets to tag every page key (the
+    /// hierarchy's keys stay below 2^31: 4-KiB keys of addresses under
+    /// [`crate::ADDR_LIMIT`], or a 2-MiB key with marker bit 30).
     pub fn new(
         dtlb_entries: usize,
         dtlb_assoc: usize,
@@ -78,15 +73,21 @@ impl Tlb {
         // Reuse the cache structure with a "line size" of one page-entry
         // (8 bytes, arbitrary — only the set math matters).
         let entry = 8;
+        let level = |entries: usize, assoc: usize| {
+            // Page keys (< 2^31) are fed to the entry caches as `key * entry`.
+            SetAssocCache::covering(
+                CacheParams::new(entries * entry, assoc, entry),
+                (entry as u64) << 31,
+            )
+        };
         Tlb {
             page_shift,
-            dtlb: SetAssocCache::new(CacheParams::new(dtlb_entries * entry, dtlb_assoc, entry)),
-            stlb: SetAssocCache::new(CacheParams::new(stlb_entries * entry, stlb_assoc, entry)),
+            dtlb: level(dtlb_entries, dtlb_assoc),
+            stlb: level(stlb_entries, stlb_assoc),
             dtlb_misses: 0,
             stlb_misses: 0,
             accesses: 0,
             last_page: NO_PAGE,
-            gen: 0,
         }
     }
 
@@ -114,8 +115,6 @@ impl Tlb {
             return TlbOutcome::Dtlb;
         }
         self.dtlb_misses += 1;
-        // The miss fill below changes DTLB membership.
-        self.gen += 1;
         if self.stlb.access(key).hit {
             return TlbOutcome::Stlb;
         }
@@ -131,65 +130,6 @@ impl Tlb {
     pub fn repeat_last(&mut self) {
         debug_assert!(self.last_page != NO_PAGE, "no previous translation");
         self.accesses += 1;
-    }
-
-    /// Returns true if translating `page` right now would be a free DTLB
-    /// hit that changes no replacement state: either it is the last-page
-    /// memo, or it sits in the DTLB's MRU slot for its set. No state
-    /// change — this is the residency proof the hierarchy's
-    /// access-signature replay uses.
-    #[inline]
-    pub fn replay_class(&self, page: u64) -> bool {
-        page == self.last_page || self.dtlb.is_mru(page * 8)
-    }
-
-    /// The page in the last-page memo slot (the hierarchy's replay
-    /// simulation starts its walk from here).
-    #[inline]
-    pub(crate) fn last_page(&self) -> u64 {
-        self.last_page
-    }
-
-    /// The DTLB fill generation (see the field doc). Host-side only: it
-    /// gates which of two bit-identical resolution paths runs, never
-    /// simulated state.
-    #[inline]
-    pub(crate) fn generation(&self) -> u64 {
-        self.gen
-    }
-
-    /// Whether `page` is DTLB-resident in *any* way, so a translation
-    /// would be a free hit — possibly reordering its set's recency
-    /// state, which the hierarchy's signature replay applies for real
-    /// via [`Tlb::dtlb_touch`]. Unlike [`Tlb::replay_class`] this
-    /// ignores the last-page memo — the replay simulation tracks that
-    /// separately as it walks. No state change.
-    #[inline]
-    pub(crate) fn dtlb_resident(&self, page: u64) -> bool {
-        self.dtlb.probe(page * 8)
-    }
-
-    /// Applies the state effect of one real DTLB-hit translation of
-    /// `page` (proven resident by [`Tlb::dtlb_resident`]): exactly the
-    /// `dtlb.access` promotion [`Tlb::translate_page`] performs, minus
-    /// the access count and last-page memo, which [`Tlb::replay_hits`]
-    /// batches at the end of the replayed walk.
-    #[inline]
-    pub(crate) fn dtlb_touch(&mut self, page: u64) {
-        let hit = self.dtlb.access(page * 8).hit;
-        debug_assert!(hit, "replay touch of a non-resident page");
-    }
-
-    /// Replays `n` translations of `page`, all proven free DTLB hits by
-    /// [`Tlb::replay_class`]: bumps the access count and installs `page`
-    /// as the last-page memo — exactly the state a walk of `n` same-page
-    /// lines would leave (the first translation either repeats the memo
-    /// or MRU-hits the DTLB without reordering it; the rest repeat).
-    #[inline]
-    pub fn replay_hits(&mut self, n: u64, page: u64) {
-        debug_assert!(self.replay_class(page), "replaying a non-resident page");
-        self.accesses += n;
-        self.last_page = page;
     }
 
     /// Total translations requested.
@@ -215,9 +155,6 @@ impl Tlb {
         self.stlb_misses = 0;
         self.accesses = 0;
         self.last_page = NO_PAGE;
-        // Membership changed (everything left); prior residency proofs
-        // are void.
-        self.gen += 1;
     }
 }
 

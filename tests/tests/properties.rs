@@ -549,7 +549,7 @@ mod access_programs {
 
     /// Tiny two-core geometry (L1 512 B/2w, L2 2 KiB/2w, LLC 8 KiB/4w,
     /// DDIO 2 ways) so a few hundred random operations exercise every
-    /// eviction, back-invalidation, and signature-invalidation path.
+    /// eviction and back-invalidation path.
     fn params() -> HierarchyParams {
         HierarchyParams {
             cores: 2,
@@ -562,27 +562,21 @@ mod access_programs {
     }
 
     /// Base-address pool chosen so random scripts produce repeats
-    /// (signature replays and fast-forwards), same-L1-set conflicts
-    /// (stride 256), same-LLC-set conflicts (stride 2048), page
-    /// crossings, touches inside the hugepage-backed region marked at
-    /// setup (0x40_000..), and sub-line strides (0x10/0x20 offsets) that
-    /// drive delta-class replay: same program, shifted bases — replayed
-    /// when the per-step line counts match, bailed to the walk when the
-    /// offset changes how a span straddles lines.
-    const BASES: [u64; 12] = [
+    /// (last-line / last-page memo hits), same-L1-set conflicts (stride
+    /// 256), same-LLC-set conflicts (stride 2048), page crossings,
+    /// touches inside the hugepage-backed region marked at setup
+    /// (0x40_000..), and one unaligned base (0x30_010) that changes how
+    /// a span straddles lines.
+    const BASES: [u64; 10] = [
         0x0, 0x100, 0x800, 0x1000, 0x10_000, 0x10_800, 0x40_000, 0x41_000, 0x30_000, 0x30_010,
-        0x30_020, 0x30_040,
     ];
 
-    const N_PROGS: usize = 6;
+    const N_PROGS: usize = 5;
 
     /// A fixed program zoo covering the shapes the data plane compiles:
-    /// memoizable dispatch and metadata programs, a `no_memoize`
-    /// ring-shaped program, a payload span too wide to ever arm, a
-    /// WQE-shaped sub-line store whose 16-byte strided bases stay in one
-    /// delta class, and an offset-sensitive load whose line count flips
-    /// between 1 and 2 across the 0x10-strided bases (the delta-class
-    /// bail path).
+    /// dispatch and metadata programs, a wide payload span, a WQE-shaped
+    /// sub-line store, and an offset-sensitive load whose line count
+    /// flips between 1 and 2 on the unaligned base.
     fn programs() -> Vec<AccessProgram> {
         vec![
             ProgramBuilder::new()
@@ -595,11 +589,6 @@ mod access_programs {
                 .load(0, 0, 8)
                 .store(0, 64, 8)
                 .compute(4)
-                .build(),
-            ProgramBuilder::new()
-                .no_memoize()
-                .load(0, 0, 16)
-                .store(1, 0, 16)
                 .build(),
             ProgramBuilder::new()
                 .load(0, 0, 1024)
@@ -624,10 +613,9 @@ mod access_programs {
             b1: u64,
         },
         /// A burst resolved through `run_program_batch`: `n` rows whose
-        /// bases stride from `(b0, b1)` — 16 B keeps WQE-shaped rows in
-        /// one delta class, 64 B walks lines, 256 B aliases L1 sets (so
-        /// a row can evict a predecessor's lines and force the mid-batch
-        /// per-packet fallback).
+        /// bases stride from `(b0, b1)` — 16 B packs WQE-shaped rows
+        /// four to a line, 64 B walks lines, 256 B aliases L1 sets (so a
+        /// row can evict a predecessor's lines).
         RunBatch {
             prog: usize,
             core: usize,
@@ -692,20 +680,18 @@ mod access_programs {
     }
 
     proptest! {
-        /// Lock-step equivalence of the batched/memoized resolver against
-        /// the reference per-call walk: over arbitrary interleavings of
-        /// program runs, strided burst resolutions (`run_program_batch`),
-        /// single accesses, prefetches, DMA invalidations, and
-        /// private-cache flushes on two cores, every operation must
-        /// return the bit-identical cost, the aggregate counters must
-        /// match after every operation, and the final residency grid and
-        /// per-scope attribution must be equal. Repeats in the script
-        /// drive exact replay into steady-state fast-forward; DMA and
-        /// conflict ops knock it back out; sub-line-strided bases
-        /// exercise delta-class replay and its count-mismatch bail. This
-        /// is the contract that makes signature replay, delta-class
-        /// re-keying, fast-forward, and invalidation-scan elision safe
-        /// to ship under the byte-identical golden gate.
+        /// Lock-step equivalence of the default resolver (tight walk,
+        /// resident filter, batched attribution) against the reference
+        /// per-call walk: over arbitrary interleavings of program runs,
+        /// strided burst resolutions (`run_program_batch`), single
+        /// accesses, prefetches, DMA invalidations, and private-cache
+        /// flushes (which leave false positives in the resident filter)
+        /// on two cores, every operation must return the bit-identical
+        /// cost, the aggregate counters must match after every
+        /// operation, and the final residency grid and per-scope
+        /// attribution must be equal. This is the contract that makes
+        /// invalidation-scan elision safe to ship under the
+        /// byte-identical golden gate.
         #[test]
         fn batched_resolver_matches_reference_walk(
             script in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..250),

@@ -89,42 +89,59 @@ fn recorder_is_measurement_neutral() {
     }
 }
 
-/// Delta-class replay and steady-state fast-forward must be invisible
-/// to the flight recorder: a recorder-on run resolved through the
-/// memoized fast path serializes byte-identically to the same run
-/// forced through the reference per-line walk. In particular this pins
-/// the fast-forward window-boundary contract — every recorder sampling
-/// point observes the same occupancy/counter state either way, so a
-/// fast-forwarded burst can never smear a stale occupancy sample across
-/// a window boundary (any such smear would diff the windowed series
-/// here).
+/// The one experiment-level oracle for the default resolver (tight
+/// walk, resident filter, scan elision, batched attribution): every
+/// metadata model × 1 and 4 cores × profile on/off, recorder on, plus
+/// one faulted run, must serialize a byte-identical run report — the
+/// windowed series and per-element attribution included — to the same
+/// run forced through the reference per-call walk.
 #[test]
-fn replay_and_fast_forward_are_recorder_neutral() {
-    for (nf, cores, faults) in [
-        (Nf::Router, 1, None),
-        (Nf::Router, 2, Some(plan(0x1D1D))),
-        (Nf::Nat, 1, None),
+fn default_walk_equals_reference_walk() {
+    let mut cases = Vec::new();
+    for (model, opt) in [
+        (MetadataModel::Copying, OptLevel::Vanilla),
+        (MetadataModel::Overlaying, OptLevel::AllSource),
+        (MetadataModel::XChange, OptLevel::AllSource),
     ] {
+        for cores in [1, 4] {
+            for profile in [false, true] {
+                cases.push((Nf::Router, model, opt, cores, profile, None));
+            }
+        }
+    }
+    cases.push((
+        Nf::Nat,
+        MetadataModel::XChange,
+        OptLevel::AllSource,
+        2,
+        true,
+        Some(plan(0x1D1D)),
+    ));
+    for (nf, model, opt, cores, profile, faults) in cases {
         let base = || {
-            let b = recorded(nf.clone(), cores);
+            let b = recorded(nf.clone(), cores)
+                .metadata_model(model)
+                .optimization(opt)
+                .profile(profile);
             match &faults {
                 Some(p) => b.fault_plan(p.clone()),
                 None => b,
             }
         };
-        let memoized = base().run_with_report().expect("memoized run");
+        let what = format!("{nf:?}/{model:?}/{cores}c/profile={profile}");
+        let default = base().run_with_report().expect("default run");
         let reference = base()
             .reference_walk(true)
             .run_with_report()
             .expect("reference run");
         assert_eq!(
-            memoized.0, reference.0,
-            "{nf:?}/{cores}c: measurement diverges from the reference walk"
+            default.0, reference.0,
+            "{what}: measurement diverges from the reference walk"
         );
         assert_eq!(
-            memoized.1.to_json().to_pretty(),
+            default.1.to_json().to_pretty(),
             reference.1.to_json().to_pretty(),
-            "{nf:?}/{cores}c: recorder artifact diverges from the reference walk"
+            "{what}: run report diverges from the reference walk"
         );
     }
 }
