@@ -12,7 +12,7 @@ use pm_dpdk::{MetadataModel, MetadataSpec, Pmd, PmdConfig, TxSend};
 use pm_frameworks::Dataplane;
 use pm_mem::{AddressSpace, Cost, MemCounters, MemoryHierarchy, SCOPE_SCHEDULER};
 use pm_nic::{DmaMemory, Nic, NicConfig};
-use pm_sim::{DropCause, FaultPlan, Frequency, Ledger, SimTime};
+use pm_sim::{round_to_u64, DropCause, FaultPlan, Frequency, Ledger, SimTime};
 use pm_telemetry::{
     LatencyHistogram, ProfileRecord, ProfileReport, TimelineRecorder, TimelineReport,
     TraceRecorder, TraceReport, TraceSpec,
@@ -465,9 +465,9 @@ impl Engine {
                 // Pacing always follows the frame as generated: faults
                 // change what arrives, never when the next frame does.
                 let wire_bits = (frame.len() as u64 + 20) * 8;
-                st.next_time += SimTime::from_ps(
-                    (wire_bits as f64 * 1000.0 / self.cfg.offered_gbps).round() as u64,
-                );
+                st.next_time += SimTime::from_ps(round_to_u64(
+                    wire_bits as f64 * 1000.0 / self.cfg.offered_gbps,
+                ));
                 st.next_idx += 1;
             }
         }

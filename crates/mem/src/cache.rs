@@ -72,6 +72,13 @@ fn pack(tag: u32, way: u32) -> u32 {
     (tag << WAY_BITS) | way
 }
 
+/// One pristine set: every slot empty, slot `i` holding way `i`. Built
+/// once and copied per set — a per-slot `i % assoc` over the LLC's 360 k
+/// slots was a visible share of every short run.
+fn empty_row(assoc: usize) -> Vec<u32> {
+    (0..assoc as u32).map(|w| pack(EMPTY_TAG, w)).collect()
+}
+
 /// A set-associative cache with LRU replacement (move-to-front order).
 ///
 /// Addresses passed to the access methods are **byte addresses**; the
@@ -95,9 +102,10 @@ pub struct SetAssocCache {
     /// [`crate::ADDR_LIMIT`] once at construction, so the per-access
     /// check is a `debug_assert!`.
     slots: Vec<u32>,
-    /// Per-set count of non-empty slots; when a set is full the miss
-    /// path skips the empty-way probe entirely.
-    filled: Vec<u8>,
+    /// Per-set bitmask of empty physical ways; a fill takes the lowest
+    /// one in its allowed range with a mask and a `trailing_zeros`, and a
+    /// full set skips the empty-way probe entirely.
+    empty: Vec<u16>,
 }
 
 /// Result of a fill: whether it hit, and any line evicted to make room.
@@ -127,10 +135,8 @@ impl SetAssocCache {
             set_shift: p.line_bytes.trailing_zeros(),
             set_mask: (sets - 1) as u64,
             set_bits: (sets - 1).count_ones(),
-            slots: (0..sets * p.assoc)
-                .map(|i| pack(EMPTY_TAG, (i % p.assoc) as u32))
-                .collect(),
-            filled: vec![0; sets],
+            slots: empty_row(p.assoc).repeat(sets),
+            empty: vec![Self::all_ways(p.assoc); sets],
         }
     }
 
@@ -149,6 +155,11 @@ impl SetAssocCache {
             "too few sets to tag every address below {limit:#x}"
         );
         c
+    }
+
+    /// The `empty` mask of a pristine set.
+    fn all_ways(assoc: usize) -> u16 {
+        ((1u32 << assoc) - 1) as u16
     }
 
     /// Splits `addr` into its set index and set-local tag.
@@ -171,24 +182,33 @@ impl SetAssocCache {
     /// the full associativity). Returns the fill outcome.
     #[inline]
     pub fn access(&mut self, addr: u64) -> FillOutcome {
-        let (tag, set) = self.set_of(addr);
-        // MRU fast path: the most recently used line sits in slot 0; the
-        // runner-up sits in slot 1 and promotes with a single swap.
-        let base = set * self.assoc;
-        if self.slots[base] >> WAY_BITS == tag {
+        if self.access_mru(addr) {
             return FillOutcome {
                 hit: true,
                 evicted: None,
             };
+        }
+        let (tag, set) = self.set_of(addr);
+        self.access_way_range_cold(tag, set, 0, self.assoc)
+    }
+
+    /// The MRU fast path of an access, on its own: the most recently used
+    /// line sits in slot 0; the runner-up sits in slot 1 and promotes
+    /// with a single swap. Returns false — having changed nothing — when
+    /// the line is in neither slot; the caller then finishes with
+    /// [`Self::access`] (or [`Self::alloc_absent`]).
+    #[inline]
+    pub fn access_mru(&mut self, addr: u64) -> bool {
+        let (tag, set) = self.set_of(addr);
+        let base = set * self.assoc;
+        if self.slots[base] >> WAY_BITS == tag {
+            return true;
         }
         if self.assoc > 1 && self.slots[base + 1] >> WAY_BITS == tag {
             self.slots.swap(base, base + 1);
-            return FillOutcome {
-                hit: true,
-                evicted: None,
-            };
+            return true;
         }
-        self.access_way_range_cold(tag, set, 0, self.assoc)
+        false
     }
 
     /// Accesses the line containing `addr`, but on a miss allocate only
@@ -215,28 +235,20 @@ impl SetAssocCache {
     /// Panics if the range is empty or exceeds the associativity.
     pub fn access_way_range(&mut self, addr: u64, lo: usize, hi: usize) -> FillOutcome {
         assert!(lo < hi && hi <= self.assoc, "bad way restriction");
+        if self.access_mru(addr) {
+            return FillOutcome {
+                hit: true,
+                evicted: None,
+            };
+        }
         let (tag, set) = self.set_of(addr);
-        // MRU fast path: the most recently used line sits in slot 0; the
-        // runner-up sits in slot 1 and promotes with a single swap.
-        let base = set * self.assoc;
-        if self.slots[base] >> WAY_BITS == tag {
-            return FillOutcome {
-                hit: true,
-                evicted: None,
-            };
-        }
-        if self.assoc > 1 && self.slots[base + 1] >> WAY_BITS == tag {
-            self.slots.swap(base, base + 1);
-            return FillOutcome {
-                hit: true,
-                evicted: None,
-            };
-        }
         self.access_way_range_cold(tag, set, lo, hi)
     }
 
     /// The non-MRU part of an access: scan for a hit beyond slot 0, or
-    /// pick a victim and fill.
+    /// pick a victim and fill. Never inlined: the callers' slot-0/slot-1
+    /// compares are what gets inlined into the hierarchy's per-line loops.
+    #[inline(never)]
     fn access_way_range_cold(&mut self, tag: u32, set: usize, lo: usize, hi: usize) -> FillOutcome {
         let assoc = self.assoc;
         let base = set * assoc;
@@ -274,7 +286,6 @@ impl SetAssocCache {
     /// Victim selection + fill for a line known to miss.
     fn fill_absent(&mut self, tag: u32, set: usize, lo: usize, hi: usize) -> FillOutcome {
         let assoc = self.assoc;
-        let filled = self.filled[set] as usize;
         let base = set * assoc;
         let row = &mut self.slots[base..base + assoc];
 
@@ -283,20 +294,13 @@ impl SetAssocCache {
         // set has no usable empty way, evict the least-recent in-range
         // slot — with a full set and a full range that is just the last
         // slot, found with no scan at all.
-        let mut slot = usize::MAX;
-        if filled < assoc {
-            let mut best_way = hi as u32;
-            for (i, &e) in row.iter().enumerate() {
-                let w = e & ((1 << WAY_BITS) - 1);
-                if e >> WAY_BITS == EMPTY_TAG && w >= lo as u32 && w < best_way {
-                    best_way = w;
-                    slot = i;
-                }
-            }
-        }
-        let victim_tag = if slot != usize::MAX {
-            self.filled[set] += 1;
-            None
+        let usable = self.empty[set] & (Self::all_ways(hi) & !Self::all_ways(lo));
+        let (slot, victim_tag) = if usable != 0 {
+            let way = usable.trailing_zeros();
+            self.empty[set] &= !(1 << way);
+            let vacant = pack(EMPTY_TAG, way);
+            let slot = row.iter().position(|&e| e == vacant);
+            (slot.expect("empty mask out of step with the row"), None)
         } else {
             let mut pos = assoc - 1;
             loop {
@@ -306,8 +310,7 @@ impl SetAssocCache {
                 }
                 pos -= 1;
             }
-            slot = pos;
-            Some(row[slot] >> WAY_BITS)
+            (pos, Some(row[pos] >> WAY_BITS))
         };
 
         // Fill the chosen slot and promote it to the front.
@@ -344,7 +347,7 @@ impl SetAssocCache {
             Some(pos) => {
                 let e = self.slots[base + pos];
                 self.slots[base + pos] = pack(EMPTY_TAG, e & ((1 << WAY_BITS) - 1));
-                self.filled[set] -= 1;
+                self.empty[set] |= 1 << (e & ((1 << WAY_BITS) - 1));
                 true
             }
             None => false,
@@ -353,11 +356,11 @@ impl SetAssocCache {
 
     /// Empties the cache, restoring the pristine just-constructed state.
     pub fn flush(&mut self) {
-        let assoc = self.assoc;
-        for (i, e) in self.slots.iter_mut().enumerate() {
-            *e = pack(EMPTY_TAG, (i % assoc) as u32);
+        let row = empty_row(self.assoc);
+        for set in self.slots.chunks_exact_mut(self.assoc) {
+            set.copy_from_slice(&row);
         }
-        self.filled.iter_mut().for_each(|f| *f = 0);
+        self.empty.fill(Self::all_ways(self.assoc));
     }
 
     /// Number of resident lines (O(capacity); for tests/diagnostics).
@@ -389,6 +392,25 @@ mod tests {
         assert!(!c.access(0x1000).hit);
         assert!(c.access(0x1000).hit);
         assert!(c.access(0x1038).hit, "same line, different byte");
+    }
+
+    #[test]
+    fn access_mru_hits_only_the_two_front_slots() {
+        // 1 set x 4 ways, filled 0,1,2,3 → recency order 3,2,1,0.
+        let mut c = SetAssocCache::new(CacheParams::new(256, 4, 64));
+        for i in 0..4u64 {
+            c.access(i * 64);
+        }
+        let pristine = c.clone();
+        assert!(c.access_mru(3 * 64), "slot 0");
+        assert_eq!(c, pristine, "an MRU hit changes nothing");
+        assert!(!c.access_mru(64), "slot 2 is not the front");
+        assert!(!c.access_mru(9 * 64), "absent line");
+        assert_eq!(c, pristine, "a declined access changes nothing");
+        assert!(c.access_mru(2 * 64), "slot 1 promotes with a swap");
+        let mut twin = pristine;
+        twin.access(2 * 64);
+        assert_eq!(c, twin, "same state as the full access");
     }
 
     #[test]

@@ -147,6 +147,30 @@ impl MemCounters {
 /// real line or page identifier.
 const NONE64: u64 = u64::MAX;
 
+/// The `[load, store] × [L1, L2, Llc, Dram]` stall table. The store row
+/// is the load row scaled by `store_stall_factor` (store buffers hide
+/// most of a store miss's latency) — the same `f64` products the walk
+/// used to compute per access, so indexing it is bit-exact.
+fn stall_table(lat: &LatencyModel) -> [[Cost; 4]; 2] {
+    let load = [
+        Cost::stall_cycles(lat.l1_hit_cy),
+        Cost::stall_cycles(lat.l2_hit_cy),
+        Cost::stall_ns(lat.llc_hit_ns),
+        Cost::stall_ns(lat.dram_ns),
+    ];
+    [load, load.map(|c| c.scaled(lat.store_stall_factor))]
+}
+
+/// Translation cost indexed by `TlbOutcome as usize`.
+fn tlb_cost_table(lat: &LatencyModel) -> [Cost; 3] {
+    let walk = Cost {
+        instructions: 0,
+        cycles: lat.walk_cy,
+        uncore_ns: lat.walk_ns,
+    };
+    [Cost::ZERO, Cost::stall_cycles(lat.stlb_hit_cy), walk]
+}
+
 struct CoreCaches {
     l1: SetAssocCache,
     l2: SetAssocCache,
@@ -170,6 +194,12 @@ pub struct MemoryHierarchy {
     llc_assoc: usize,
     ddio_ways: usize,
     lat: LatencyModel,
+    /// Exposed stall by `[AccessKind][Level]`, built once from `lat`: the
+    /// per-line walk carries a one-byte [`Level`] in a register and looks
+    /// the `Cost` up here. See [`stall_table`].
+    stall: [[Cost; 4]; 2],
+    /// Translation cost by [`TlbOutcome`], likewise.
+    tlb_cost: [Cost; 3],
     counters: MemCounters,
     /// Sorted, disjoint `(start, end)` ranges backed by 2-MiB hugepages
     /// (DPDK mempools, rings, and DMA memory — as in a real deployment).
@@ -235,6 +265,8 @@ impl MemoryHierarchy {
             llc_assoc: p.llc.assoc,
             ddio_ways: p.ddio_ways,
             lat: p.lat,
+            stall: stall_table(&p.lat),
+            tlb_cost: tlb_cost_table(&p.lat),
             counters: MemCounters::default(),
             huge_ranges: Vec::new(),
             last_huge: (NONE64, 0),
@@ -353,61 +385,68 @@ impl MemoryHierarchy {
         if n == 0 {
             return Cost::ZERO;
         }
-        let before = self.attribution.is_some().then_some(self.counters);
+        let before = self.snapshot();
         let mut cost = Cost::ZERO;
         let mut line_addr = addr & !(LINE - 1);
         for _ in 0..n {
             cost += self.access_line_raw(core, line_addr, kind);
             line_addr += LINE;
         }
-        if let Some(before) = before {
-            let delta = self.counters.delta_since(&before);
-            if let Some(attr) = &mut self.attribution {
-                attr.add_counters(&delta);
-            }
-        }
+        self.attribute_since(before);
         cost
     }
 
     /// Accesses a single line. Prefer [`Self::access`] for ranged data.
     pub fn access_line(&mut self, core: usize, addr: u64, kind: AccessKind) -> Cost {
-        let before = self.attribution.is_some().then_some(self.counters);
+        let before = self.snapshot();
         let cost = self.access_line_raw(core, addr, kind);
-        if let Some(before) = before {
-            let delta = self.counters.delta_since(&before);
-            if let Some(attr) = &mut self.attribution {
-                attr.add_counters(&delta);
-            }
-        }
+        self.attribute_since(before);
         cost
+    }
+
+    /// The counter block, copied only when attribution is on (96 bytes;
+    /// `bool::then_some` would copy them eagerly on every call).
+    #[inline(always)]
+    fn snapshot(&self) -> Option<MemCounters> {
+        self.attribution.as_ref().map(|_| self.counters)
+    }
+
+    /// Attributes the counter delta since [`Self::snapshot`] to the
+    /// current scope.
+    #[inline(always)]
+    fn attribute_since(&mut self, before: Option<MemCounters>) {
+        if let (Some(before), Some(attr)) = (before, &mut self.attribution) {
+            attr.add_counters(&self.counters.delta_since(&before));
+        }
     }
 
     /// One line access without the attribution snapshot (callers batch
     /// it). The last-line filter short-circuits the dominant pattern —
     /// re-touching the line the core touched last — to two counter bumps
     /// and the L1-hit cost; see the invariant on [`CoreCaches::last_line`].
-    #[inline]
+    ///
+    /// The whole hit path (this, [`Self::translate`], [`Self::touch`]) is
+    /// forced into the callers' per-line loops: outcomes travel as
+    /// one-byte codes in registers, the `Cost` comes from the tables, and
+    /// whatever the memos and the L1 front slots do not settle is one
+    /// out-of-line call per structure.
+    #[inline(always)]
     fn access_line_raw(&mut self, core: usize, addr: u64, kind: AccessKind) -> Cost {
         let line = addr & !(LINE - 1);
         let c = &mut self.cores[core];
         if c.last_line == line {
             c.tlb.repeat_last();
-            let factor = if kind == AccessKind::Load {
+            if kind == AccessKind::Load {
                 self.counters.loads += 1;
-                1.0
             } else {
                 self.counters.stores += 1;
-                self.lat.store_stall_factor
-            };
-            return Cost::stall_cycles(self.lat.l1_hit_cy * factor);
+            }
+            return self.stall[kind as usize][Level::L1 as usize];
         }
-        let mut cost = self.translate::<true>(core, addr);
-        let (level, stall) = self.touch::<true>(core, addr, kind);
-        cost += stall;
-        // Bookkeeping only; `level` is also useful to callers via counters.
-        let _ = level;
+        let tlb = self.translate::<true>(core, addr);
+        let level = self.touch::<true>(core, line, kind == AccessKind::Load);
         self.cores[core].last_line = line;
-        cost
+        self.tlb_cost[tlb as usize] + self.stall[kind as usize][level as usize]
     }
 
     /// Returns which level served a hypothetical access (no state change).
@@ -424,70 +463,49 @@ impl MemoryHierarchy {
         }
     }
 
-    #[inline]
-    fn translate<const COUNT: bool>(&mut self, core: usize, addr: u64) -> Cost {
+    #[inline(always)]
+    fn translate<const COUNT: bool>(&mut self, core: usize, addr: u64) -> TlbOutcome {
         // Same 4-KiB vpage as the previous translation ⇒ same page key ⇒
         // a guaranteed free DTLB hit: skip the range search entirely.
+        let c = &mut self.cores[core];
+        if c.last_vpage == addr >> 12 {
+            c.tlb.repeat_last();
+            return TlbOutcome::Dtlb;
+        }
+        self.translate_new_page::<COUNT>(core, addr)
+    }
+
+    /// A translation off the last vpage — nine in ten on a real packet
+    /// mix. Most still end here, call-free: per-packet accesses hop between
+    /// a handful of pages (buffer, metadata, element state), each the MRU
+    /// entry of its own DTLB set.
+    #[inline(never)]
+    fn translate_new_page<const COUNT: bool>(&mut self, core: usize, addr: u64) -> TlbOutcome {
         let vpage = addr >> 12;
-        if self.cores[core].last_vpage == vpage {
-            self.cores[core].tlb.repeat_last();
-            return Cost::ZERO;
+        let (v, key) = self.key_memo[(vpage & (self.key_memo.len() as u64 - 1)) as usize];
+        let c = &mut self.cores[core];
+        c.last_vpage = vpage;
+        if v == vpage && c.tlb.translate_page_mru(key) {
+            return TlbOutcome::Dtlb;
         }
-        self.cores[core].last_vpage = vpage;
+        self.translate_walk::<COUNT>(core, addr)
+    }
+
+    #[inline(never)]
+    fn translate_walk<const COUNT: bool>(&mut self, core: usize, addr: u64) -> TlbOutcome {
         let key = self.page_key(addr);
-        match self.cores[core].tlb.translate_page(key) {
-            TlbOutcome::Dtlb => Cost::ZERO,
-            TlbOutcome::Stlb => {
-                if COUNT {
-                    self.counters.dtlb_misses += 1;
-                }
-                Cost::stall_cycles(self.lat.stlb_hit_cy)
-            }
-            TlbOutcome::Walk => {
-                if COUNT {
-                    self.counters.dtlb_misses += 1;
-                    self.counters.page_walks += 1;
-                }
-                Cost {
-                    instructions: 0,
-                    cycles: self.lat.walk_cy,
-                    uncore_ns: self.lat.walk_ns,
-                }
-            }
+        let out = self.cores[core].tlb.translate_page(key);
+        if COUNT {
+            self.counters.dtlb_misses += u64::from(out != TlbOutcome::Dtlb);
+            self.counters.page_walks += u64::from(out == TlbOutcome::Walk);
         }
+        out
     }
 
-    #[inline]
-    fn touch<const COUNT: bool>(
-        &mut self,
-        core: usize,
-        addr: u64,
-        kind: AccessKind,
-    ) -> (Level, Cost) {
-        let (level, raw) = self.touch_raw::<COUNT>(core, addr, kind);
-        if kind == AccessKind::Store {
-            // Store buffers hide most of a store miss's latency.
-            let f = self.lat.store_stall_factor;
-            (
-                level,
-                Cost {
-                    instructions: raw.instructions,
-                    cycles: raw.cycles * f,
-                    uncore_ns: raw.uncore_ns * f,
-                },
-            )
-        } else {
-            (level, raw)
-        }
-    }
-
-    fn touch_raw<const COUNT: bool>(
-        &mut self,
-        core: usize,
-        addr: u64,
-        kind: AccessKind,
-    ) -> (Level, Cost) {
-        let is_load = kind == AccessKind::Load;
+    /// Demand-touches `line` and returns the level that served it; the
+    /// stall is `self.stall[kind][level]`.
+    #[inline(always)]
+    fn touch<const COUNT: bool>(&mut self, core: usize, line: u64, is_load: bool) -> Level {
         if COUNT {
             if is_load {
                 self.counters.loads += 1;
@@ -495,51 +513,47 @@ impl MemoryHierarchy {
                 self.counters.stores += 1;
             }
         }
-
-        let line = addr & !(LINE - 1);
-        if self.fast && !self.resident.contains(line) {
-            // The resident filter proves this line sits in no core's
-            // L1/L2 (every private fill inserts it), so the hit scans
-            // cannot succeed: allocate straight away. Streaming lines —
-            // fresh DMA payload, wrapped ring slots — take this path
-            // every packet.
-            if COUNT && is_load {
-                self.counters.l1d_load_misses += 1;
-            }
-            self.resident.insert(line);
-            let c = &mut self.cores[core];
-            // L1/L2 victims vanish silently (inclusive LLC still holds
-            // them), exactly as on the scan path below.
-            c.l1.alloc_absent(addr);
-            c.l2.alloc_absent(addr);
-            return self.touch_llc::<COUNT>(addr, is_load);
+        if self.cores[core].l1.access_mru(line) {
+            return Level::L1;
         }
+        self.touch_slow::<COUNT>(core, line, is_load)
+    }
 
-        if self.cores[core].l1.access(addr).hit {
-            return (Level::L1, Cost::stall_cycles(self.lat.l1_hit_cy));
+    /// A touch that is not an L1-MRU hit: the line is deeper in its L1
+    /// row, or misses L1 — provably so, with no hit scan to run, when the
+    /// resident filter has never seen it (every private fill inserts its
+    /// line; streaming lines — fresh DMA payload, wrapped ring slots —
+    /// come through here every packet).
+    #[inline(never)]
+    fn touch_slow<const COUNT: bool>(&mut self, core: usize, line: u64, is_load: bool) -> Level {
+        let absent = self.fast && !self.resident.contains(line);
+        if !absent && self.cores[core].l1.access(line).hit {
+            return Level::L1;
         }
         if COUNT && is_load {
             self.counters.l1d_load_misses += 1;
         }
-        // The line is about to be filled into this core's L1 (and
-        // possibly L2): record it as possibly-core-resident so future
+        // The line is now in this core's L1 (`access` allocates on miss)
+        // or about to be: record it as possibly-core-resident so future
         // DMA/back-invalidations know to scan.
         if self.fast {
             self.resident.insert(line);
         }
-
-        // Note on fills: `access` allocates on miss, so by this point the
-        // line is already resident (and MRU) in L1, and likewise in L2
-        // below — no separate fill step is needed on the hit paths.
-        if self.cores[core].l2.access(addr).hit {
-            return (Level::L2, Cost::stall_cycles(self.lat.l2_hit_cy));
+        let c = &mut self.cores[core];
+        if absent {
+            // L1/L2 victims vanish silently (the inclusive LLC still
+            // holds them), exactly as on the scan path.
+            c.l1.alloc_absent(line);
+            c.l2.alloc_absent(line);
+        } else if c.l2.access(line).hit {
+            return Level::L2;
         }
-        self.touch_llc::<COUNT>(addr, is_load)
+        self.touch_llc::<COUNT>(line, is_load)
     }
 
     /// The shared tail of a demand touch that missed both private
     /// levels: LLC lookup in the demand ways, then DRAM.
-    fn touch_llc<const COUNT: bool>(&mut self, addr: u64, is_load: bool) -> (Level, Cost) {
+    fn touch_llc<const COUNT: bool>(&mut self, addr: u64, is_load: bool) -> Level {
         if COUNT {
             if is_load {
                 self.counters.llc_loads += 1;
@@ -554,7 +568,7 @@ impl MemoryHierarchy {
             .llc
             .access_way_range(addr, self.ddio_ways, self.llc_assoc);
         if out.hit {
-            return (Level::Llc, Cost::stall_ns(self.lat.llc_hit_ns));
+            return Level::Llc;
         }
 
         // DRAM. Fill all levels; back-invalidate on LLC eviction.
@@ -568,7 +582,7 @@ impl MemoryHierarchy {
         if let Some(evicted) = out.evicted {
             self.back_invalidate(evicted);
         }
-        (Level::Dram, Cost::stall_ns(self.lat.dram_ns))
+        Level::Dram
     }
 
     fn back_invalidate(&mut self, line: u64) {
@@ -644,14 +658,9 @@ impl MemoryHierarchy {
     /// to DRAM (DDIO overflow) cannot be issued early enough and exposes
     /// part of the memory latency.
     pub fn prefetch(&mut self, core: usize, addr: u64, len: u64) -> Cost {
-        let before = self.attribution.is_some().then_some(self.counters);
+        let before = self.snapshot();
         let cost = self.prefetch_raw(core, addr, len);
-        if let Some(before) = before {
-            let delta = self.counters.delta_since(&before);
-            if let Some(attr) = &mut self.attribution {
-                attr.add_counters(&delta);
-            }
-        }
+        self.attribute_since(before);
         cost
     }
 
@@ -679,10 +688,8 @@ impl MemoryHierarchy {
             // the probe-first ordering would.
             for _ in 0..n {
                 // Quiet variants: a prefetch moves cache/TLB state but
-                // counts no demand events (the save/restore of the whole
-                // counter block this replaces was two 96-byte copies per
-                // line).
-                let (level, _) = self.touch::<false>(core, line, AccessKind::Load);
+                // counts no demand events.
+                let level = self.touch::<false>(core, line, true);
                 let _ = self.translate::<false>(core, line);
                 self.cores[core].last_line = line;
                 if level == Level::Dram {
@@ -714,7 +721,7 @@ impl MemoryHierarchy {
         let n = lines_spanned(addr, len);
         let mut line = addr & !(LINE - 1);
         for _ in 0..n {
-            let _ = self.touch::<true>(core, line, AccessKind::Load);
+            let _ = self.touch::<true>(core, line, true);
             let _ = self.translate::<true>(core, line);
             // Maintain the last-line invariant: `line` is now this
             // core's most recent touch and sits MRU in its L1 set.
@@ -751,14 +758,9 @@ impl MemoryHierarchy {
             self.run_program_reference(core, prog, bases, acc);
             return;
         }
-        let before = self.attribution.is_some().then_some(self.counters);
+        let before = self.snapshot();
         self.walk_program(core, prog, bases, acc);
-        if let Some(before) = before {
-            let delta = self.counters.delta_since(&before);
-            if let Some(attr) = &mut self.attribution {
-                attr.add_counters(&delta);
-            }
-        }
+        self.attribute_since(before);
     }
 
     /// Resolves one program for each row of `rows` (a batch sharing one
@@ -787,16 +789,11 @@ impl MemoryHierarchy {
             }
             return;
         }
-        let before = self.attribution.is_some().then_some(self.counters);
+        let before = self.snapshot();
         for row in rows {
             self.walk_program(core, prog, row, acc);
         }
-        if let Some(before) = before {
-            let delta = self.counters.delta_since(&before);
-            if let Some(attr) = &mut self.attribution {
-                attr.add_counters(&delta);
-            }
-        }
+        self.attribute_since(before);
     }
 
     /// The default resolver: one tight step walk, without per-call
@@ -1181,6 +1178,100 @@ mod tests {
         let p = &recs.iter().find(|(n, _)| n == "Discard").unwrap().1;
         assert_eq!(p.cost, Cost::ZERO);
         assert_eq!(p.packets, 0);
+    }
+
+    /// Every `(kind, level)` entry of the stall table, and every
+    /// translation outcome, carries the bits of the per-access formula it
+    /// replaced — checked with a model whose products do not round nicely.
+    #[test]
+    fn cost_tables_are_bit_exact() {
+        let lat = LatencyModel {
+            l1_hit_cy: 4.3,
+            l2_hit_cy: 11.7,
+            llc_hit_ns: 8.9,
+            dram_ns: 61.3,
+            stlb_hit_cy: 7.1,
+            walk_cy: 20.9,
+            walk_ns: 12.7,
+            store_stall_factor: 0.37,
+            ..LatencyModel::default()
+        };
+        let bits = |c: Cost| (c.instructions, c.cycles.to_bits(), c.uncore_ns.to_bits());
+        let load = [
+            Cost::stall_cycles(lat.l1_hit_cy),
+            Cost::stall_cycles(lat.l2_hit_cy),
+            Cost::stall_ns(lat.llc_hit_ns),
+            Cost::stall_ns(lat.dram_ns),
+        ];
+        let table = stall_table(&lat);
+        for (level, raw) in load.into_iter().enumerate() {
+            assert_eq!(bits(table[AccessKind::Load as usize][level]), bits(raw));
+            // What `touch` computed per store.
+            let f = lat.store_stall_factor;
+            let store = Cost {
+                instructions: raw.instructions,
+                cycles: raw.cycles * f,
+                uncore_ns: raw.uncore_ns * f,
+            };
+            assert_eq!(bits(table[AccessKind::Store as usize][level]), bits(store));
+        }
+        // The last-line filter's own spelling of an L1 store hit.
+        assert_eq!(
+            bits(table[AccessKind::Store as usize][Level::L1 as usize]),
+            bits(Cost::stall_cycles(lat.l1_hit_cy * lat.store_stall_factor))
+        );
+        let tlb = tlb_cost_table(&lat);
+        assert_eq!(bits(tlb[TlbOutcome::Dtlb as usize]), bits(Cost::ZERO));
+        assert_eq!(
+            bits(tlb[TlbOutcome::Stlb as usize]),
+            bits(Cost::stall_cycles(lat.stlb_hit_cy))
+        );
+        let walk = Cost {
+            instructions: 0,
+            cycles: lat.walk_cy,
+            uncore_ns: lat.walk_ns,
+        };
+        assert_eq!(bits(tlb[TlbOutcome::Walk as usize]), bits(walk));
+
+        // And through the front door: a cold store pays walk + DRAM × f,
+        // its repeat the last-line L1 store hit.
+        let mut m = MemoryHierarchy::new(&HierarchyParams {
+            lat,
+            ..tiny_params()
+        });
+        let cold = m.access(0, 0x10_000, 8, AccessKind::Store);
+        assert_eq!(bits(cold), bits(walk + table[1][Level::Dram as usize]));
+        let again = m.access(0, 0x10_008, 8, AccessKind::Store);
+        assert_eq!(bits(again), bits(table[1][Level::L1 as usize]));
+    }
+
+    /// The counter snapshot is taken only when attribution is on: off, no
+    /// record appears; on, the scope gets exactly the counter delta.
+    #[test]
+    fn range_attribution_is_lazy_and_exact() {
+        let mut m = tiny();
+        m.access_range(0, 0x10_000, 256, AccessKind::Load);
+        m.access_line(0, 0x10_000, AccessKind::Store);
+        m.prefetch(0, 0x30_000, 64);
+        assert!(m.profile_records().is_empty());
+
+        m.enable_attribution();
+        let el = m.register_scope("Range");
+        m.set_scope(el);
+        let before = m.counters();
+        m.access_range(0, 0x20_000, 300, AccessKind::Store);
+        m.access_range(0, 0x10_000, 256, AccessKind::Load);
+        let delta = m.counters().delta_since(&before);
+        assert_eq!(delta.stores, 5);
+        assert_eq!(delta.loads, 4);
+        for (name, p) in m.profile_records() {
+            let want = if name == "Range" {
+                delta
+            } else {
+                MemCounters::default()
+            };
+            assert_eq!(p.counters, want, "scope {name}");
+        }
     }
 
     #[test]

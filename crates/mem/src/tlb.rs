@@ -101,12 +101,10 @@ impl Tlb {
     /// page sizes compute their own keys).
     #[inline]
     pub fn translate_page(&mut self, page: u64) -> TlbOutcome {
-        self.accesses += 1;
-        if page == self.last_page {
-            // The previous translation left this page as the DTLB's MRU
-            // entry; re-touching the MRU entry would change nothing.
+        if self.translate_page_mru(page) {
             return TlbOutcome::Dtlb;
         }
+        self.accesses += 1;
         self.last_page = page;
         // Feed page numbers (shifted) as "addresses" to the entry caches;
         // multiply by the entry size so the set math sees distinct lines.
@@ -120,6 +118,23 @@ impl Tlb {
         }
         self.stlb_misses += 1;
         TlbOutcome::Walk
+    }
+
+    /// The call-free front of [`Tlb::translate_page`]: completes the
+    /// translation (a free DTLB hit) when `page` is the last page — the
+    /// previous translation left it the DTLB's MRU entry, so re-touching
+    /// it would change nothing — or sits in slot 0/1 of its DTLB set.
+    /// Returns false, having changed nothing, otherwise.
+    #[inline]
+    pub fn translate_page_mru(&mut self, page: u64) -> bool {
+        if page != self.last_page {
+            if !self.dtlb.access_mru(page * 8) {
+                return false;
+            }
+            self.last_page = page;
+        }
+        self.accesses += 1;
+        true
     }
 
     /// Fast path for a caller that already knows this translation targets
@@ -228,6 +243,31 @@ mod tests {
         assert_eq!(t.accesses(), 2);
         assert_eq!(t.dtlb_misses(), misses, "repeat is a free DTLB hit");
         assert_eq!(t.translate(0x5001), TlbOutcome::Dtlb, "same page memoized");
+    }
+
+    #[test]
+    fn mru_front_agrees_with_full_translation() {
+        // Lock-step against a twin driven only through `translate_page`:
+        // the call-free front either completes the translation exactly
+        // as the full routine would, or declines without touching state.
+        let (mut a, mut b) = (Tlb::skylake(), Tlb::skylake());
+        let mut fronted = 0;
+        for i in 0..4000u64 {
+            let page = (i * 7 + (i >> 3) * 13) % 97;
+            let want = b.translate_page(page);
+            if a.translate_page_mru(page) {
+                assert_eq!(want, TlbOutcome::Dtlb, "page {page}");
+                fronted += 1;
+            } else {
+                assert_eq!(a.translate_page(page), want, "page {page}");
+            }
+            assert_eq!(a.accesses(), b.accesses());
+            assert_eq!(a.dtlb_misses(), b.dtlb_misses());
+            assert_eq!(a.stlb_misses(), b.stlb_misses());
+        }
+        assert_eq!(a.dtlb, b.dtlb);
+        assert_eq!(a.stlb, b.stlb);
+        assert!(fronted > 1000, "front path barely exercised: {fronted}");
     }
 
     #[test]

@@ -31,4 +31,4 @@ pub use events::{EventQueue, HeapEventQueue};
 pub use fault::{DropCause, FaultEvent, FaultKind, FaultPlan, FaultSpecError, Ledger, WireFault};
 pub use freq::Frequency;
 pub use rng::SplitMix64;
-pub use time::SimTime;
+pub use time::{round_to_u64, SimTime};

@@ -9,6 +9,18 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
+/// `v.round() as u64` without the call: at the x86-64 baseline (no
+/// SSE4.1 `roundsd`) `f64::round` is an out-of-line libm routine, and the
+/// per-packet paths (every `Cost::time`, PCIe transfer, pacing gap) go
+/// through here. Truncate, then compare the fraction — exact below 2^53,
+/// where the subtraction loses nothing; from there up `v` is integral.
+/// Negative and NaN inputs give 0 and huge ones saturate, as the cast did.
+#[inline]
+pub fn round_to_u64(v: f64) -> u64 {
+    let t = v as u64;
+    t.saturating_add(u64::from(v - t as f64 >= 0.5))
+}
+
 /// A point in (or duration of) simulated time, in integer picoseconds.
 ///
 /// `SimTime` is used both as an absolute timestamp (picoseconds since the
@@ -45,7 +57,7 @@ impl SimTime {
     /// Negative inputs saturate to zero.
     #[inline]
     pub fn from_ns(ns: f64) -> Self {
-        SimTime((ns.max(0.0) * 1_000.0).round() as u64)
+        SimTime(round_to_u64(ns * 1_000.0))
     }
 
     /// Creates a time from (possibly fractional) microseconds.
@@ -214,6 +226,56 @@ impl fmt::Display for SimTime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    #[test]
+    fn round_to_u64_edge_cases() {
+        let below_half = 0.499_999_999_999_999_94_f64; // 0.5 - ulp/2
+        assert!(below_half < 0.5);
+        let two52 = (1u64 << 52) as f64;
+        let cases = [
+            0.0,
+            -0.0,
+            below_half,
+            0.5,
+            1.5,
+            2.5,
+            6719.5,
+            two52 - 1.0,
+            two52 - 0.5,
+            two52,
+            two52 + 1.0,
+            two52 * 2.0 - 1.0,
+            two52 * 2.0,
+            u64::MAX as f64,
+            1e22,
+            f64::INFINITY,
+            -0.3,
+            -0.7,
+            -1e30,
+            f64::NAN,
+        ];
+        for v in cases {
+            assert_eq!(round_to_u64(v), v.round() as u64, "{v:e}");
+        }
+        // Negative durations still saturate to zero.
+        assert_eq!(SimTime::from_ns(-4.2), SimTime::ZERO);
+    }
+
+    proptest! {
+        /// The truncate-and-compare rounding agrees with `f64::round` on
+        /// arbitrary bit patterns, on exact halves, and around 2^52 where
+        /// the fraction runs out of mantissa.
+        #[test]
+        fn round_to_u64_matches_libm(bits in any::<u64>(), n in 0u64..(1 << 52), k in 0u64..4096) {
+            let arbitrary = f64::from_bits(bits);
+            let half = n as f64 + 0.5;
+            let near_2_52 = f64::from_bits(((1u64 << 52) as f64).to_bits() - 2048 + k);
+            for v in [arbitrary, half, near_2_52] {
+                prop_assert_eq!(round_to_u64(v), v.round() as u64, "{:e}", v);
+            }
+        }
+    }
 
     #[test]
     fn conversions_round_trip() {
