@@ -19,6 +19,7 @@ use pm_telemetry::{
 };
 use pm_traffic::Trace;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Engine construction parameters.
 #[derive(Debug, Clone)]
@@ -193,10 +194,11 @@ struct NicState {
     /// Replay cursor.
     next_idx: usize,
     next_time: SimTime,
-    /// Per-trace-frame RSS hash, computed once: the trace replays
-    /// cyclically, so hashing each distinct frame at startup replaces
-    /// a Toeplitz evaluation per delivered packet.
-    frame_hashes: Vec<u32>,
+    /// Per-trace-frame RSS hash: the trace replays cyclically, so one
+    /// hash per distinct frame replaces a Toeplitz evaluation per
+    /// delivered packet — and the trace keeps them per RSS key, so only
+    /// the first engine built on a cached trace hashes at all.
+    frame_hashes: Arc<[u32]>,
 }
 
 /// The closed-loop engine.
@@ -330,9 +332,7 @@ impl Engine {
                     let txr = dev.tx_ring_mut(q).region();
                     mem.mark_hugepages(txr);
                 }
-                let frame_hashes = (0..traces[n].len())
-                    .map(|i| dev.rss_hash(traces[n].frame(i)))
-                    .collect();
+                let frame_hashes = traces[n].frame_hashes(dev.rss_key());
                 if let Some(plan) = cfg.faults.as_ref().filter(|p| !p.is_empty()) {
                     dev.set_link_flaps(plan.link_down_windows());
                     pmd.set_pool_denial_windows(plan.pool_exhaust_windows());

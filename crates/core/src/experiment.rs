@@ -13,7 +13,7 @@ use pm_elements::standard_registry;
 use pm_frameworks::Dataplane;
 use pm_mem::AddressSpace;
 use pm_sim::{FaultPlan, Frequency, SimTime};
-use pm_traffic::{Trace, TraceConfig, TrafficProfile, Workload, WorkloadSpec};
+use pm_traffic::{Trace, TraceConfig, TrafficProfile, WorkloadSpec};
 use std::error::Error;
 use std::fmt;
 
@@ -598,15 +598,18 @@ impl ExperimentBuilder {
                 ledger: engine.ledger().unwrap_or_default(),
             }),
             workload: self.workload_effective().map(|spec| {
-                let w = Workload::new(spec.clone());
                 // Stats cover one trace cycle of the base (NIC-0) spec;
                 // the engine replays the cycle until `packets` is met.
-                let frames = w.frames() as u64;
+                // NIC 0 replays exactly this trace, so the lookup hits
+                // the cache and reads the stats computed with it.
+                let base = Trace::from_workload_spec_cached(&spec);
                 crate::report::WorkloadReport {
                     spec: spec.to_spec(),
                     hugepage_tables: self.hugepage_tables,
-                    frames,
-                    stats: w.stats(frames),
+                    frames: base.len() as u64,
+                    stats: base
+                        .workload_stats()
+                        .expect("a workload trace carries its stats"),
                     tables: engine.table_stats(),
                 }
             }),

@@ -524,6 +524,7 @@ impl SweepSpec {
         let outcomes: Vec<Mutex<Option<RunOutcome>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let cursor = AtomicUsize::new(0);
         let completed = AtomicUsize::new(0);
+        let reuse = Mutex::new(ReuseCounts::default());
 
         let claim_runs = || loop {
             let idx = cursor.fetch_add(1, Ordering::Relaxed);
@@ -571,9 +572,21 @@ impl SweepSpec {
         };
 
         let worker = |_worker_id: usize| {
-            // One DMA pool image per worker, not one per run.
-            let _reuse = pm_nic::BackingReuse::open();
+            // One DMA pool image per worker, not one per run, and a
+            // synthetic FIB handed from each run to the next.
+            let _backing = pm_nic::BackingReuse::open();
+            let fibs = pm_elements::route::FibReuse::open();
+            let before = pm_traffic::cache_counts();
             claim_runs();
+            let after = pm_traffic::cache_counts();
+            let (fibs_built, fibs_reused) = fibs.counts();
+            let mut r = reuse.lock().expect("reuse counts");
+            r.traces_built += after.traces_built - before.traces_built;
+            r.traces_reused += after.traces_reused - before.traces_reused;
+            r.hash_memos_built += after.hash_memos_built - before.hash_memos_built;
+            r.hash_memos_reused += after.hash_memos_reused - before.hash_memos_reused;
+            r.fibs_built += fibs_built;
+            r.fibs_reused += fibs_reused;
         };
 
         let threads = threads.min(n.max(1));
@@ -598,8 +611,30 @@ impl SweepSpec {
                 .collect(),
             threads,
             wall_seconds: started.elapsed().as_secs_f64(),
+            reuse: reuse.into_inner().expect("no poison"),
         }
     }
+}
+
+/// How often a sweep's runs found a seed-determined input already built
+/// (`reused`) and how often they had to build it (`built`), summed over
+/// the workers. Host telemetry like the wall-clock: it depends on what
+/// the process ran before and on which worker claimed which run, so it
+/// goes to stderr with the [`SweepReport`], never into the artifact.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReuseCounts {
+    /// Traces synthesized into the process-wide cache.
+    pub traces_built: u64,
+    /// Trace requests served from that cache.
+    pub traces_reused: u64,
+    /// Per-trace RSS-hash memos computed.
+    pub hash_memos_built: u64,
+    /// Engines that took their frame hashes from a memo.
+    pub hash_memos_reused: u64,
+    /// Synthetic FIBs built by a `SYNTH` configure.
+    pub fibs_built: u64,
+    /// `SYNTH` configures that took over the previous one's table.
+    pub fibs_reused: u64,
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -656,6 +691,8 @@ pub struct SweepResults {
     pub threads: usize,
     /// Wall-clock seconds for the whole sweep.
     pub wall_seconds: f64,
+    /// What the runs built and what they found built.
+    pub reuse: ReuseCounts,
 }
 
 impl SweepResults {
@@ -715,6 +752,7 @@ impl SweepResults {
                 .iter()
                 .map(|o| o.seconds)
                 .fold(0.0f64, f64::max),
+            reuse: self.reuse,
         }
     }
 }
@@ -737,6 +775,8 @@ pub struct SweepReport {
     pub mean_run_seconds: f64,
     /// Slowest single run's wall-clock seconds.
     pub max_run_seconds: f64,
+    /// What the runs built and what they found built.
+    pub reuse: ReuseCounts,
 }
 
 impl SweepReport {
@@ -755,6 +795,21 @@ impl SweepReport {
             self.max_run_seconds,
             self.runs,
             self.threads,
+        )
+    }
+
+    /// One-line account of the build-once inputs (printed under the
+    /// table): whether the fast set-up path engaged.
+    pub fn reuse_line(&self) -> String {
+        let r = &self.reuse;
+        format!(
+            "reuse: traces {} built / {} reused; hash memos {} built / {} reused; FIBs {} built / {} reused",
+            r.traces_built,
+            r.traces_reused,
+            r.hash_memos_built,
+            r.hash_memos_reused,
+            r.fibs_built,
+            r.fibs_reused,
         )
     }
 
@@ -786,7 +841,8 @@ impl SweepReport {
 
 impl fmt::Display for SweepReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.to_table())
+        // The table ends its last row with a newline.
+        write!(f, "{}{}", self.to_table(), self.reuse_line())
     }
 }
 

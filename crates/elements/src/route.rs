@@ -4,9 +4,16 @@ use crate::trie::{parse_cidr, parse_ip, RadixTrie, Route};
 use pm_click::{Action, Args, ConfigError, Ctx, Element, Pkt, TableStats};
 use pm_mem::{AccessKind, AddressSpace, Region};
 use pm_packet::ether::ETHER_LEN;
+use std::cell::RefCell;
+use std::sync::Arc;
 
 /// Bytes per trie node in the charged region (two children + route).
 const NODE_BYTES: u64 = 16;
+
+/// Most routes one `SYNTH` argument may ask for: above the 10 M rung of
+/// the flow-scale ladder, and low enough that node indices stay far
+/// from `u32::MAX` and the host trie under 8 GiB.
+pub const MAX_SYNTH_ROUTES: u64 = 1 << 24;
 
 /// `LookupIPRoute(CIDR PORT [GW], …, SYNTH "count [seed [nports]]")`:
 /// looks up the destination address, sets the destination-IP annotation
@@ -22,7 +29,9 @@ const NODE_BYTES: u64 = 16;
 /// charged, so bigger tables genuinely cost more cache.
 #[derive(Debug, Default)]
 pub struct LookupIpRoute {
-    trie: RadixTrie,
+    /// Shared with the [`FibReuse`] slot after a hand-over; written only
+    /// through [`Arc::make_mut`].
+    trie: Arc<RadixTrie>,
     nodes_region: Option<Region>,
     max_port: u16,
     /// Route entries installed.
@@ -42,17 +51,29 @@ impl LookupIpRoute {
     pub fn add_route(&mut self, prefix: u32, len: u8, route: Route) {
         self.max_port = self.max_port.max(route.port);
         self.routes += 1;
-        self.trie.insert(prefix, len, route);
+        Arc::make_mut(&mut self.trie).insert(prefix, len, route);
+    }
+
+    /// The routing table (shared with the [`FibReuse`] slot after a
+    /// hand-over).
+    pub fn fib(&self) -> &Arc<RadixTrie> {
+        &self.trie
     }
 
     /// Installs `count` synthetic routes, derived purely from `seed` so
     /// the same arguments always build the same table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nports` is zero (`configure` rejects it first).
     pub fn synthesize(&mut self, count: u64, seed: u64, nports: u16) {
         const FAMILIES: [(u32, u8); 3] = [
             (0x0a00_0000, 8),  // 10.0.0.0/8
             (0xac10_0000, 12), // 172.16.0.0/12
             (0xc0a8_0000, 16), // 192.168.0.0/16
         ];
+        assert!(nports > 0, "SYNTH needs at least one port");
+        let trie = Arc::make_mut(&mut self.trie);
         for i in 0..count {
             let h =
                 pm_sim::SplitMix64::new(seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).next_u64();
@@ -62,9 +83,75 @@ impl LookupIpRoute {
             let mask = u32::MAX << (32 - len);
             let host_bits = !(u32::MAX << (32 - base_len));
             let prefix = (base | ((h >> 16) as u32 & host_bits)) & mask;
-            let port = ((h >> 48) % u64::from(nports.max(1))) as u16;
-            self.add_route(prefix, len, Route { port, gateway: 0 });
+            let port = ((h >> 48) % u64::from(nports)) as u16;
+            self.max_port = self.max_port.max(port);
+            trie.insert(prefix, len, Route { port, gateway: 0 });
         }
+        self.routes += count;
+    }
+}
+
+/// A configured table as the [`FibReuse`] slot keeps it: the argument
+/// list that built it and the three fields `configure` fills.
+struct Fib {
+    args: Args,
+    trie: Arc<RadixTrie>,
+    routes: u64,
+    max_port: u16,
+}
+
+#[derive(Default)]
+struct FibSlot {
+    fib: Option<Fib>,
+    built: u64,
+    reused: u64,
+}
+
+thread_local! {
+    /// The last `SYNTH` table configured on this thread while a
+    /// [`FibReuse`] scope is open; `None` outside one.
+    static FIB_SLOT: RefCell<Option<FibSlot>> = const { RefCell::new(None) };
+}
+
+/// While one of these is alive, a [`LookupIpRoute`] configured on this
+/// thread with a `SYNTH` argument list equal to the previous one's takes
+/// over that table instead of inserting the prefixes again; a different
+/// list replaces the table held. Dropping the scope frees it, so a
+/// thread retains at most one table, and none outside a scope.
+///
+/// A table is a pure function of its argument list, and a sweep runs the
+/// same million-route router several times (4-KiB and hugepage tables,
+/// one graph per queue, the profiling pre-run). The scope is the sweep
+/// worker's, not the process's, so a stand-alone run still pays for and
+/// reports its own build, and no table outlives the sweep.
+#[derive(Debug)]
+pub struct FibReuse(());
+
+impl FibReuse {
+    /// Opens the scope on the calling thread.
+    pub fn open() -> Self {
+        FIB_SLOT.with(|s| {
+            s.borrow_mut().get_or_insert_with(FibSlot::default);
+        });
+        FibReuse(())
+    }
+
+    /// `SYNTH` tables `(built, taken over)` on this thread since the
+    /// scope opened.
+    pub fn counts(&self) -> (u64, u64) {
+        FIB_SLOT.with(|s| s.borrow().as_ref().map_or((0, 0), |s| (s.built, s.reused)))
+    }
+
+    /// Whether the calling thread is holding a table for the next
+    /// configure.
+    pub fn holds_table() -> bool {
+        FIB_SLOT.with(|s| s.borrow().as_ref().is_some_and(|s| s.fib.is_some()))
+    }
+}
+
+impl Drop for FibReuse {
+    fn drop(&mut self) {
+        FIB_SLOT.with(|s| *s.borrow_mut() = None);
     }
 }
 
@@ -74,6 +161,26 @@ impl Element for LookupIpRoute {
     }
 
     fn configure(&mut self, args: &Args) -> Result<(), ConfigError> {
+        // Only a whole table changes hands: into an element that holds
+        // no route yet, for an argument list that built one before.
+        let synth =
+            self.routes == 0 && args.items.iter().any(|a| a.key.as_deref() == Some("SYNTH"));
+        if synth {
+            let held = FIB_SLOT.with(|s| {
+                let mut s = s.borrow_mut();
+                let slot = s.as_mut()?;
+                // A table for other arguments goes before its
+                // replacement is built, never after.
+                slot.fib.take_if(|f| f.args != *args);
+                let fib = slot.fib.as_ref()?;
+                slot.reused += 1;
+                Some((Arc::clone(&fib.trie), fib.routes, fib.max_port))
+            });
+            if let Some(table) = held {
+                (self.trie, self.routes, self.max_port) = table;
+                return Ok(());
+            }
+        }
         for a in &args.items {
             let bad = |m: String| ConfigError::Element {
                 element: String::new(),
@@ -100,6 +207,17 @@ impl Element for LookupIpRoute {
                 };
                 if it.next().is_some() {
                     return Err(bad(format!("SYNTH takes at most 3 fields: {:?}", a.value)));
+                }
+                if count > MAX_SYNTH_ROUTES {
+                    return Err(bad(format!(
+                        "SYNTH count {count} exceeds the {MAX_SYNTH_ROUTES}-route cap"
+                    )));
+                }
+                if nports == 0 {
+                    return Err(bad(format!(
+                        "SYNTH nports must be at least 1: {:?}",
+                        a.value
+                    )));
                 }
                 self.synthesize(count, seed, nports);
                 continue;
@@ -130,6 +248,19 @@ impl Element for LookupIpRoute {
             return Err(ConfigError::Element {
                 element: String::new(),
                 message: "LookupIPRoute needs at least one route".into(),
+            });
+        }
+        if synth {
+            FIB_SLOT.with(|s| {
+                if let Some(slot) = s.borrow_mut().as_mut() {
+                    slot.built += 1;
+                    slot.fib = Some(Fib {
+                        args: args.clone(),
+                        trie: Arc::clone(&self.trie),
+                        routes: self.routes,
+                        max_port: self.max_port,
+                    });
+                }
             });
         }
         Ok(())
@@ -337,6 +468,115 @@ mod tests {
         assert!(el
             .configure(&Args::parse("SYNTH 10 1 2 3, 0.0.0.0/0 0"))
             .is_err());
+    }
+
+    #[test]
+    fn synth_count_and_nports_are_bounded() {
+        let err = |text: &str| {
+            let mut el = LookupIpRoute::default();
+            let e = el.configure(&Args::parse(text)).unwrap_err();
+            assert_eq!(el.routes, 0, "{text}: rejected before any insert");
+            e.to_string()
+        };
+        let over = format!("SYNTH {}", MAX_SYNTH_ROUTES + 1);
+        assert!(err(&over).contains("route cap"), "{}", err(&over));
+        assert!(err(&format!("SYNTH {}", u64::MAX)).contains("route cap"));
+        assert!(err("SYNTH 10 1 0").contains("nports must be at least 1"));
+        // The cap itself and one port are legal (checked at a size a
+        // unit test can afford: the bound is on the parsed number).
+        const { assert!(MAX_SYNTH_ROUTES >= 10_000_000) };
+        let mut el = LookupIpRoute::default();
+        el.configure(&Args::parse("SYNTH 100 1 1")).unwrap();
+        assert_eq!((el.routes, el.n_outputs()), (100, 1));
+    }
+
+    const SYNTH_ARGS: &str = "0.0.0.0/0 0, SYNTH 5000 42 4";
+
+    #[test]
+    fn fib_is_handed_over_only_inside_a_scope_and_only_for_equal_args() {
+        assert!(!FibReuse::holds_table());
+        let outside = element(SYNTH_ARGS);
+        assert!(!FibReuse::holds_table(), "nothing is kept outside a scope");
+
+        let scope = FibReuse::open();
+        let donor = element(SYNTH_ARGS);
+        assert_eq!(scope.counts(), (1, 0));
+        assert!(FibReuse::holds_table());
+        let taker = element(SYNTH_ARGS);
+        assert_eq!(scope.counts(), (1, 1));
+        assert!(Arc::ptr_eq(donor.fib(), taker.fib()), "one table, shared");
+        assert_eq!(
+            taker.fib(),
+            outside.fib(),
+            "== a fresh build, node for node"
+        );
+        assert_eq!(
+            (taker.routes, taker.n_outputs(), taker.table_stats()),
+            (outside.routes, outside.n_outputs(), outside.table_stats())
+        );
+
+        // Other arguments build their own table, which replaces the one
+        // held; a table without SYNTH neither takes nor replaces.
+        let plain = element("0.0.0.0/0 0, 10.0.0.0/8 1");
+        assert_eq!(scope.counts(), (1, 1));
+        assert_eq!(plain.routes, 2);
+        let other = element("0.0.0.0/0 0, SYNTH 5000 43 4");
+        assert_eq!(scope.counts(), (2, 1));
+        assert_ne!(other.fib(), donor.fib());
+        drop((donor, taker));
+        let again = element(SYNTH_ARGS);
+        assert_eq!(scope.counts(), (3, 1), "the first table was replaced");
+        assert_eq!(again.fib(), outside.fib());
+
+        // An element that already holds routes configures on top of them
+        // and stays out of the hand-over.
+        let mut seeded = LookupIpRoute::default();
+        seeded.add_route(
+            0x0b00_0000,
+            8,
+            Route {
+                port: 9,
+                gateway: 0,
+            },
+        );
+        seeded.configure(&Args::parse(SYNTH_ARGS)).unwrap();
+        assert_eq!(scope.counts(), (3, 1));
+        assert_eq!(seeded.routes, again.routes + 1);
+
+        drop(scope);
+        assert!(!FibReuse::holds_table(), "the scope's end frees the slot");
+        assert_eq!(
+            Arc::strong_count(again.fib()),
+            1,
+            "only the element holds it"
+        );
+    }
+
+    #[test]
+    fn add_route_after_a_hand_over_leaves_the_donor_untouched() {
+        let _scope = FibReuse::open();
+        let mut donor = element(SYNTH_ARGS);
+        let mut taker = element(SYNTH_ARGS);
+        let fresh = donor.fib().as_ref().clone();
+        let extra = Route {
+            port: 7,
+            gateway: 0,
+        };
+        taker.add_route(0x0b00_0000, 8, extra);
+        assert_eq!(**donor.fib(), fresh, "the donor's table did not move");
+        assert_ne!(taker.fib(), donor.fib());
+        assert_eq!(taker.routes, donor.routes + 1);
+        assert_eq!(
+            route_packet(&mut taker, [11, 1, 2, 3]).0,
+            Action::Forward(7)
+        );
+        assert_eq!(
+            route_packet(&mut donor, [11, 1, 2, 3]).0,
+            Action::Forward(0)
+        );
+        // And the table still held is the unmodified one.
+        let third = element(SYNTH_ARGS);
+        assert_eq!(**third.fib(), fresh);
     }
 
     #[test]

@@ -16,14 +16,35 @@ pub struct Route {
 
 const NONE: u32 = u32::MAX;
 
-#[derive(Debug, Clone, Copy)]
+/// 16 bytes — the size the element charges per node — so four nodes
+/// share a host cache line (`Option<Route>` made it 20).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Node {
     children: [u32; 2],
-    route: Option<Route>,
+    gateway: u32,
+    port: u16,
+    has: bool,
+}
+
+impl Node {
+    const EMPTY: Node = Node {
+        children: [NONE, NONE],
+        gateway: 0,
+        port: 0,
+        has: false,
+    };
+
+    fn route(&self) -> Option<Route> {
+        self.has.then_some(Route {
+            port: self.port,
+            gateway: self.gateway,
+        })
+    }
 }
 
 /// A binary (one bit per level) radix trie keyed by IPv4 address.
-#[derive(Debug, Clone)]
+/// Two tries are equal when they hold the same nodes in the same order.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RadixTrie {
     nodes: Vec<Node>,
 }
@@ -32,10 +53,7 @@ impl RadixTrie {
     /// An empty trie (root only).
     pub fn new() -> Self {
         RadixTrie {
-            nodes: vec![Node {
-                children: [NONE, NONE],
-                route: None,
-            }],
+            nodes: vec![Node::EMPTY],
         }
     }
 
@@ -56,10 +74,7 @@ impl RadixTrie {
             let bit = ((prefix >> (31 - depth)) & 1) as usize;
             let next = self.nodes[idx].children[bit];
             idx = if next == NONE {
-                self.nodes.push(Node {
-                    children: [NONE, NONE],
-                    route: None,
-                });
+                self.nodes.push(Node::EMPTY);
                 let new = (self.nodes.len() - 1) as u32;
                 self.nodes[idx].children[bit] = new;
                 new as usize
@@ -67,14 +82,15 @@ impl RadixTrie {
                 next as usize
             };
         }
-        self.nodes[idx].route = Some(route);
+        let node = &mut self.nodes[idx];
+        (node.gateway, node.port, node.has) = (route.gateway, route.port, true);
     }
 
     /// Longest-prefix-match lookup, invoking `visit` with each node index
     /// walked (root first) so the caller can charge the accesses.
     pub fn lookup_visit(&self, ip: u32, mut visit: impl FnMut(u32)) -> Option<Route> {
         let mut idx = 0usize;
-        let mut best = self.nodes[0].route;
+        let mut best = self.nodes[0].route();
         visit(0);
         for depth in 0..32 {
             let bit = ((ip >> (31 - depth)) & 1) as usize;
@@ -84,7 +100,7 @@ impl RadixTrie {
             }
             idx = next as usize;
             visit(next);
-            if let Some(r) = self.nodes[idx].route {
+            if let Some(r) = self.nodes[idx].route() {
                 best = Some(r);
             }
         }
@@ -141,6 +157,11 @@ mod tests {
 
     fn route(port: u16) -> Route {
         Route { port, gateway: 0 }
+    }
+
+    #[test]
+    fn host_node_is_the_charged_16_bytes() {
+        assert_eq!(std::mem::size_of::<Node>(), 16);
     }
 
     #[test]

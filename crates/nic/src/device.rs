@@ -7,7 +7,6 @@ use crate::pcie::PcieModel;
 use crate::ring::{Completion, RxRing, TxDone, TxRequest, TxRing, DESC_BYTES};
 use crate::rss::{IndirectionTable, Toeplitz};
 use pm_mem::{AddressSpace, MemoryHierarchy};
-use pm_packet::{ether::EtherHeader, ether::EtherType, ipv4::IpProto, ipv4::Ipv4Header};
 use pm_sim::{SimTime, WireFault};
 
 /// NIC construction parameters.
@@ -230,28 +229,19 @@ impl Nic {
     /// non-IP traffic hashes to 0 (lands on queue 0, like real devices
     /// configured for IPv4 RSS).
     pub fn rss_hash(&self, frame: &[u8]) -> u32 {
-        let Ok(eth) = EtherHeader::parse(frame) else {
-            return 0;
-        };
-        if eth.ethertype != EtherType::IPV4 {
-            return 0;
-        }
-        let Ok(ip) = Ipv4Header::parse(&frame[14..]) else {
-            return 0;
-        };
-        // A truncated frame can end inside the IP header's claimed
-        // length; hash whatever L4 bytes actually exist.
-        let l4 = frame.get(14 + ip.header_len..).unwrap_or(&[]);
-        let ports = match ip.protocol {
-            IpProto::TCP | IpProto::UDP if l4.len() >= 4 && !ip.is_fragment() => {
-                Some((crate::ring_be16(l4, 0), crate::ring_be16(l4, 2)))
-            }
-            _ => None,
-        };
-        match ports {
-            Some((sp, dp)) => self.toeplitz.hash_v4_tuple(ip.src, ip.dst, sp, dp),
-            None => self.toeplitz.hash_v4_tuple(ip.src, ip.dst, 0, 0),
-        }
+        self.toeplitz.hash_frame(frame)
+    }
+
+    /// The 40-byte RSS key the device hashes with (what a per-trace
+    /// hash memo is keyed by).
+    pub fn rss_key(&self) -> &[u8; 40] {
+        self.toeplitz.key()
+    }
+
+    /// Programs a different RSS key (the Microsoft verification key is
+    /// the default, as on most drivers).
+    pub fn set_rss_key(&mut self, key: [u8; 40]) {
+        self.toeplitz = Toeplitz::with_key(key);
     }
 
     /// Delivers a frame arriving at `now`: RSS-steers it, consumes a

@@ -7,6 +7,8 @@
 //! to map hashes to queues. Hashing the 4-tuple keeps each flow on one
 //! queue — which the stateful NAT requires for correctness.
 
+use pm_packet::{ether::EtherHeader, ether::EtherType, ipv4::IpProto, ipv4::Ipv4Header};
+
 /// The Toeplitz hash function with a 40-byte key.
 #[derive(Debug, Clone)]
 pub struct Toeplitz {
@@ -57,6 +59,42 @@ impl Toeplitz {
             }
         }
         Toeplitz { key, v4_tables }
+    }
+
+    /// The key this hasher was built with.
+    pub fn key(&self) -> &[u8; 40] {
+        &self.key
+    }
+
+    /// The RSS hash a device programmed with this key assigns to
+    /// `frame`.
+    ///
+    /// IPv4 TCP/UDP hash the 4-tuple; other IPv4 hashes addresses only;
+    /// non-IP traffic hashes to 0 (lands on queue 0, like real devices
+    /// configured for IPv4 RSS).
+    pub fn hash_frame(&self, frame: &[u8]) -> u32 {
+        let Ok(eth) = EtherHeader::parse(frame) else {
+            return 0;
+        };
+        if eth.ethertype != EtherType::IPV4 {
+            return 0;
+        }
+        let Ok(ip) = Ipv4Header::parse(&frame[14..]) else {
+            return 0;
+        };
+        // A truncated frame can end inside the IP header's claimed
+        // length; hash whatever L4 bytes actually exist.
+        let l4 = frame.get(14 + ip.header_len..).unwrap_or(&[]);
+        let ports = match ip.protocol {
+            IpProto::TCP | IpProto::UDP if l4.len() >= 4 && !ip.is_fragment() => {
+                Some((crate::ring_be16(l4, 0), crate::ring_be16(l4, 2)))
+            }
+            _ => None,
+        };
+        match ports {
+            Some((sp, dp)) => self.hash_v4_tuple(ip.src, ip.dst, sp, dp),
+            None => self.hash_v4_tuple(ip.src, ip.dst, 0, 0),
+        }
     }
 
     /// Hashes an arbitrary input (each bit selects a shifted 32-bit window

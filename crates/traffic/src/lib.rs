@@ -27,7 +27,7 @@ pub mod workload;
 pub mod zipf;
 
 pub use pcap::{read_pcap, write_pcap, PcapError};
-pub use synth::{Trace, TraceConfig, TrafficProfile};
+pub use synth::{cache_counts, CacheCounts, Trace, TraceConfig, TrafficProfile};
 pub use workload::{
     AttackEvent, AttackKind, FramePlan, SizeModel, Workload, WorkloadSpec, WorkloadSpecError,
     WorkloadStats,

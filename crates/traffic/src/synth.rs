@@ -1,8 +1,11 @@
 //! Trace synthesis and paced replay.
 
+use crate::workload::{FramePlan, Workload, WorkloadSpec, WorkloadStats};
 use crate::zipf::Zipf;
+use pm_nic::Toeplitz;
 use pm_packet::builder::PacketBuilder;
 use pm_sim::{SimTime, SplitMix64};
+use std::cell::Cell;
 use std::sync::{Arc, Mutex};
 
 /// What kind of traffic to synthesize.
@@ -64,11 +67,65 @@ enum FlowProto {
 ///
 /// Frames are shared behind an [`Arc`], so cloning a trace (one clone
 /// per engine build) is O(1) rather than a deep copy of several
-/// megabytes of packet bytes.
+/// megabytes of packet bytes. What is derived from the frames — the
+/// per-frame RSS hashes, the workload accounting — is shared the same
+/// way, so every run that replays a cached trace reads values computed
+/// once.
 #[derive(Debug, Clone)]
 pub struct Trace {
     frames: Arc<[Box<[u8]>]>,
     total_bytes: u64,
+    /// [`Workload::stats`] over the whole trace, for a trace built by
+    /// [`Trace::from_workload`].
+    workload_stats: Option<WorkloadStats>,
+    /// Per-frame RSS hashes, one entry per Toeplitz key asked for
+    /// (newest last, at most [`HASH_MEMO_CAP`]).
+    hash_memos: Arc<Mutex<HashMemos>>,
+}
+
+type HashMemos = Vec<([u8; 40], Arc<[u32]>)>;
+
+/// Keys one trace keeps hash memos for. Every NIC of the simulator is
+/// programmed with one key today; four leaves room for a sweep over
+/// keys while bounding a trace's derived data at 16 B per frame.
+const HASH_MEMO_CAP: usize = 4;
+
+/// How often the calling thread found a seed-determined input already
+/// built, and how often it had to build it (see [`cache_counts`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheCounts {
+    /// Cached-trace requests that synthesized the trace.
+    pub traces_built: u64,
+    /// Cached-trace requests served from the process-wide cache.
+    pub traces_reused: u64,
+    /// [`Trace::frame_hashes`] calls that hashed every frame.
+    pub hash_memos_built: u64,
+    /// [`Trace::frame_hashes`] calls served from the trace's memo.
+    pub hash_memos_reused: u64,
+}
+
+thread_local! {
+    static COUNTS: Cell<CacheCounts> = const { Cell::new(CacheCounts {
+        traces_built: 0,
+        traces_reused: 0,
+        hash_memos_built: 0,
+        hash_memos_reused: 0,
+    }) };
+}
+
+/// The calling thread's running totals. Per thread, so a sweep worker
+/// that reads them before and after its runs gets exactly its own
+/// share, whatever other sweeps the process is running.
+pub fn cache_counts() -> CacheCounts {
+    COUNTS.with(Cell::get)
+}
+
+fn count(bump: impl FnOnce(&mut CacheCounts)) {
+    COUNTS.with(|c| {
+        let mut v = c.get();
+        bump(&mut v);
+        c.set(v);
+    });
 }
 
 /// Destination prefixes the synthesizer draws from; these match the
@@ -160,9 +217,19 @@ impl Trace {
             total_bytes += frame.len() as u64;
             frames.push(frame.into_boxed_slice());
         }
+        Trace::new(frames, total_bytes, None)
+    }
+
+    fn new(
+        frames: Vec<Box<[u8]>>,
+        total_bytes: u64,
+        workload_stats: Option<WorkloadStats>,
+    ) -> Trace {
         Trace {
             frames: frames.into(),
             total_bytes,
+            workload_stats,
+            hash_memos: Arc::default(),
         }
     }
 
@@ -173,47 +240,41 @@ impl Trace {
     /// common case — every figure shares one default seed) pay for
     /// synthesis once instead of once per run.
     pub fn synthesize_cached(cfg: &TraceConfig) -> Trace {
-        let key = TraceKey::of(cfg);
-        {
-            let cache = trace_cache().lock().expect("trace cache poisoned");
-            if let Some((_, t)) = cache.iter().find(|(k, _)| *k == key) {
-                return t.clone();
-            }
-        } // synthesize outside the lock
-        let t = Trace::synthesize(cfg);
-        let mut cache = trace_cache().lock().expect("trace cache poisoned");
-        if cache.len() >= TRACE_CACHE_CAP {
-            cache.remove(0);
-        }
-        cache.push((key, t.clone()));
-        t
+        cached(TraceKey::of(cfg), || Trace::synthesize(cfg))
     }
 
     /// Synthesizes a trace from a flow-population [`Workload`]: one
     /// frame per sequence `0..workload.frames()`, each a pure function
-    /// of the spec (see `crate::workload`).
-    pub fn from_workload(w: &crate::workload::Workload) -> Trace {
+    /// of the spec (see `crate::workload`). The trace carries the
+    /// workload's accounting over those frames
+    /// ([`Self::workload_stats`]): the mix counts fall out of the plan
+    /// each frame is built from, the churn counts are analytic.
+    pub fn from_workload(w: &Workload) -> Trace {
         let n = w.frames();
         assert!(n > 0, "empty workload trace");
         let mut frames = Vec::with_capacity(n);
         let mut total_bytes = 0u64;
-        for seq in 0..n {
-            let frame = w.build_frame(seq as u64);
+        let mut stats = w.churn(n as u64);
+        for seq in 0..n as u64 {
+            let plan = w.plan(seq);
+            match plan {
+                FramePlan::Syn => stats.syn_frames += 1,
+                FramePlan::Scan => stats.scan_frames += 1,
+                FramePlan::Normal { .. } => stats.normal_frames += 1,
+            }
+            let frame = w.build_planned(seq, plan);
             total_bytes += frame.len() as u64;
             frames.push(frame.into_boxed_slice());
         }
-        Trace {
-            frames: frames.into(),
-            total_bytes,
-        }
+        Trace::new(frames, total_bytes, Some(stats))
     }
 
     /// Like [`Self::from_workload`], but memoized in the same
     /// process-wide cache as [`Self::synthesize_cached`] (a flow-scale
     /// sweep re-runs the same workload spec for several NF presets and
-    /// page modes; the Zipf CDF build and frame synthesis are paid
-    /// once). Keyed by the canonical spec string.
-    pub fn from_workload_spec_cached(spec: &crate::workload::WorkloadSpec) -> Trace {
+    /// page modes; the Zipf CDF build, frame synthesis and accounting
+    /// are paid once). Keyed by the canonical spec string.
+    pub fn from_workload_spec_cached(spec: &WorkloadSpec) -> Trace {
         let key = TraceKey {
             packets: 0,
             flows: 0,
@@ -222,19 +283,35 @@ impl Trace {
             workload: Some(spec.to_spec()),
             seed: spec.seed,
         };
-        {
-            let cache = trace_cache().lock().expect("trace cache poisoned");
-            if let Some((_, t)) = cache.iter().find(|(k, _)| *k == key) {
-                return t.clone();
-            }
-        } // synthesize outside the lock
-        let t = Trace::from_workload(&crate::workload::Workload::new(spec.clone()));
-        let mut cache = trace_cache().lock().expect("trace cache poisoned");
-        if cache.len() >= TRACE_CACHE_CAP {
-            cache.remove(0);
+        cached(key, || Trace::from_workload(&Workload::new(spec.clone())))
+    }
+
+    /// [`Workload::stats`] over the whole trace — `Some` exactly for
+    /// traces built by [`Self::from_workload`] (computed there, once).
+    pub fn workload_stats(&self) -> Option<WorkloadStats> {
+        self.workload_stats
+    }
+
+    /// The RSS hash a device programmed with `rss_key` assigns to each
+    /// frame, in frame order. Hashed once per key and kept behind the
+    /// trace's [`Arc`]: every later call — from any clone, on any
+    /// thread — returns the same allocation.
+    pub fn frame_hashes(&self, rss_key: &[u8; 40]) -> Arc<[u32]> {
+        // Hashing happens under the lock: a second worker asking for
+        // the same memo waits for it instead of hashing it again.
+        let mut memos = self.hash_memos.lock().expect("hash memo poisoned");
+        if let Some((_, h)) = memos.iter().find(|(k, _)| k == rss_key) {
+            count(|c| c.hash_memos_reused += 1);
+            return Arc::clone(h);
         }
-        cache.push((key, t.clone()));
-        t
+        let toeplitz = Toeplitz::with_key(*rss_key);
+        let hashes: Arc<[u32]> = self.frames.iter().map(|f| toeplitz.hash_frame(f)).collect();
+        if memos.len() >= HASH_MEMO_CAP {
+            memos.remove(0);
+        }
+        memos.push((*rss_key, Arc::clone(&hashes)));
+        count(|c| c.hash_memos_built += 1);
+        hashes
     }
 
     /// Builds a trace directly from raw Ethernet frames (e.g. loaded
@@ -246,14 +323,8 @@ impl Trace {
     pub fn from_frames(frames: Vec<Vec<u8>>) -> Trace {
         assert!(!frames.is_empty(), "empty trace");
         let total_bytes = frames.iter().map(|f| f.len() as u64).sum();
-        Trace {
-            frames: frames
-                .into_iter()
-                .map(Vec::into_boxed_slice)
-                .collect::<Vec<_>>()
-                .into(),
-            total_bytes,
-        }
+        let frames = frames.into_iter().map(Vec::into_boxed_slice).collect();
+        Trace::new(frames, total_bytes, None)
     }
 
     /// Number of frames.
@@ -337,6 +408,25 @@ const TRACE_CACHE_CAP: usize = 8;
 fn trace_cache() -> &'static Mutex<Vec<(TraceKey, Trace)>> {
     static CACHE: Mutex<Vec<(TraceKey, Trace)>> = Mutex::new(Vec::new());
     &CACHE
+}
+
+/// The cached trace for `key`, else `build()`'s, which is then cached.
+fn cached(key: TraceKey, build: impl FnOnce() -> Trace) -> Trace {
+    {
+        let cache = trace_cache().lock().expect("trace cache poisoned");
+        if let Some((_, t)) = cache.iter().find(|(k, _)| *k == key) {
+            count(|c| c.traces_reused += 1);
+            return t.clone();
+        }
+    } // synthesize outside the lock
+    let t = build();
+    count(|c| c.traces_built += 1);
+    let mut cache = trace_cache().lock().expect("trace cache poisoned");
+    if cache.len() >= TRACE_CACHE_CAP {
+        cache.remove(0);
+    }
+    cache.push((key, t.clone()));
+    t
 }
 
 /// Samples a campus-like frame size: a small/medium/large mixture with

@@ -556,8 +556,14 @@ impl Workload {
 
     /// Builds the complete Ethernet frame for sequence `seq`.
     pub fn build_frame(&self, seq: u64) -> Vec<u8> {
+        self.build_planned(seq, self.plan(seq))
+    }
+
+    /// [`Self::build_frame`] for a caller that already holds
+    /// `self.plan(seq)`.
+    pub(crate) fn build_planned(&self, seq: u64, plan: FramePlan) -> Vec<u8> {
         use pm_packet::builder::PacketBuilder;
-        match self.plan(seq) {
+        match plan {
             FramePlan::Syn => {
                 // Unique spoofed source per frame: every SYN is a brand-
                 // new flow aimed at one victim service.
@@ -609,6 +615,19 @@ impl Workload {
     /// Churn is analytic (per-slot phase arithmetic, no trace walk);
     /// the mix counts replay the per-frame plan decisions.
     pub fn stats(&self, n: u64) -> WorkloadStats {
+        let mut s = self.churn(n);
+        for seq in 0..n {
+            match self.plan(seq) {
+                FramePlan::Syn => s.syn_frames += 1,
+                FramePlan::Scan => s.scan_frames += 1,
+                FramePlan::Normal { .. } => s.normal_frames += 1,
+            }
+        }
+        s
+    }
+
+    /// The churn half of [`Self::stats`] (mix counts zero).
+    pub(crate) fn churn(&self, n: u64) -> WorkloadStats {
         let mut s = WorkloadStats {
             live: self.spec.flows,
             ..WorkloadStats::default()
@@ -616,20 +635,19 @@ impl Workload {
         if n == 0 {
             return WorkloadStats::default();
         }
-        if self.spec.life == 0 {
-            s.arrivals = self.spec.flows;
-        } else {
-            for slot in 0..self.spec.flows {
-                let rotations = self.generation(slot, n - 1) - self.generation(slot, 0);
-                s.arrivals += 1 + rotations;
-                s.expiries += rotations;
-            }
-        }
-        for seq in 0..n {
-            match self.plan(seq) {
-                FramePlan::Syn => s.syn_frames += 1,
-                FramePlan::Scan => s.scan_frames += 1,
-                FramePlan::Normal { .. } => s.normal_frames += 1,
+        match self.spec.life {
+            0 => s.arrivals = self.spec.flows,
+            life => {
+                // Σ over slots of generation(slot, n − 1) − generation(slot, 0),
+                // i.e. of (n − 1 + phase) / life (generation 0 at frame 0,
+                // since phase < life), with the division taken once:
+                // n − 1 = q·life + r, and r + phase < 2·life.
+                let (q, r) = ((n - 1) / life, (n - 1) % life);
+                let rotations: u64 = (0..self.spec.flows)
+                    .map(|slot| q + u64::from(self.phase(slot) >= life - r))
+                    .sum();
+                s.arrivals = self.spec.flows + rotations;
+                s.expiries = rotations;
             }
         }
         s

@@ -163,3 +163,84 @@ fn profiling_does_not_change_measurements() {
     let profiled = mini_sweep_with(true).run_with_threads(4).expect_all();
     assert_measurements_identical(&plain, &profiled, "profile off vs on");
 }
+
+/// A 4-KiB and a hugepage run of one synthesized-FIB router: the pair a
+/// flow-scale sweep hands the table across.
+fn router_scale_pair() -> Vec<(String, ExperimentBuilder)> {
+    let routes = if cfg!(debug_assertions) {
+        5_000
+    } else {
+        1_000_000
+    };
+    let workload = pm_traffic::WorkloadSpec::parse(&format!(
+        "seed=0xF1B5;flows={routes};zipf=1.1;life=2000;frames=8192"
+    ))
+    .expect("valid workload spec");
+    [false, true]
+        .into_iter()
+        .map(|huge| {
+            let b = ExperimentBuilder::new(Nf::RouterScale(routes))
+                .metadata_model(MetadataModel::XChange)
+                .optimization(OptLevel::AllSource)
+                .packets(if cfg!(debug_assertions) {
+                    2_000
+                } else {
+                    20_000
+                })
+                .workload(workload.clone())
+                .hugepage_tables(huge);
+            (format!("router huge={huge}"), b)
+        })
+        .collect()
+}
+
+/// Handing the FIB, the trace's hash memo and its workload stats from
+/// run to run is invisible in the results: the pair's run reports are
+/// byte-identical outside any sweep (nothing reused) and inside one at
+/// 1, 2 and 8 workers — and the sweep leaves no table behind.
+#[test]
+fn reused_inputs_do_not_change_run_reports() {
+    use pm_elements::route::FibReuse;
+    let alone: Vec<String> = router_scale_pair()
+        .into_iter()
+        .map(|(label, b)| {
+            let (_, mut report) = b.run_with_report().expect("stand-alone run");
+            assert!(!FibReuse::holds_table(), "no scope outside a sweep");
+            report.label = label;
+            report.to_json().to_pretty()
+        })
+        .collect();
+    assert_ne!(alone[0], alone[1], "page mode shows in the report");
+
+    for threads in [1usize, 2, 8] {
+        let mut spec = SweepSpec::new();
+        for (label, b) in router_scale_pair() {
+            spec.push(label, b);
+        }
+        let results = spec.run_with_threads(threads);
+        assert_eq!(results.failures(), 0, "threads={threads}");
+        let swept: Vec<String> = results
+            .outcomes
+            .iter()
+            .map(|o| o.to_json().to_pretty())
+            .collect();
+        assert_eq!(swept, alone, "threads={threads}");
+
+        let r = results.report().reuse;
+        assert_eq!(r.fibs_built + r.fibs_reused, 2, "two SYNTH configures");
+        assert_eq!(
+            r.traces_built + r.traces_reused,
+            4,
+            "engine + report, twice"
+        );
+        assert_eq!(r.hash_memos_built + r.hash_memos_reused, 2);
+        if threads == 1 {
+            // One worker runs both: the second run takes the table over.
+            assert_eq!((r.fibs_built, r.fibs_reused), (1, 1));
+            assert!(r.hash_memos_reused >= 1, "{r:?}");
+            // The worker was this thread; its scope closed with it.
+            assert!(!FibReuse::holds_table(), "no FIB outlives the sweep");
+        }
+        assert!(results.report().reuse_line().contains("FIBs"));
+    }
+}

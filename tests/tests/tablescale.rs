@@ -191,6 +191,58 @@ fn synthesized_fib_is_deterministic_at_scale() {
     assert_eq!(a.table_stats(), b.table_stats(), "same trie shape");
 }
 
+/// At full size, a FIB taken over inside a `FibReuse` scope is the table
+/// a stand-alone configure builds, node for node; writing to it copies
+/// it first; and nothing is retained once the scope is gone.
+#[test]
+fn handed_over_fib_equals_a_fresh_build_at_scale() {
+    use pm_click::{Args, Element};
+    use pm_elements::route::{FibReuse, LookupIpRoute};
+    use std::sync::Arc;
+    let routes = if cfg!(debug_assertions) {
+        20_000
+    } else {
+        1_000_000
+    };
+    let args = Args::parse(&format!("0.0.0.0/0 0, SYNTH {routes} 177 1"));
+    let configured = || {
+        let mut rt = LookupIpRoute::default();
+        rt.configure(&args).expect("valid FIB arguments");
+        rt
+    };
+    let fresh = configured();
+    assert!(!FibReuse::holds_table(), "no scope, nothing kept");
+
+    let scope = FibReuse::open();
+    let donor = configured();
+    let mut taker = configured();
+    assert_eq!(scope.counts(), (1, 1));
+    assert!(Arc::ptr_eq(donor.fib(), taker.fib()));
+    assert_eq!(taker.fib(), fresh.fib(), "node for node");
+    assert_eq!(taker.table_stats(), fresh.table_stats());
+    assert_eq!(taker.n_outputs(), fresh.n_outputs());
+
+    taker.add_route(
+        0x0b00_0000,
+        8,
+        Route {
+            port: 0,
+            gateway: 0x0b00_0001,
+        },
+    );
+    assert_eq!(donor.fib(), fresh.fib(), "the donor is untouched");
+    assert_ne!(taker.fib(), donor.fib());
+    assert_eq!(
+        taker.fib().node_count(),
+        donor.fib().node_count() + 1,
+        "11/8 leaves 10/8's path at the last bit"
+    );
+
+    drop(scope);
+    assert!(!FibReuse::holds_table());
+    assert_eq!(Arc::strong_count(donor.fib()), 1, "the slot let go");
+}
+
 /// Two identical workload-driven NAT runs report identical expiry,
 /// eviction, and occupancy counters: idle-timeout decisions depend only
 /// on virtual time, never on host scheduling.

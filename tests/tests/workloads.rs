@@ -6,8 +6,9 @@
 
 use packetmill::sweep::artifact_document;
 use packetmill::{ExperimentBuilder, MetadataModel, Nf, OptLevel, SweepSpec};
-use pm_traffic::{AttackEvent, AttackKind, FramePlan, SizeModel, Workload, WorkloadSpec};
+use pm_traffic::{AttackEvent, AttackKind, FramePlan, SizeModel, Trace, Workload, WorkloadSpec};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// A spec with no attacks: the pure popularity/churn model.
 fn plain_spec(seed: u64, flows: u64, zipf_x1000: u32, life: u64) -> WorkloadSpec {
@@ -232,4 +233,69 @@ fn workload_report_carries_canonical_spec() {
     let w = driven.workload.expect("workload section");
     assert_eq!(w.spec, spec.to_spec());
     assert_eq!(w.frames, 6_000);
+}
+
+/// A workload trace carries the accounting `Workload::stats` would
+/// compute over it — churn and attack mix included — so the run report
+/// never has to build the workload again.
+#[test]
+fn trace_carries_the_workload_stats() {
+    let spec = WorkloadSpec::parse(ATTACK_SPEC).expect("valid workload spec");
+    let w = Workload::new(spec.clone());
+    let expected = w.stats(w.frames() as u64);
+    assert!(expected.expiries > 0 && expected.syn_frames > 0 && expected.scan_frames > 0);
+    assert_eq!(Trace::from_workload(&w).workload_stats(), Some(expected));
+    assert_eq!(
+        Trace::from_workload_spec_cached(&spec).workload_stats(),
+        Some(expected)
+    );
+    // Immortal flows take the other churn branch.
+    let w = Workload::new(plain_spec(0x1AB, 300, 900, 0));
+    assert_eq!(
+        Trace::from_workload(&w).workload_stats(),
+        Some(w.stats(w.frames() as u64))
+    );
+    // Only workload traces have any.
+    let t = Trace::synthesize(&pm_traffic::TraceConfig::default());
+    assert_eq!(t.workload_stats(), None);
+}
+
+/// `Trace::frame_hashes` is what the NIC would compute frame by frame,
+/// for the default key and a custom one, and each key is hashed once:
+/// later calls, from any clone, return the first call's allocation.
+#[test]
+fn trace_hash_memo_matches_the_nic_per_key() {
+    let spec = WorkloadSpec::parse(ATTACK_SPEC).expect("valid workload spec");
+    let trace = Trace::from_workload(&Workload::new(spec));
+    let mut nic = pm_nic::Nic::new(
+        &pm_nic::NicConfig::default(),
+        &mut pm_mem::AddressSpace::new(),
+    );
+    let mut custom = [0u8; 40];
+    for (i, b) in custom.iter_mut().enumerate() {
+        *b = (i as u8).wrapping_mul(37).wrapping_add(11);
+    }
+
+    let before = pm_traffic::cache_counts();
+    let mut memos = Vec::new();
+    for key in [pm_nic::rss::MSFT_KEY, custom] {
+        nic.set_rss_key(key);
+        assert_eq!(nic.rss_key(), &key);
+        let hashes = trace.frame_hashes(&key);
+        assert_eq!(hashes.len(), trace.len());
+        for (i, &h) in hashes.iter().enumerate() {
+            assert_eq!(h, nic.rss_hash(trace.frame(i)), "frame {i}");
+        }
+        memos.push(hashes);
+    }
+    assert_ne!(memos[0], memos[1], "the key matters");
+    let clone = trace.clone();
+    assert!(Arc::ptr_eq(
+        &memos[0],
+        &clone.frame_hashes(&pm_nic::rss::MSFT_KEY)
+    ));
+    assert!(Arc::ptr_eq(&memos[1], &trace.frame_hashes(&custom)));
+    let after = pm_traffic::cache_counts();
+    assert_eq!(after.hash_memos_built - before.hash_memos_built, 2);
+    assert_eq!(after.hash_memos_reused - before.hash_memos_reused, 2);
 }
