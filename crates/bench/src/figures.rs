@@ -15,6 +15,7 @@ use packetmill::{
     BessEngine, Dataplane, ExperimentBuilder, L2Fwd, Measurement, MetadataModel, Nf, OptLevel,
     SweepCli, SweepReport, SweepResults, SweepSpec, Table, TrafficProfile, VppEngine,
 };
+use std::io::IsTerminal;
 use std::path::Path;
 
 /// Packets per data point (per NIC). Chosen so every figure regenerates
@@ -54,9 +55,6 @@ impl Artifact {
     pub fn emit(&self) {
         println!("{}", self.table);
         self.emit_profiles();
-        if packetmill::sweep::default_timing() {
-            eprintln!("{}", self.report.timing_line());
-        }
         eprintln!("sweep report:\n{}", self.report);
     }
 
@@ -116,13 +114,10 @@ pub fn write_cli_outputs(cli: &SweepCli, groups: &[(&str, &Artifact)]) {
     }
 }
 
-/// Per-run progress lines are on unless `PM_PROGRESS=0`.
-fn progress_enabled() -> bool {
-    std::env::var("PM_PROGRESS").map_or(true, |v| v != "0")
-}
-
+/// Per-run progress lines are for someone watching: on when stderr is
+/// a terminal, off when it is a pipe or a file.
 fn sweep() -> SweepSpec {
-    SweepSpec::new().progress(progress_enabled())
+    SweepSpec::new().progress(std::io::stderr().is_terminal())
 }
 
 /// Fixed-size sweeps drop most arrivals at small sizes; scale the run so
@@ -1006,100 +1001,121 @@ pub fn fig11b() -> Artifact {
     Artifact::new(t, results)
 }
 
+/// One registered artifact.
+pub struct Figure {
+    /// The `pm-bench <key>` name and the `--json` group name.
+    pub key: &'static str,
+    /// The heading [`run_all`] prints above the table.
+    pub title: &'static str,
+    /// The generator. Of the command line it reads only the two
+    /// ceilings, `--cores` (`fig-multicore`) and `--flows`
+    /// (`fig-flowscale`); everything else acts process-wide.
+    pub run: fn(&SweepCli) -> Artifact,
+}
+
+/// Every artifact of the evaluation, in presentation order.
+pub static FIGURES: [Figure; 16] = [
+    Figure {
+        key: "fig1",
+        title: "Figure 1 — p99 latency vs throughput (router, 1 core @2.3 GHz)",
+        run: |_| fig1(),
+    },
+    Figure {
+        key: "fig4",
+        title: "Figure 4 — source-code optimizations vs frequency (router)",
+        run: |_| fig4(),
+    },
+    Figure {
+        key: "table1",
+        title: "Table 1 — micro-architectural metrics @3 GHz (router)",
+        run: |_| table1(),
+    },
+    Figure {
+        key: "fig5a",
+        title: "Figure 5a — metadata models vs frequency (forwarder, 1 NIC)",
+        run: |_| fig5a(),
+    },
+    Figure {
+        key: "fig5b",
+        title: "Figure 5b — metadata models, two NICs, one core",
+        run: |_| fig5b(),
+    },
+    Figure {
+        key: "fig6",
+        title: "Figure 6 — packet-size sweep (router @2.3 GHz)",
+        run: |_| fig6(),
+    },
+    Figure {
+        key: "fig7-n1",
+        title: "Figure 7a — WorkPackage improvement surface (N=1)",
+        run: |_| fig7(1),
+    },
+    Figure {
+        key: "fig7-n5",
+        title: "Figure 7b — WorkPackage improvement surface (N=5)",
+        run: |_| fig7(5),
+    },
+    Figure {
+        key: "fig8",
+        title: "Figure 8 — IDS+router vs frequency",
+        run: |_| fig8(),
+    },
+    Figure {
+        key: "fig9",
+        title: "Figure 9 — memory-footprint slice (N=1, W=4)",
+        run: |_| fig9(),
+    },
+    Figure {
+        key: "fig10",
+        title: "Figure 10 — multicore NAT @2.3 GHz",
+        run: |_| fig10(),
+    },
+    Figure {
+        key: "fig-multicore",
+        title: "Multi-core scaling — five NFs, PacketMill config @2.3 GHz",
+        run: |cli| fig_multicore(cli.cores.unwrap_or(8)),
+    },
+    Figure {
+        key: "fig-timeline",
+        title: "Flight recorder — link-flap dip/recovery + 4-core imbalance",
+        run: |_| fig_timeline(),
+    },
+    Figure {
+        key: "fig-flowscale",
+        title: "Flow-scale sweep — stateful NFs, 1k..=100k flows, 4-KiB vs hugepage tables",
+        run: |cli| fig_flowscale(cli.flows.unwrap_or(10_000_000)),
+    },
+    Figure {
+        key: "fig11a",
+        title: "Figure 11a — FastClick vs l2fwd vs PacketMill vs l2fwd-xchg @1.2 GHz",
+        run: |_| fig11a(),
+    },
+    Figure {
+        key: "fig11b",
+        title: "Figure 11b — framework comparison @1.2 GHz",
+        run: |_| fig11b(),
+    },
+];
+
 /// Runs every artifact, prints paper-style output (tables on stdout,
-/// sweep telemetry on stderr), and returns the artifacts keyed by a
-/// stable group name for `--json` emission.
+/// sweep telemetry on stderr), and returns the artifacts keyed by group
+/// name for `--json` emission. The two scalable sweeps stop at 4 cores
+/// and 100k flows here, whatever the command line says, so regenerating
+/// everything stays a matter of minutes.
 pub fn run_all() -> Vec<(&'static str, Artifact)> {
-    type ArtifactFn = Box<dyn Fn() -> Artifact>;
-    let artifacts: Vec<(&str, &str, ArtifactFn)> = vec![
-        (
-            "fig1",
-            "Figure 1 — p99 latency vs throughput (router, 1 core @2.3 GHz)",
-            Box::new(fig1),
-        ),
-        (
-            "fig4",
-            "Figure 4 — source-code optimizations vs frequency (router)",
-            Box::new(fig4),
-        ),
-        (
-            "table1",
-            "Table 1 — micro-architectural metrics @3 GHz (router)",
-            Box::new(table1),
-        ),
-        (
-            "fig5a",
-            "Figure 5a — metadata models vs frequency (forwarder, 1 NIC)",
-            Box::new(fig5a),
-        ),
-        (
-            "fig5b",
-            "Figure 5b — metadata models, two NICs, one core",
-            Box::new(fig5b),
-        ),
-        (
-            "fig6",
-            "Figure 6 — packet-size sweep (router @2.3 GHz)",
-            Box::new(fig6),
-        ),
-        (
-            "fig7-n1",
-            "Figure 7a — WorkPackage improvement surface (N=1)",
-            Box::new(|| fig7(1)),
-        ),
-        (
-            "fig7-n5",
-            "Figure 7b — WorkPackage improvement surface (N=5)",
-            Box::new(|| fig7(5)),
-        ),
-        ("fig8", "Figure 8 — IDS+router vs frequency", Box::new(fig8)),
-        (
-            "fig9",
-            "Figure 9 — memory-footprint slice (N=1, W=4)",
-            Box::new(fig9),
-        ),
-        (
-            "fig10",
-            "Figure 10 — multicore NAT @2.3 GHz",
-            Box::new(fig10),
-        ),
-        (
-            "fig-multicore",
-            "Multi-core scaling — five NFs, PacketMill config @2.3 GHz",
-            Box::new(|| fig_multicore(4)),
-        ),
-        (
-            "fig-timeline",
-            "Flight recorder — link-flap dip/recovery + 4-core imbalance",
-            Box::new(fig_timeline),
-        ),
-        (
-            "fig-flowscale",
-            "Flow-scale sweep — stateful NFs, 1k..=100k flows, 4-KiB vs hugepage tables",
-            Box::new(|| fig_flowscale(100_000)),
-        ),
-        (
-            "fig11a",
-            "Figure 11a — FastClick vs l2fwd vs PacketMill vs l2fwd-xchg @1.2 GHz",
-            Box::new(fig11a),
-        ),
-        (
-            "fig11b",
-            "Figure 11b — framework comparison @1.2 GHz",
-            Box::new(fig11b),
-        ),
-    ];
+    let ceilings = SweepCli {
+        cores: Some(4),
+        flows: Some(100_000),
+        ..SweepCli::default()
+    };
     let mut out = Vec::new();
-    for (key, title, f) in artifacts {
-        let artifact = f();
-        println!("== {title} ==\n");
+    for f in &FIGURES {
+        let artifact = (f.run)(&ceilings);
+        println!("== {} ==\n", f.title);
         println!("{}", artifact.table);
         // Timing goes to stderr so redirected artifact output stays
         // byte-identical across runs and thread counts.
         artifact.emit_profiles();
-        if packetmill::sweep::default_timing() {
-            eprintln!("{}", artifact.report.timing_line());
-        }
         eprintln!(
             "sweep report ({:.1} s wall, {:.1} s serial-equivalent, {} threads):\n{}",
             artifact.report.wall_seconds,
@@ -1107,7 +1123,7 @@ pub fn run_all() -> Vec<(&'static str, Artifact)> {
             artifact.report.threads,
             artifact.report,
         );
-        out.push((key, artifact));
+        out.push((f.key, artifact));
     }
     out
 }

@@ -1,10 +1,9 @@
-//! The PacketMill-rs benchmark harness: one generator per table/figure of
+//! The PacketMill-rs figures library: one generator per table/figure of
 //! the paper's evaluation (§4), each printing the same rows/series the
-//! paper reports.
+//! paper reports, registered in [`figures::FIGURES`].
 //!
-//! Run everything via `cargo bench -p pm-bench --bench figures`, or a
-//! single artifact via the matching binary, e.g.
-//! `cargo run --release -p pm-bench --bin fig4`.
+//! Run everything via `cargo run --release -p pm-bench -- all`, or
+//! single artifacts by key, e.g. `cargo run --release -p pm-bench -- fig4`.
 
 #![warn(missing_docs)]
 

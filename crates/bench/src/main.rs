@@ -1,0 +1,87 @@
+//! Regenerates the paper's tables and figures on the parallel sweep
+//! runner: `cargo run --release -p pm-bench -- <key>… | all
+//! [--threads N] [--profile] [--json <path>] [--trace <path>]
+//! [--faults <spec>] [--workload <spec>] [--timeline[=window_us]]`.
+//! Keys come first, flags after; no key prints the list. Tables go to
+//! stdout, sweep telemetry to stderr.
+//!
+//! `fig7` runs both surfaces under `== N = … ==` headings
+//! (`--surface n1|n5|both` picks); `fig-multicore` takes `--cores N`
+//! (default 8) and `fig-flowscale` `--flows N` (default 10M — the full
+//! Internet-scale sweep); under `all` they stop at 4 cores and 100k
+//! flows. `fig-timeline` always records, so it needs no `--timeline`;
+//! with `--trace <path>` its sampled packet lifecycles open in
+//! `ui.perfetto.dev`.
+
+use pm_bench::figures::{self, Artifact, Figure, FIGURES};
+
+fn usage(problem: &str) -> ! {
+    eprintln!("{problem}\nusage: pm-bench <key>... | all [--flags]\nkeys:");
+    eprintln!("  fig7  both Figure 7 surfaces (--surface n1|n5|both)");
+    for f in &FIGURES {
+        eprintln!("  {}  {}", f.key, f.title);
+    }
+    std::process::exit(2);
+}
+
+fn find(key: &str) -> &'static Figure {
+    FIGURES
+        .iter()
+        .find(|f| f.key == key)
+        .unwrap_or_else(|| usage(&format!("unknown figure '{key}'")))
+}
+
+/// The Figure 7 surfaces `--surface` selects, each under its heading.
+fn fig7_surfaces() -> Vec<(Option<&'static str>, &'static Figure)> {
+    let surface = std::env::args()
+        .skip_while(|a| a != "--surface")
+        .nth(1)
+        .unwrap_or_else(|| "both".to_string());
+    let n1 = (Some("N = 1"), find("fig7-n1"));
+    let n5 = (Some("N = 5"), find("fig7-n5"));
+    match surface.as_str() {
+        "n1" => vec![n1],
+        "n5" => vec![n5],
+        "both" => vec![n1, n5],
+        other => usage(&format!(
+            "unknown --surface '{other}' (expected n1, n5, or both)"
+        )),
+    }
+}
+
+fn main() {
+    let cli = packetmill::sweep::configure_from_args();
+    let keys: Vec<String> = std::env::args()
+        .skip(1)
+        .take_while(|a| !a.starts_with("--"))
+        .collect();
+    let groups: Vec<(&str, Artifact)> = if keys == ["all"] {
+        figures::run_all()
+    } else {
+        // Resolve every key before running anything: a typo should not
+        // cost a sweep.
+        let mut plan = Vec::new();
+        for key in &keys {
+            if key == "fig7" {
+                plan.extend(fig7_surfaces());
+            } else {
+                plan.push((None, find(key)));
+            }
+        }
+        if plan.is_empty() {
+            usage("no figure named");
+        }
+        plan.into_iter()
+            .map(|(heading, figure)| {
+                if let Some(heading) = heading {
+                    println!("== {heading} ==\n");
+                }
+                let artifact = (figure.run)(&cli);
+                artifact.emit();
+                (figure.key, artifact)
+            })
+            .collect()
+    };
+    let refs: Vec<(&str, &Artifact)> = groups.iter().map(|(n, a)| (*n, a)).collect();
+    figures::write_cli_outputs(&cli, &refs);
+}

@@ -24,8 +24,6 @@
 //!   model, packet layout). `pm-compile`'s passes produce these;
 //! * [`graph`] — configuration graph → runtime graph construction with
 //!   an element registry and validation;
-//! * [`batch`] — the vector and linked-list packet-chaining models
-//!   (paper §3.1: X-Change frees the application to pick either);
 //! * [`runtime`] — the per-core push-path executor that walks the graph
 //!   for every packet, charging dispatch / parameter / state / metadata
 //!   costs according to the active plan.
@@ -33,7 +31,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod batch;
 pub mod config;
 pub mod element;
 pub mod graph;
@@ -41,7 +38,6 @@ pub mod packet;
 pub mod plan;
 pub mod runtime;
 
-pub use batch::{BatchArena, LinkedBatch, VectorBatch};
 pub use config::{Arg, Args, ConfigError, ConfigGraph, Connection, Declaration};
 pub use element::{Action, Annos, Ctx, Element, ElementKind, FieldProfile, Pkt, TableStats};
 pub use graph::{ElementRegistry, Graph};

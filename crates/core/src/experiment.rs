@@ -297,7 +297,7 @@ impl ExperimentBuilder {
 
     /// Enables (or disables) per-element profiling for this run,
     /// overriding the process default ([`crate::sweep::default_profile`],
-    /// set by `--profile` or `PM_PROFILE=1`).
+    /// set by `--profile`).
     pub fn profile(mut self, on: bool) -> Self {
         self.profile = Some(on);
         self
@@ -311,8 +311,8 @@ impl ExperimentBuilder {
 
     /// Injects a deterministic [`FaultPlan`] into this run, overriding
     /// the process default ([`crate::sweep::default_faults`], set by
-    /// `--faults <spec>` or `PM_FAULTS`). An empty plan is equivalent to
-    /// no plan at all.
+    /// `--faults <spec>`). An empty plan is equivalent to no plan at
+    /// all.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
         self
@@ -330,8 +330,7 @@ impl ExperimentBuilder {
 
     /// Records a flight-recorder timeline with the given virtual-time
     /// window (µs) for this run, overriding the process default
-    /// ([`crate::sweep::default_timeline`], set by `--timeline` or
-    /// `PM_TIMELINE`).
+    /// ([`crate::sweep::default_timeline`], set by `--timeline`).
     pub fn timeline_us(mut self, window_us: f64) -> Self {
         self.timeline_us = Some(window_us);
         self
@@ -345,7 +344,7 @@ impl ExperimentBuilder {
 
     /// Enables (or disables) sampled per-packet lifecycle tracing for
     /// this run, overriding the process default (on whenever a
-    /// `--trace <path>` / `PM_TRACE` destination is configured). The
+    /// `--trace <path>` destination is configured). The
     /// sample set is a pure function of the run seed and packet
     /// identity, so traces are thread-count independent.
     pub fn packet_trace(mut self, on: bool) -> Self {
@@ -373,8 +372,8 @@ impl ExperimentBuilder {
     /// Drives the run from a deterministic flow-population workload
     /// (Zipf popularity, seeded churn, attack mixes) instead of the
     /// stock trace profiles, overriding the process default
-    /// ([`crate::sweep::default_workload`], set by `--workload <spec>`
-    /// or `PM_WORKLOAD`). An explicit [`Self::trace`] wins over both.
+    /// ([`crate::sweep::default_workload`], set by
+    /// `--workload <spec>`). An explicit [`Self::trace`] wins over both.
     pub fn workload(mut self, spec: WorkloadSpec) -> Self {
         self.workload = Some(spec);
         self

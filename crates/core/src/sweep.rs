@@ -17,9 +17,13 @@
 //!
 //! The worker count comes from, in priority order: an explicit
 //! [`SweepSpec::run_with_threads`] argument, [`set_default_threads`]
-//! (set by the `--threads` CLI flag via
-//! [`configure_threads_from_args`]), the `PM_THREADS` environment
-//! variable, and finally [`std::thread::available_parallelism`].
+//! (set by the `--threads` CLI flag via [`configure_from_args`]), and
+//! finally [`std::thread::available_parallelism`].
+//!
+//! Every process-wide default below resolves the same way: the
+//! builder's own setter, else the `set_default_*` value (set by the CLI
+//! flag), else off. Nothing here reads the environment, so what a test
+//! or a reference run simulates never depends on ambient variables.
 
 use crate::engine::Measurement;
 use crate::experiment::{ExperimentBuilder, ExperimentError};
@@ -28,7 +32,7 @@ use pm_telemetry::{Json, Table};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -38,48 +42,36 @@ type Job =
 /// Process-wide default worker count override (0 = unset).
 static DEFAULT_THREADS: AtomicUsize = AtomicUsize::new(0);
 
-/// Process-wide default for per-element profiling:
-/// 0 = unset (fall back to `PM_PROFILE`), 1 = off, 2 = on.
-static DEFAULT_PROFILE: AtomicUsize = AtomicUsize::new(0);
+/// Process-wide default for per-element profiling.
+static DEFAULT_PROFILE: AtomicBool = AtomicBool::new(false);
 
-/// Process-wide default for wall-clock timing lines:
-/// 0 = unset (fall back to `PM_TIMING`), 1 = off, 2 = on.
-static DEFAULT_TIMING: AtomicUsize = AtomicUsize::new(0);
+/// Process-wide default fault plan (`--faults <spec>`).
+static DEFAULT_FAULTS: Mutex<Option<pm_sim::FaultPlan>> = Mutex::new(None);
 
-/// Process-wide default fault plan (`--faults <spec>` / `PM_FAULTS`).
-/// `None` inside the mutex = unset (fall back to `PM_FAULTS`).
-static DEFAULT_FAULTS: Mutex<Option<Option<pm_sim::FaultPlan>>> = Mutex::new(None);
+/// Process-wide default workload (`--workload <spec>`).
+static DEFAULT_WORKLOAD: Mutex<Option<pm_traffic::WorkloadSpec>> = Mutex::new(None);
 
-/// Process-wide default workload (`--workload <spec>` / `PM_WORKLOAD`).
-/// `None` inside the mutex = unset (fall back to `PM_WORKLOAD`).
-static DEFAULT_WORKLOAD: Mutex<Option<Option<pm_traffic::WorkloadSpec>>> = Mutex::new(None);
-
-/// Process-wide default flight-recorder timeline window:
-/// 0 = unset (fall back to `PM_TIMELINE`), 1 = explicitly off, else the
-/// `f64::to_bits` of the window in µs (a positive window never encodes
-/// to 0 or 1).
+/// Process-wide default flight-recorder timeline window: 0 = off, else
+/// the `f64::to_bits` of the window in µs (a positive window never
+/// encodes to 0).
 static DEFAULT_TIMELINE: AtomicU64 = AtomicU64::new(0);
 
-/// Process-wide default lifecycle-trace destination (`--trace <path>` /
-/// `PM_TRACE`). `None` inside the mutex = unset (fall back to
-/// `PM_TRACE`).
-static DEFAULT_TRACE: Mutex<Option<Option<PathBuf>>> = Mutex::new(None);
+/// Process-wide default lifecycle-trace destination (`--trace <path>`).
+static DEFAULT_TRACE: Mutex<Option<PathBuf>> = Mutex::new(None);
 
-/// The timeline window `--timeline` / `PM_TIMELINE=1` select when no
-/// explicit width is given, in µs.
+/// The timeline window a bare `--timeline` selects, in µs.
 pub const DEFAULT_TIMELINE_WINDOW_US: f64 = 100.0;
 
-/// Overrides the process-wide timeline default for runs that don't set
+/// Sets the process-wide timeline default for runs that don't set
 /// [`ExperimentBuilder::timeline_us`] explicitly (the `--timeline` CLI
-/// flag). `None` explicitly disables recording regardless of
-/// `PM_TIMELINE`.
+/// flag). `None` turns recording off.
 ///
 /// # Panics
 ///
 /// Panics on a non-positive window.
 pub fn set_default_timeline(window_us: Option<f64>) {
     let v = match window_us {
-        None => 1,
+        None => 0,
         Some(w) => {
             assert!(w > 0.0, "timeline window must be positive, got {w}");
             w.to_bits()
@@ -89,333 +81,201 @@ pub fn set_default_timeline(window_us: Option<f64>) {
 }
 
 /// The timeline default, in µs: [`set_default_timeline`] (set by
-/// `--timeline[=window_us]`), else `PM_TIMELINE` (`1` = the default
-/// window, a number = that window in µs, `0`/unset = off).
+/// `--timeline[=window_us]`), else off.
 pub fn default_timeline() -> Option<f64> {
     match DEFAULT_TIMELINE.load(Ordering::Relaxed) {
-        0 => std::env::var("PM_TIMELINE")
-            .ok()
-            .and_then(|v| parse_timeline_value(&v)),
-        1 => None,
+        0 => None,
         bits => Some(f64::from_bits(bits)),
     }
 }
 
-/// `--timeline=<v>` / `PM_TIMELINE=<v>` value: `0` disables, `1` picks
-/// the default window, any other positive number is the window in µs.
-fn parse_timeline_value(v: &str) -> Option<f64> {
-    match v {
-        "0" => None,
-        "" | "1" => Some(DEFAULT_TIMELINE_WINDOW_US),
-        other => other.parse::<f64>().ok().filter(|w| *w > 0.0),
-    }
-}
-
-/// Overrides the process-wide trace destination (the `--trace <path>`
-/// CLI flag). Setting a path also turns lifecycle tracing on for runs
-/// that don't set [`ExperimentBuilder::packet_trace`] explicitly.
-/// `None` explicitly clears it.
+/// Sets the process-wide trace destination (the `--trace <path>` CLI
+/// flag). Setting a path also turns lifecycle tracing on for runs that
+/// don't set [`ExperimentBuilder::packet_trace`] explicitly. `None`
+/// clears it.
 pub fn set_default_trace(path: Option<PathBuf>) {
-    *DEFAULT_TRACE.lock().expect("trace default poisoned") = Some(path);
+    *DEFAULT_TRACE.lock().expect("trace default poisoned") = path;
 }
 
 /// The trace-destination default: [`set_default_trace`] (set by
-/// `--trace`), else a non-empty `PM_TRACE` path, else none.
+/// `--trace`), else none.
 pub fn default_trace() -> Option<PathBuf> {
-    if let Some(v) = DEFAULT_TRACE
+    DEFAULT_TRACE
         .lock()
         .expect("trace default poisoned")
-        .as_ref()
-    {
-        return v.clone();
-    }
-    std::env::var("PM_TRACE")
-        .ok()
-        .filter(|s| !s.is_empty())
-        .map(PathBuf::from)
+        .clone()
 }
 
-/// Overrides the process-wide fault plan for runs that don't set
+/// Sets the process-wide fault plan for runs that don't set
 /// [`ExperimentBuilder::fault_plan`] explicitly (the `--faults` CLI
-/// flag). `None` explicitly clears it (runs unfaulted regardless of
-/// `PM_FAULTS`).
+/// flag). `None` clears it (runs unfaulted).
 pub fn set_default_faults(plan: Option<pm_sim::FaultPlan>) {
-    *DEFAULT_FAULTS.lock().expect("fault default poisoned") = Some(plan);
+    *DEFAULT_FAULTS.lock().expect("fault default poisoned") = plan;
 }
 
 /// The fault-plan default: [`set_default_faults`] (set by `--faults`),
-/// else a `PM_FAULTS` spec, else none. An unparsable `PM_FAULTS` is a
-/// hard error — silently running unfaulted would be worse.
+/// else none.
 pub fn default_faults() -> Option<pm_sim::FaultPlan> {
-    if let Some(v) = DEFAULT_FAULTS
+    DEFAULT_FAULTS
         .lock()
         .expect("fault default poisoned")
-        .as_ref()
-    {
-        return v.clone();
-    }
-    std::env::var("PM_FAULTS")
-        .ok()
-        .map(|spec| pm_sim::FaultPlan::parse(&spec).unwrap_or_else(|e| panic!("PM_FAULTS: {e}")))
+        .clone()
 }
 
-/// Overrides the process-wide workload for runs that don't set
+/// Sets the process-wide workload for runs that don't set
 /// [`ExperimentBuilder::workload`] explicitly (the `--workload` CLI
-/// flag). `None` explicitly clears it (runs replay the stock trace
-/// profiles regardless of `PM_WORKLOAD`).
+/// flag). `None` clears it (runs replay the stock trace profiles).
 pub fn set_default_workload(spec: Option<pm_traffic::WorkloadSpec>) {
-    *DEFAULT_WORKLOAD.lock().expect("workload default poisoned") = Some(spec);
+    *DEFAULT_WORKLOAD.lock().expect("workload default poisoned") = spec;
 }
 
 /// The workload default: [`set_default_workload`] (set by
-/// `--workload`), else a `PM_WORKLOAD` spec, else none. An unparsable
-/// `PM_WORKLOAD` is a hard error — silently replaying the stock
-/// profiles would be worse.
+/// `--workload`), else none.
 pub fn default_workload() -> Option<pm_traffic::WorkloadSpec> {
-    if let Some(v) = DEFAULT_WORKLOAD
+    DEFAULT_WORKLOAD
         .lock()
         .expect("workload default poisoned")
-        .as_ref()
-    {
-        return v.clone();
-    }
-    std::env::var("PM_WORKLOAD").ok().map(|spec| {
-        pm_traffic::WorkloadSpec::parse(&spec).unwrap_or_else(|e| panic!("PM_WORKLOAD: {e}"))
-    })
+        .clone()
 }
 
-/// Overrides the process-wide timing default (the `--timing` CLI flag).
-pub fn set_default_timing(on: bool) {
-    DEFAULT_TIMING.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-}
-
-/// The timing default: [`set_default_timing`] (set by the `--timing`
-/// CLI flag), else `PM_TIMING=1`, else off. Timing output goes to
-/// stderr only, so `--json` artifacts and redirected stdout stay
-/// byte-identical whether or not timing is enabled.
-pub fn default_timing() -> bool {
-    match DEFAULT_TIMING.load(Ordering::Relaxed) {
-        2 => true,
-        1 => false,
-        _ => std::env::var("PM_TIMING").is_ok_and(|v| v == "1"),
-    }
-}
-
-/// Overrides the process-wide profiling default for runs that don't set
+/// Sets the process-wide profiling default for runs that don't set
 /// [`ExperimentBuilder::profile`] explicitly.
 pub fn set_default_profile(on: bool) {
-    DEFAULT_PROFILE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+    DEFAULT_PROFILE.store(on, Ordering::Relaxed);
 }
 
 /// The profiling default: [`set_default_profile`] (set by the
-/// `--profile` CLI flag), else `PM_PROFILE=1`, else off.
+/// `--profile` CLI flag), else off.
 pub fn default_profile() -> bool {
-    match DEFAULT_PROFILE.load(Ordering::Relaxed) {
-        2 => true,
-        1 => false,
-        _ => std::env::var("PM_PROFILE").is_ok_and(|v| v == "1"),
-    }
+    DEFAULT_PROFILE.load(Ordering::Relaxed)
 }
 
-/// Overrides the default worker count for subsequent sweeps (takes
-/// precedence over `PM_THREADS`). `0` clears the override.
+/// Overrides the default worker count for subsequent sweeps. `0` clears
+/// the override.
 pub fn set_default_threads(n: usize) {
     DEFAULT_THREADS.store(n, Ordering::Relaxed);
 }
 
 /// The worker count a sweep uses when none is given explicitly:
-/// [`set_default_threads`], else `PM_THREADS`, else
+/// [`set_default_threads`], else
 /// [`std::thread::available_parallelism`].
 pub fn default_threads() -> usize {
-    let forced = DEFAULT_THREADS.load(Ordering::Relaxed);
-    if forced > 0 {
-        return forced;
+    match DEFAULT_THREADS.load(Ordering::Relaxed) {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        forced => forced,
     }
-    if let Some(n) = std::env::var("PM_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-    {
-        return n;
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Parses `--threads N` / `--threads=N` from the process arguments,
-/// installs the result via [`set_default_threads`], and returns the
-/// resolved worker count. Call once from a sweep binary's `main`.
-pub fn configure_threads_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        let arg = &args[i];
-        let parsed = if let Some(v) = arg.strip_prefix("--threads=") {
-            v.parse::<usize>().ok()
-        } else if arg == "--threads" {
-            args.get(i + 1).and_then(|v| v.parse::<usize>().ok())
-        } else {
-            None
-        };
-        if let Some(n) = parsed.filter(|&n| n > 0) {
-            set_default_threads(n);
-            return n;
-        }
-        i += 1;
-    }
-    default_threads()
 }
 
 /// The sweep-relevant command line of a benchmark binary.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SweepCli {
-    /// Resolved worker count (`--threads`, `PM_THREADS`, or all cores).
+    /// Resolved worker count (`--threads`, or all cores).
     pub threads: usize,
-    /// Whether runs collect per-element profiles (`--profile` or
-    /// `PM_PROFILE=1`).
+    /// Whether runs collect per-element profiles (`--profile`).
     pub profile: bool,
-    /// Whether artifacts print a wall-clock timing line to stderr
-    /// (`--timing` or `PM_TIMING=1`).
-    pub timing: bool,
     /// Where to write the JSON run-report artifact (`--json <path>`).
     pub json: Option<PathBuf>,
-    /// Fault plan injected into every run (`--faults <spec>` or
-    /// `PM_FAULTS`).
+    /// Fault plan injected into every run (`--faults <spec>`).
     pub faults: Option<pm_sim::FaultPlan>,
-    /// Simulated core count requested on the command line (`--cores N`
-    /// or `PM_CORES`). `None` leaves each binary's default in place.
+    /// Simulated core count requested on the command line
+    /// (`--cores N`). `None` leaves each figure's default in place.
     /// Note this is *simulated* cores inside one experiment, unlike
     /// `--threads`, which is host workers across experiments.
     pub cores: Option<usize>,
-    /// Flight-recorder timeline window in µs (`--timeline[=window_us]`
-    /// or `PM_TIMELINE`). `None` = no timeline recording.
+    /// Flight-recorder timeline window in µs
+    /// (`--timeline[=window_us]`). `None` = no timeline recording.
     pub timeline: Option<f64>,
-    /// Lifecycle-trace destination (`--trace <path>` or `PM_TRACE`);
-    /// also enables trace recording when set.
+    /// Lifecycle-trace destination (`--trace <path>`); also enables
+    /// trace recording when set.
     pub trace: Option<PathBuf>,
     /// Flow-population workload injected into every run
-    /// (`--workload <spec>` or `PM_WORKLOAD`).
+    /// (`--workload <spec>`).
     pub workload: Option<pm_traffic::WorkloadSpec>,
     /// Flow/route-scale ceiling requested on the command line
-    /// (`--flows N`). `None` leaves each binary's default in place.
+    /// (`--flows N`). `None` leaves each figure's default in place.
     pub flows: Option<u64>,
 }
 
-/// Parses `--threads N`, `--profile`, `--faults <spec>`, `--cores N`,
-/// and `--json <path>` from the process arguments, installs the thread,
-/// profile, and fault defaults process-wide, and returns the resolved
-/// settings. Call once from a benchmark binary's `main`.
+/// The value of the value flag `name` when `args[*i]` is that flag, in
+/// either spelling: `--x=v`, or `--x v` (which also steps `*i` over the
+/// value). Another `--flag` is never taken as the value.
+fn value_of<'a>(args: &'a [String], i: &mut usize, name: &str) -> Option<&'a str> {
+    let rest = args[*i].strip_prefix(name)?;
+    if let Some(v) = rest.strip_prefix('=') {
+        return Some(v);
+    }
+    if !rest.is_empty() {
+        return None; // a longer flag that merely starts with `name`
+    }
+    let v = args.get(*i + 1).filter(|v| !v.starts_with("--"))?;
+    *i += 1;
+    Some(v)
+}
+
+/// Parses `--threads N`, `--profile`, `--faults <spec>`,
+/// `--workload <spec>`, `--flows N`, `--cores N`,
+/// `--timeline[=window_us]`, `--trace <path>` and `--json <path>` from
+/// the process arguments, installs the thread, profile, fault, workload,
+/// timeline and trace defaults process-wide, and returns the resolved
+/// settings. Unparsable counts are ignored. Call once from a benchmark
+/// binary's `main`.
 ///
 /// # Panics
 ///
-/// Panics on an unparsable `--faults` spec (running a different
-/// experiment than the one asked for is worse than exiting).
+/// Panics on an unparsable `--faults`, `--workload` or `--timeline=`
+/// value (running a different experiment than the one asked for is
+/// worse than exiting).
 pub fn configure_from_args() -> SweepCli {
     let args: Vec<String> = std::env::args().collect();
+    let positive = |v: &str| v.parse::<u64>().ok().filter(|&n| n > 0);
     let mut cli = SweepCli::default();
     let mut i = 1;
     while i < args.len() {
-        let arg = &args[i];
-        if let Some(v) = arg.strip_prefix("--threads=") {
-            if let Some(n) = v.parse::<usize>().ok().filter(|&n| n > 0) {
-                set_default_threads(n);
+        if let Some(v) = value_of(&args, &mut i, "--threads") {
+            if let Some(n) = positive(v) {
+                set_default_threads(n as usize);
             }
-        } else if arg == "--threads" {
-            if let Some(n) = args
-                .get(i + 1)
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&n| n > 0)
-            {
-                set_default_threads(n);
-                i += 1;
-            }
-        } else if arg == "--profile" {
-            set_default_profile(true);
-        } else if arg == "--timing" {
-            set_default_timing(true);
-        } else if let Some(v) = arg.strip_prefix("--faults=") {
+        } else if let Some(v) = value_of(&args, &mut i, "--faults") {
             let plan = pm_sim::FaultPlan::parse(v).unwrap_or_else(|e| panic!("--faults: {e}"));
             set_default_faults(Some(plan));
-        } else if arg == "--faults" {
-            if let Some(spec) = args.get(i + 1) {
-                let plan =
-                    pm_sim::FaultPlan::parse(spec).unwrap_or_else(|e| panic!("--faults: {e}"));
-                set_default_faults(Some(plan));
-                i += 1;
-            }
-        } else if let Some(v) = arg.strip_prefix("--workload=") {
+        } else if let Some(v) = value_of(&args, &mut i, "--workload") {
             let spec =
                 pm_traffic::WorkloadSpec::parse(v).unwrap_or_else(|e| panic!("--workload: {e}"));
             set_default_workload(Some(spec));
-        } else if arg == "--workload" {
-            if let Some(spec) = args.get(i + 1) {
-                let spec = pm_traffic::WorkloadSpec::parse(spec)
-                    .unwrap_or_else(|e| panic!("--workload: {e}"));
-                set_default_workload(Some(spec));
-                i += 1;
-            }
-        } else if let Some(v) = arg.strip_prefix("--flows=") {
-            cli.flows = v.parse::<u64>().ok().filter(|&n| n > 0);
-        } else if arg == "--flows" {
-            if let Some(n) = args
-                .get(i + 1)
-                .and_then(|v| v.parse::<u64>().ok())
-                .filter(|&n| n > 0)
-            {
-                cli.flows = Some(n);
-                i += 1;
-            }
-        } else if arg == "--timeline" {
-            set_default_timeline(Some(DEFAULT_TIMELINE_WINDOW_US));
-        } else if let Some(v) = arg.strip_prefix("--timeline=") {
-            if v == "0" {
-                set_default_timeline(None); // explicit off
-            } else {
-                match parse_timeline_value(v) {
-                    Some(w) => set_default_timeline(Some(w)),
-                    None => panic!("--timeline: invalid window '{v}' (µs, > 0)"),
-                }
-            }
-        } else if let Some(v) = arg.strip_prefix("--trace=") {
+        } else if let Some(v) = value_of(&args, &mut i, "--flows") {
+            cli.flows = positive(v).or(cli.flows);
+        } else if let Some(v) = value_of(&args, &mut i, "--cores") {
+            cli.cores = positive(v).map(|n| n as usize).or(cli.cores);
+        } else if let Some(v) = value_of(&args, &mut i, "--trace") {
             set_default_trace(Some(PathBuf::from(v)));
-        } else if arg == "--trace" {
-            if let Some(p) = args.get(i + 1) {
-                set_default_trace(Some(PathBuf::from(p)));
-                i += 1;
-            }
-        } else if let Some(v) = arg.strip_prefix("--json=") {
+        } else if let Some(v) = value_of(&args, &mut i, "--json") {
             cli.json = Some(PathBuf::from(v));
-        } else if arg == "--json" {
-            if let Some(p) = args.get(i + 1) {
-                cli.json = Some(PathBuf::from(p));
-                i += 1;
-            }
-        } else if let Some(v) = arg.strip_prefix("--cores=") {
-            cli.cores = v.parse::<usize>().ok().filter(|&n| n > 0);
-        } else if arg == "--cores" {
-            if let Some(n) = args
-                .get(i + 1)
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&n| n > 0)
-            {
-                cli.cores = Some(n);
-                i += 1;
-            }
+        } else if args[i] == "--profile" {
+            set_default_profile(true);
+        } else if args[i] == "--timeline" {
+            set_default_timeline(Some(DEFAULT_TIMELINE_WINDOW_US));
+        } else if let Some(v) = args[i].strip_prefix("--timeline=") {
+            // `0` disables, `1` (or nothing) picks the default window,
+            // any other positive number is the window in µs.
+            set_default_timeline(match v {
+                "0" => None,
+                "" | "1" => Some(DEFAULT_TIMELINE_WINDOW_US),
+                w => Some(
+                    w.parse::<f64>()
+                        .ok()
+                        .filter(|w| *w > 0.0)
+                        .unwrap_or_else(|| panic!("--timeline: invalid window '{v}' (µs, > 0)")),
+                ),
+            });
         }
         i += 1;
     }
     cli.threads = default_threads();
     cli.profile = default_profile();
-    cli.timing = default_timing();
     cli.faults = default_faults();
     cli.timeline = default_timeline();
     cli.trace = default_trace();
     cli.workload = default_workload();
-    cli.cores = cli.cores.or_else(|| {
-        std::env::var("PM_CORES")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-    });
     cli
 }
 
@@ -785,19 +645,6 @@ impl SweepReport {
         self.serial_seconds / self.wall_seconds.max(1e-9)
     }
 
-    /// One-line wall-clock summary for stderr (the `--timing` output).
-    pub fn timing_line(&self) -> String {
-        format!(
-            "timing: {:.2} s wall, {:.2} s serial-equivalent; per run mean {:.2} s, max {:.2} s ({} runs, {} threads)",
-            self.wall_seconds,
-            self.serial_seconds,
-            self.mean_run_seconds,
-            self.max_run_seconds,
-            self.runs,
-            self.threads,
-        )
-    }
-
     /// One-line account of the build-once inputs (printed under the
     /// table): whether the fast set-up path engaged.
     pub fn reuse_line(&self) -> String {
@@ -886,9 +733,6 @@ mod tests {
         assert!(rep.max_run_seconds >= rep.mean_run_seconds);
         let rendered = rep.to_table().to_string();
         assert!(rendered.contains("speedup"));
-        let line = rep.timing_line();
-        assert!(line.starts_with("timing:"));
-        assert!(line.contains("2 runs"));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use packetmill::{ExperimentBuilder, MetadataModel, Nf, OptLevel, SweepSpec, Table};
 
 fn main() {
-    let threads = packetmill::sweep::configure_threads_from_args();
+    let threads = packetmill::sweep::configure_from_args().threads;
 
     let mut spec = SweepSpec::new().progress(true);
     for cores in 1..=4usize {

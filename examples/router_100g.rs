@@ -12,7 +12,7 @@
 use packetmill::{ExperimentBuilder, MetadataModel, Nf, OptLevel, SweepSpec, Table};
 
 fn main() {
-    let threads = packetmill::sweep::configure_threads_from_args();
+    let threads = packetmill::sweep::configure_from_args().threads;
     const OFFERED: [f64; 5] = [20.0, 40.0, 60.0, 80.0, 100.0];
 
     let mut spec = SweepSpec::new().progress(true);

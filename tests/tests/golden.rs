@@ -1,17 +1,19 @@
 //! Golden-artifact regression for the simulator fast path.
 //!
-//! The committed fixtures under `tests/golden/` are the Figure 7 N = 1
-//! surface and Table 1 — stdout table and profiled `--json` artifact —
-//! captured
-//! before the move-to-front caches, page-cached TLB, range-batched
-//! charging, and calendar queue landed. Re-running the sweep must
-//! reproduce them **byte for byte**: every optimization in the
-//! simulator hot path is required to be semantically invisible, so any
-//! diff here is a correctness bug, not a tolerance question.
+//! The committed fixtures under `tests/golden/` are stdout table and
+//! `--json` artifact pairs: the Figure 7 N = 1 surface and Table 1,
+//! captured before the move-to-front caches, page-cached TLB and
+//! range-batched charging landed, and the faulted fig7, cores = 2
+//! multi-core, flight-recorder and 10k-flow flow-scale sweeps, each
+//! captured when its feature did. Re-running a sweep must reproduce its
+//! pair **byte for byte**: every optimization in the simulator hot path
+//! is required to be semantically invisible, so any diff here is a
+//! correctness bug, not a tolerance question.
 //!
-//! The sweep is full-size (50 runs × 40 000 packets), so the test
-//! no-ops in debug builds; CI exercises it via `cargo test --release`
-//! in the perf-smoke step.
+//! The sweeps are full-size (fig7 alone is 50 runs × 40 000 packets),
+//! so in a debug build each test says it did not run and returns; run
+//! them with `cargo test --release --test golden`, as CI's perf-smoke
+//! step does.
 
 use packetmill::sweep::{artifact_document, set_default_profile};
 
@@ -33,8 +35,7 @@ fn assert_same(actual: &str, expected: &str, what: &str) {
 
 #[test]
 fn fig7_n1_artifact_matches_committed_fixture() {
-    if cfg!(debug_assertions) {
-        eprintln!("skipping full fig7 golden sweep in debug builds (runs under --release)");
+    if pm_integration_tests::full_size_sweep_skipped("golden") {
         return;
     }
     set_default_profile(true);
@@ -63,8 +64,7 @@ const FAULT_SPEC: &str = "seed=0xF417;bitflip@..:rate=5000ppm;trunc@..:rate=5000
 
 #[test]
 fn fig7_n1_faulted_artifact_matches_committed_fixture() {
-    if cfg!(debug_assertions) {
-        eprintln!("skipping faulted fig7 golden sweep in debug builds (runs under --release)");
+    if pm_integration_tests::full_size_sweep_skipped("golden") {
         return;
     }
     set_default_profile(true);
@@ -101,8 +101,7 @@ fn fig7_n1_faulted_artifact_matches_committed_fixture() {
 /// LLC/DDIO path is also locked byte-for-byte.
 #[test]
 fn fig_multicore_c2_profiled_artifact_matches_committed_fixture() {
-    if cfg!(debug_assertions) {
-        eprintln!("skipping fig_multicore golden sweep in debug builds (runs under --release)");
+    if pm_integration_tests::full_size_sweep_skipped("golden") {
         return;
     }
     set_default_profile(true);
@@ -130,8 +129,7 @@ fn fig_multicore_c2_profiled_artifact_matches_committed_fixture() {
 /// bucketing, sampling hashes, or span attribution shows up here.
 #[test]
 fn fig_timeline_artifact_matches_committed_fixture() {
-    if cfg!(debug_assertions) {
-        eprintln!("skipping fig_timeline golden sweep in debug builds (runs under --release)");
+    if pm_integration_tests::full_size_sweep_skipped("golden") {
         return;
     }
     set_default_profile(true);
@@ -175,8 +173,7 @@ fn fig_timeline_artifact_matches_committed_fixture() {
 /// cuckoo/trie/conntrack charging shows up here.
 #[test]
 fn fig_flowscale_artifact_matches_committed_fixture() {
-    if cfg!(debug_assertions) {
-        eprintln!("skipping fig_flowscale golden sweep in debug builds (runs under --release)");
+    if pm_integration_tests::full_size_sweep_skipped("golden") {
         return;
     }
     set_default_profile(true);
@@ -217,8 +214,7 @@ fn fig_flowscale_artifact_matches_committed_fixture() {
 
 #[test]
 fn table1_artifact_matches_committed_fixture() {
-    if cfg!(debug_assertions) {
-        eprintln!("skipping table1 golden sweep in debug builds (runs under --release)");
+    if pm_integration_tests::full_size_sweep_skipped("golden") {
         return;
     }
     set_default_profile(true);

@@ -190,8 +190,7 @@ fn nic_steering_keeps_a_flow_on_one_queue() {
 
 #[test]
 fn fig_multicore_c2_matches_committed_fixture() {
-    if cfg!(debug_assertions) {
-        eprintln!("skipping fig_multicore golden sweep in debug builds (runs under --release)");
+    if pm_integration_tests::full_size_sweep_skipped("multicore") {
         return;
     }
     let a = pm_bench::figures::fig_multicore(2);

@@ -391,50 +391,6 @@ mod rings {
     }
 }
 
-mod batches {
-    use super::*;
-    use pm_click::{BatchArena, LinkedBatch, VectorBatch};
-
-    proptest! {
-        /// The linked-list and vector chaining models stay equivalent
-        /// under arbitrary sequences of pushes, splits, and merges.
-        #[test]
-        fn chaining_models_equivalent(
-            ids in proptest::collection::vec(0u32..256, 1..128),
-            pivot in any::<u32>(),
-        ) {
-            let pivot = pivot % 256;
-            let mut arena = BatchArena::new(256);
-            // De-duplicate: a packet id can be on only one list at a time.
-            let mut seen = std::collections::HashSet::new();
-            let ids: Vec<u32> = ids.into_iter().filter(|i| seen.insert(*i)).collect();
-
-            let v = VectorBatch::from_ids(ids.clone());
-            let l = LinkedBatch::from_ids(&mut arena, &ids);
-            let (vl, vr) = v.split(|id| id < pivot);
-            let (ll, lr) = l.split(&mut arena, |id| id < pivot);
-            prop_assert_eq!(
-                vl.iter().collect::<Vec<_>>(),
-                ll.iter(&arena).collect::<Vec<_>>()
-            );
-            prop_assert_eq!(
-                vr.iter().collect::<Vec<_>>(),
-                lr.iter(&arena).collect::<Vec<_>>()
-            );
-            // Merge back: both models restore the full set in split order.
-            let mut vm = vl;
-            vm.merge(vr);
-            let mut lm = ll;
-            lm.merge(&mut arena, lr);
-            prop_assert_eq!(
-                vm.iter().collect::<Vec<_>>(),
-                lm.iter(&arena).collect::<Vec<_>>()
-            );
-            prop_assert_eq!(vm.len(), ids.len());
-        }
-    }
-}
-
 mod replay {
     use super::*;
     use packetmill::{Trace, TraceConfig, TrafficProfile};
@@ -781,58 +737,6 @@ mod access_programs {
                 }
             }
             prop_assert_eq!(fast.profile_records(), slow.profile_records());
-        }
-    }
-}
-
-mod event_queue {
-    use super::*;
-    use pm_sim::{EventQueue, HeapEventQueue, SimTime};
-
-    proptest! {
-        /// Lock-step equivalence: the calendar queue pops the exact same
-        /// `(time, event)` sequence as the binary-heap reference under
-        /// arbitrary schedule/pop interleavings. Times are drawn from a
-        /// tiny range so equal timestamps (FIFO ties) are common, and
-        /// occasional large jumps exercise the ring-wrap fallback.
-        #[test]
-        fn calendar_matches_heap(
-            script in proptest::collection::vec((any::<u8>(), any::<u16>()), 1..300),
-        ) {
-            let mut cal: EventQueue<u32> = EventQueue::new();
-            let mut heap: HeapEventQueue<u32> = HeapEventQueue::new();
-            let mut id = 0u32;
-            let mut clock = SimTime::ZERO;
-            for &(sel, t) in &script {
-                if sel % 3 == 0 {
-                    prop_assert_eq!(cal.pop(), heap.pop(), "pop after {} schedules", id);
-                } else {
-                    // Mostly near-future times with ties; every 16th
-                    // event jumps far ahead (past the bucket ring).
-                    let delta = if sel % 16 == 9 {
-                        SimTime::from_ns(f64::from(t) * 100.0)
-                    } else {
-                        SimTime::from_ns(f64::from(t % 40))
-                    };
-                    let when = clock + delta;
-                    cal.schedule(when, id);
-                    heap.schedule(when, id);
-                    id += 1;
-                }
-                prop_assert_eq!(cal.len(), heap.len());
-                prop_assert_eq!(cal.peek_time(), heap.peek_time());
-                if let Some(t) = cal.peek_time() {
-                    clock = clock.max(t);
-                }
-            }
-            // Drain: the full remaining order must match.
-            loop {
-                let (a, b) = (cal.pop(), heap.pop());
-                prop_assert_eq!(a, b, "drain");
-                if a.is_none() {
-                    break;
-                }
-            }
         }
     }
 }

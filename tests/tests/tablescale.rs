@@ -249,10 +249,9 @@ fn handed_over_fib_equals_a_fresh_build_at_scale() {
 #[test]
 fn nat_expiry_accounting_is_deterministic() {
     use packetmill::{ExperimentBuilder, Nf, WorkloadSpec};
-    if cfg!(debug_assertions) {
-        // Two 40k-packet engine runs take ~30 s unoptimized; the
-        // release CI job runs the real thing.
-        eprintln!("skipping nat_expiry_accounting_is_deterministic in debug");
+    // Two 40k-packet engine runs take ~30 s unoptimized; the release CI
+    // job runs the real thing.
+    if pm_integration_tests::full_size_sweep_skipped("tablescale") {
         return;
     }
     // The trace cycle (frames=16k, ~1.4 ms of virtual time) must outlast
