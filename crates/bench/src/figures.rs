@@ -12,8 +12,9 @@
 //! printed artifact is byte-identical at any `--threads` setting.
 
 use packetmill::{
-    BessEngine, Dataplane, ExperimentBuilder, L2Fwd, Measurement, MetadataModel, Nf, OptLevel,
-    SweepCli, SweepReport, SweepResults, SweepSpec, Table, TrafficProfile, VppEngine,
+    BessEngine, Dataplane, ExperimentBuilder, L2Fwd, Measurement, MempoolMode, MetaField,
+    MetadataModel, MetadataSpec, Nf, OptLevel, SweepCli, SweepReport, SweepResults, SweepSpec,
+    Table, TrafficProfile, VppEngine,
 };
 use std::io::IsTerminal;
 use std::path::Path;
@@ -1001,11 +1002,187 @@ pub fn fig11b() -> Artifact {
     Artifact::new(t, results)
 }
 
+// Ablation studies for the design choices DESIGN.md calls out — the
+// knobs the paper discusses but does not sweep (§3.1 bullet list, §4.1
+// "reordering contributes one third", the testbed's `IIO LLC WAYS`
+// setting).
+
+/// §4.1: "Reordering contributes to one third of the improvements" of
+/// LTO. Compare vanilla vs vanilla+reorder vs all-source on the router.
+fn reorder_contribution() -> Artifact {
+    let variants = [
+        ("vanilla", OptLevel::Vanilla),
+        ("vanilla + reorder", OptLevel::Reorder),
+        ("all source opts", OptLevel::AllSource),
+        ("all + reorder (Full)", OptLevel::Full),
+    ];
+    let mut s = sweep();
+    for (name, opt) in variants {
+        s.push(
+            format!("reorder {name}"),
+            router(MetadataModel::Copying, opt, 3.0),
+        );
+    }
+    let results = s.run();
+    let ms = results.expect_all();
+    let mut t = Table::new(vec!["variant", "Mpps", "p50 lat (us)"]);
+    for ((name, _), m) in variants.iter().zip(&ms) {
+        t.row(vec![
+            (*name).to_string(),
+            format!("{:.2}", m.mpps),
+            format!("{:.0}", m.median_latency_us),
+        ]);
+    }
+    Artifact::new(t, results)
+}
+
+/// The testbed sets `IIO LLC WAYS` to widen DDIO. Sweep the DMA way
+/// partition and watch the router's miss rate and throughput.
+fn ddio_ways() -> Artifact {
+    let ways_sweep = [1usize, 2, 4, 6, 8];
+    let mut s = sweep();
+    for ways in ways_sweep {
+        s.push(
+            format!("ddio {ways} ways"),
+            router(MetadataModel::XChange, OptLevel::AllSource, 2.3).ddio_ways(ways),
+        );
+    }
+    let results = s.run();
+    let ms = results.expect_all();
+    let mut t = Table::new(vec!["ddio ways", "Gbps", "LLC miss (%)"]);
+    for (ways, m) in ways_sweep.iter().zip(&ms) {
+        t.row(vec![
+            format!("{ways}"),
+            format!("{:.1}", m.throughput_gbps),
+            format!("{:.1}", m.llc_miss_pct),
+        ]);
+    }
+    Artifact::new(t, results)
+}
+
+/// BURST is a constant the paper embeds; sweep it.
+fn burst_size() -> Artifact {
+    let bursts = [4usize, 8, 16, 32, 64];
+    let mut s = sweep();
+    for burst in bursts {
+        s.push(
+            format!("burst {burst} vanilla"),
+            router(MetadataModel::Copying, OptLevel::Vanilla, 2.3).burst(burst),
+        );
+        s.push(
+            format!("burst {burst} packetmill"),
+            router(MetadataModel::XChange, OptLevel::AllSource, 2.3).burst(burst),
+        );
+    }
+    let results = s.run();
+    let ms = results.expect_all();
+    let mut t = Table::new(vec!["burst", "vanilla Gbps", "packetmill Gbps"]);
+    for (burst, pair) in bursts.iter().zip(ms.chunks_exact(2)) {
+        t.row(vec![
+            format!("{burst}"),
+            format!("{:.1}", pair[0].throughput_gbps),
+            format!("{:.1}", pair[1].throughput_gbps),
+        ]);
+    }
+    Artifact::new(t, results)
+}
+
+/// FIFO pool rings maximize reuse distance; a LIFO (per-core cache hit
+/// path) keeps buffers warm — quantifying the pool-cycling cost the
+/// paper attributes to the Copying model.
+fn pool_mode() -> Artifact {
+    let modes = [
+        ("fifo (ring)", MempoolMode::Fifo),
+        ("lifo (stack)", MempoolMode::Lifo),
+    ];
+    let mut s = sweep();
+    for (name, mode) in modes {
+        s.push(
+            format!("pool {name}"),
+            router(MetadataModel::Copying, OptLevel::Vanilla, 2.3).pool_mode(mode),
+        );
+    }
+    let results = s.run();
+    let ms = results.expect_all();
+    let mut t = Table::new(vec!["pool order", "Gbps", "LLC loads (k/100ms)"]);
+    for ((name, _), m) in modes.iter().zip(&ms) {
+        t.row(vec![
+            (*name).to_string(),
+            format!("{:.1}", m.throughput_gbps),
+            format!("{:.0}", m.llc_loads_per_100ms / 1e3),
+        ]);
+    }
+    Artifact::new(t, results)
+}
+
+/// X-Change lets the NF declare exactly the fields it needs; sweep the
+/// spec width from the two-field minimum to the full mbuf set.
+fn xchange_spec_width() -> Artifact {
+    let specs = [
+        ("minimal (l2fwd-xchg)", MetadataSpec::minimal()),
+        ("routing", MetadataSpec::routing()),
+        (
+            "full rte_mbuf set",
+            MetadataSpec::custom(MetaField::RX_FULL.to_vec()),
+        ),
+    ];
+    let mut s = sweep();
+    for (name, spec) in &specs {
+        s.push(
+            format!("spec {name}"),
+            ExperimentBuilder::new(Nf::Forwarder)
+                .metadata_model(MetadataModel::XChange)
+                .optimization(OptLevel::AllSource)
+                .frequency_ghz(1.2)
+                .traffic(TrafficProfile::FixedSize(128))
+                .metadata_spec(spec.clone())
+                .packets(PACKETS * 4),
+        );
+    }
+    let results = s.run();
+    let ms = results.expect_all();
+    let mut t = Table::new(vec!["spec", "fields", "Gbps @1.2 GHz, 128B"]);
+    for ((name, spec), m) in specs.iter().zip(&ms) {
+        t.row(vec![
+            (*name).to_string(),
+            format!("{}", spec.len()),
+            format!("{:.1}", m.throughput_gbps),
+        ]);
+    }
+    Artifact::new(t, results)
+}
+
+/// The RX descriptor ring bounds the standing queue, trading drops for
+/// tail latency (the knee depth of Fig. 1).
+fn ring_size_latency() -> Artifact {
+    let rings = [256usize, 1024, 4096];
+    let mut s = sweep();
+    for ring in rings {
+        s.push(
+            format!("rx ring {ring}"),
+            router(MetadataModel::Copying, OptLevel::Vanilla, 2.3).rx_ring(ring),
+        );
+    }
+    let results = s.run();
+    let ms = results.expect_all();
+    let mut t = Table::new(vec!["rx ring", "Gbps", "p50 (us)", "p99 (us)"]);
+    for (ring, m) in rings.iter().zip(&ms) {
+        t.row(vec![
+            format!("{ring}"),
+            format!("{:.1}", m.throughput_gbps),
+            format!("{:.0}", m.median_latency_us),
+            format!("{:.0}", m.p99_latency_us),
+        ]);
+    }
+    Artifact::new(t, results)
+}
+
 /// One registered artifact.
 pub struct Figure {
     /// The `pm-bench <key>` name and the `--json` group name.
     pub key: &'static str,
-    /// The heading [`run_all`] prints above the table.
+    /// The heading [`run_all`] and `pm-bench ablations` print above the
+    /// table.
     pub title: &'static str,
     /// The generator. Of the command line it reads only the two
     /// ceilings, `--cores` (`fig-multicore`) and `--flows`
@@ -1094,6 +1271,41 @@ pub static FIGURES: [Figure; 16] = [
         key: "fig11b",
         title: "Figure 11b — framework comparison @1.2 GHz",
         run: |_| fig11b(),
+    },
+];
+
+/// The ablation studies, in presentation order: `pm-bench ablations`
+/// runs all six, a key runs one; [`run_all`] leaves them out.
+pub static ABLATIONS: [Figure; 6] = [
+    Figure {
+        key: "reorder",
+        title: "Ablation: struct reordering (router @3 GHz, Copying)",
+        run: |_| reorder_contribution(),
+    },
+    Figure {
+        key: "ddio-ways",
+        title: "Ablation: DDIO way partition (PacketMill router @2.3 GHz)",
+        run: |_| ddio_ways(),
+    },
+    Figure {
+        key: "burst",
+        title: "Ablation: RX/TX burst size (router @2.3 GHz)",
+        run: |_| burst_size(),
+    },
+    Figure {
+        key: "pool-mode",
+        title: "Ablation: mempool recycling order (vanilla router @2.3 GHz)",
+        run: |_| pool_mode(),
+    },
+    Figure {
+        key: "xchg-spec",
+        title: "Ablation: X-Change metadata-spec width (forwarder @1.2 GHz)",
+        run: |_| xchange_spec_width(),
+    },
+    Figure {
+        key: "rx-ring",
+        title: "Ablation: RX ring depth under overload (vanilla router @2.3 GHz)",
+        run: |_| ring_size_latency(),
     },
 ];
 

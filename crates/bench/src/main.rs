@@ -6,19 +6,21 @@
 //! stdout, sweep telemetry to stderr.
 //!
 //! `fig7` runs both surfaces under `== N = … ==` headings
-//! (`--surface n1|n5|both` picks); `fig-multicore` takes `--cores N`
+//! (`--surface n1|n5|both` picks) and `ablations` the six ablation
+//! studies under theirs; `fig-multicore` takes `--cores N`
 //! (default 8) and `fig-flowscale` `--flows N` (default 10M — the full
 //! Internet-scale sweep); under `all` they stop at 4 cores and 100k
 //! flows. `fig-timeline` always records, so it needs no `--timeline`;
 //! with `--trace <path>` its sampled packet lifecycles open in
 //! `ui.perfetto.dev`.
 
-use pm_bench::figures::{self, Artifact, Figure, FIGURES};
+use pm_bench::figures::{self, Artifact, Figure, ABLATIONS, FIGURES};
 
 fn usage(problem: &str) -> ! {
     eprintln!("{problem}\nusage: pm-bench <key>... | all [--flags]\nkeys:");
     eprintln!("  fig7  both Figure 7 surfaces (--surface n1|n5|both)");
-    for f in &FIGURES {
+    eprintln!("  ablations  all six ablation studies");
+    for f in FIGURES.iter().chain(&ABLATIONS) {
         eprintln!("  {}  {}", f.key, f.title);
     }
     std::process::exit(2);
@@ -27,6 +29,7 @@ fn usage(problem: &str) -> ! {
 fn find(key: &str) -> &'static Figure {
     FIGURES
         .iter()
+        .chain(&ABLATIONS)
         .find(|f| f.key == key)
         .unwrap_or_else(|| usage(&format!("unknown figure '{key}'")))
 }
@@ -64,6 +67,8 @@ fn main() {
         for key in &keys {
             if key == "fig7" {
                 plan.extend(fig7_surfaces());
+            } else if key == "ablations" {
+                plan.extend(ABLATIONS.iter().map(|f| (Some(f.title), f)));
             } else {
                 plan.push((None, find(key)));
             }

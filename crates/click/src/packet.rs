@@ -84,6 +84,9 @@ pub struct ClickPool {
     region: Region,
     stride: u64,
     free: VecDeque<u32>,
+    /// `is_free[slot]`: the object is in `free`, not out with the
+    /// framework. The O(1) double-free check.
+    is_free: Vec<bool>,
     lifo: bool,
     n: u32,
 }
@@ -116,6 +119,7 @@ impl ClickPool {
             region: space.alloc_pages(stride * u64::from(n)),
             stride,
             free: order.into(),
+            is_free: vec![true; n as usize],
             lifo,
             n,
         }
@@ -155,6 +159,7 @@ impl ClickPool {
     pub fn alloc(&mut self, core: usize, mem: &mut MemoryHierarchy) -> (Option<u64>, Cost) {
         match self.free.pop_front() {
             Some(slot) => {
+                self.is_free[slot as usize] = false;
                 let addr = self.region.base + u64::from(slot) * self.stride;
                 let cost =
                     Self::scaled(mem.access(core, addr, 8, AccessKind::Load)) + Cost::compute(4);
@@ -168,14 +173,18 @@ impl ClickPool {
     ///
     /// # Panics
     ///
-    /// Panics if `addr` is not an object base from this pool.
+    /// Panics if `addr` is not an object base from this pool, or on
+    /// double free.
     pub fn free(&mut self, core: usize, mem: &mut MemoryHierarchy, addr: u64) -> Cost {
         assert!(
             self.region.contains(addr) && (addr - self.region.base).is_multiple_of(self.stride),
             "not a pool object address: {addr:#x}"
         );
         let slot = ((addr - self.region.base) / self.stride) as u32;
-        debug_assert!(!self.free.contains(&slot), "double free of packet object");
+        assert!(
+            !std::mem::replace(&mut self.is_free[slot as usize], true),
+            "double free of packet object {addr:#x}"
+        );
         if self.lifo {
             self.free.push_front(slot);
         } else {
@@ -246,6 +255,18 @@ mod tests {
         assert!(pool.alloc(0, &mut mem).0.is_some());
         assert!(pool.alloc(0, &mut mem).0.is_some());
         assert!(pool.alloc(0, &mut mem).0.is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "double free")]
+    fn double_free_caught() {
+        let mut space = AddressSpace::new();
+        let mut mem = MemoryHierarchy::skylake(1);
+        let layout = default_packet_layout();
+        let mut pool = ClickPool::new(&mut space, 2, &layout);
+        let (a, _) = pool.alloc(0, &mut mem);
+        pool.free(0, &mut mem, a.unwrap());
+        pool.free(0, &mut mem, a.unwrap());
     }
 
     #[test]

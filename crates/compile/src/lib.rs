@@ -6,25 +6,22 @@
 //! resurrection of `click-devirtualize` plus the paper's additions), and
 //! an IR-level transformation (profile-guided reordering of the `Packet`
 //! metadata structure, §3.2.2), producing a specialized execution plan
-//! and an emitted "specialized source" artifact.
+//! and a log of what each pass did ([`MillIr::log`]).
 //!
 //! The pipeline mirrors Fig. 3:
 //!
 //! ```text
 //! Config file ─┬─> config passes  (dead-element elimination)
 //!              ├─> plan passes    (devirtualize, constants, static graph)
-//!              ├─> layout pass    (profile-guided field reordering)
-//!              └─> emit           (the specialized source, for inspection)
+//!              └─> layout pass    (profile-guided field reordering)
 //! ```
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod emit;
 pub mod passes;
 pub mod pipeline;
 
-pub use emit::emit_specialized_source;
 pub use passes::{
     ConstantEmbedPass, DeadElementPass, DevirtualizePass, Pass, ReorderFieldsPass, StaticGraphPass,
 };

@@ -1,7 +1,6 @@
 //! The `packetmill` command-line tool: run any Click-language
 //! configuration through the optimizer and the simulated 100-Gbps
-//! testbed, print the optimization log, the emitted specialized source,
-//! and the measurements.
+//! testbed, print the optimization log and the measurements.
 //!
 //! ```text
 //! packetmill --nf router --model xchange --opt all --freq 2.3
@@ -9,9 +8,7 @@
 //! packetmill --nf nat --cores 4 --offered 80 --packets 100000
 //! ```
 
-use packetmill::{
-    emit_specialized_source, ExperimentBuilder, MetadataModel, Nf, OptLevel, TrafficProfile,
-};
+use packetmill::{ExperimentBuilder, MetadataModel, Nf, OptLevel, TrafficProfile};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -34,7 +31,6 @@ OPTIONS:
     --size <BYTES>       fixed packet size (default: campus mix)
     --pcap <FILE>        replay a pcap capture instead of synthetic traffic
     --seed <N>           RNG seed                                [default: 51966]
-    --emit-source        print the emitted specialized source
     --show-log           print the optimizer's transformation log
     --handlers           print per-element packet/drop counters
     -h, --help           print this help
@@ -52,7 +48,6 @@ struct Options {
     size: Option<usize>,
     pcap: Option<String>,
     seed: u64,
-    emit_source: bool,
     show_log: bool,
     handlers: bool,
 }
@@ -70,7 +65,6 @@ fn parse_args() -> Result<Options, String> {
         size: None,
         pcap: None,
         seed: 0xCAFE,
-        emit_source: false,
         show_log: false,
         handlers: false,
     };
@@ -124,7 +118,6 @@ fn parse_args() -> Result<Options, String> {
             "--size" => o.size = Some(num(&value("--size")?)? as usize),
             "--pcap" => o.pcap = Some(value("--pcap")?),
             "--seed" => o.seed = num(&value("--seed")?)? as u64,
-            "--emit-source" => o.emit_source = true,
             "--show-log" => o.show_log = true,
             "--handlers" => o.handlers = true,
             "-h" | "--help" => {
@@ -179,22 +172,17 @@ fn main() -> ExitCode {
         }
     }
 
-    if o.show_log || o.emit_source {
+    if o.show_log {
         match builder.build_ir() {
             Ok(ir) => {
-                if o.show_log {
-                    println!("optimizer log:");
-                    for line in &ir.log {
-                        println!("  - {line}");
-                    }
-                    if ir.log.is_empty() {
-                        println!("  (no transformations at this level)");
-                    }
-                    println!();
+                println!("optimizer log:");
+                for line in &ir.log {
+                    println!("  - {line}");
                 }
-                if o.emit_source {
-                    println!("{}", emit_specialized_source(&ir));
+                if ir.log.is_empty() {
+                    println!("  (no transformations at this level)");
                 }
+                println!();
             }
             Err(e) => {
                 eprintln!("error: {e}");

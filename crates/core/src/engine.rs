@@ -21,6 +21,12 @@ use pm_traffic::Trace;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+/// TX descriptor ring size.
+const TX_RING: usize = 1024;
+
+/// Fixed latency outside the DUT (generator + PHYs + cabling).
+const BASE_LATENCY: SimTime = SimTime::from_ps(4_000_000);
+
 /// Engine construction parameters.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -32,13 +38,8 @@ pub struct EngineConfig {
     pub freq: Frequency,
     /// RX descriptor ring size.
     pub rx_ring: usize,
-    /// TX descriptor ring size.
-    pub tx_ring: usize,
     /// RX/TX burst size.
     pub burst: usize,
-    /// Extra data buffers beyond the computed minimum (rings + in-flight).
-    /// 0 sizes the pool exactly to the rings, like a tuned deployment.
-    pub pool_size: u32,
     /// Metadata-management model the PMD runs.
     pub model: MetadataModel,
     /// Fields the NF needs (X-Change write set).
@@ -52,8 +53,6 @@ pub struct EngineConfig {
     pub packets: usize,
     /// Packets (per NIC) excluded from measurement as warm-up.
     pub warmup: usize,
-    /// Fixed latency outside the DUT (generator + PHYs + cabling).
-    pub base_latency: SimTime,
     /// Override the number of LLC ways DDIO may fill (None = default 4).
     pub ddio_ways: Option<usize>,
     /// Override the mempool recycling order (None = FIFO).
@@ -93,16 +92,13 @@ impl Default for EngineConfig {
             nics: 1,
             freq: Frequency::from_ghz(2.3),
             rx_ring: 4096,
-            tx_ring: 1024,
             burst: 32,
-            pool_size: 0,
             model: MetadataModel::Copying,
             spec: MetadataSpec::full(),
             xchg_layout: None,
             offered_gbps: 100.0,
             packets: 100_000,
             warmup: 20_000,
-            base_latency: SimTime::from_us(4.0),
             ddio_ways: None,
             pool_mode: None,
             profile: false,
@@ -282,7 +278,7 @@ impl Engine {
         let nic_cfg = NicConfig {
             queues: qpn,
             rx_ring_size: cfg.rx_ring,
-            tx_ring_size: cfg.tx_ring,
+            tx_ring_size: TX_RING,
             ..NicConfig::default()
         };
         let nics: Vec<NicState> = (0..cfg.nics)
@@ -293,8 +289,7 @@ impl Engine {
                 // inflates the DMA working set past the DDIO ways for no
                 // benefit). At qpn == 1 this matches the single-core pool
                 // exactly.
-                let n_bufs =
-                    (((cfg.rx_ring + cfg.tx_ring + 4 * cfg.burst) * qpn) as u32) + cfg.pool_size;
+                let n_bufs = ((cfg.rx_ring + TX_RING + 4 * cfg.burst) * qpn) as u32;
                 let dma = DmaMemory::new(space, n_bufs, 2176, 128);
                 let pmd_cfg = PmdConfig {
                     burst: cfg.burst,
@@ -310,7 +305,6 @@ impl Engine {
                     pool_cache: if cfg.cores > 1 { 256 } else { 0 },
                     xchg_layout: cfg.xchg_layout.clone(),
                     pool_mode: cfg.pool_mode.unwrap_or(pm_dpdk::MempoolMode::Fifo),
-                    ..PmdConfig::default()
                 };
                 let mut pmd = Pmd::new(pmd_cfg, space);
                 for q in 0..qpn {
@@ -408,57 +402,20 @@ impl Engine {
                 let frame = self.traces[n].frame(st.next_idx);
                 let hash = st.frame_hashes[st.next_idx % st.frame_hashes.len()];
                 let seq = st.next_idx as u64;
-                // The recorder classifies wire losses by differencing the
-                // cheap `NicStats` copy around the delivery — a pure read,
-                // taken only while recording.
-                let recording = self.timeline.is_some()
-                    || self.trace.as_ref().is_some_and(|t| t.wants(n as u32, seq));
-                let before = recording.then(|| st.dev.stats());
-                let delivered = match plan {
-                    None => st.dev.rx_deliver_hashed(
-                        frame,
-                        hash,
-                        st.next_time,
-                        seq,
-                        &mut self.mem,
-                        &mut st.dma,
-                    ),
-                    Some(p) => {
-                        let fault = p.wire_fault(n as u64, seq, st.next_time, frame.len());
-                        st.dev.rx_deliver_wire(
-                            frame,
-                            hash,
-                            st.next_time,
-                            seq,
-                            &mut self.mem,
-                            &mut st.dma,
-                            fault,
-                        )
-                    }
-                };
-                if let Some(before) = before {
-                    let at_ps = st.next_time.as_ps();
-                    if let (Some(tl), Some(q)) = (self.timeline.as_mut(), delivered) {
-                        // Attribute the arrival to the core that owns the
-                        // steered (nic, queue) pair.
-                        tl.on_rx((n * qpn + q) % cores, at_ps, 1);
-                    }
-                    if let Some(tr) = self.trace.as_mut() {
-                        if tr.wants(n as u32, seq)
-                            && tr.begin(n as u32, seq, at_ps)
-                            && delivered.is_none()
-                        {
-                            let after = st.dev.stats();
-                            let cause = if after.rx_fcs_errors > before.rx_fcs_errors {
-                                DropCause::Fcs
-                            } else if after.rx_link_down > before.rx_link_down {
-                                DropCause::LinkDown
-                            } else if after.rx_desc_drops > before.rx_desc_drops {
-                                DropCause::Desc
-                            } else {
-                                DropCause::RxRing
-                            };
-                            tr.on_fate(n as u32, seq, at_ps, cause.as_str());
+                let at = st.next_time;
+                let fault = plan.and_then(|p| p.wire_fault(n as u64, seq, at, frame.len()));
+                let delivered =
+                    st.dev
+                        .rx_deliver_wire(frame, hash, at, seq, &mut self.mem, &mut st.dma, fault);
+                if let (Some(tl), Ok(q)) = (self.timeline.as_mut(), delivered) {
+                    // Attribute the arrival to the core that owns the
+                    // steered (nic, queue) pair.
+                    tl.on_rx((n * qpn + q) % cores, at.as_ps(), 1);
+                }
+                if let Some(tr) = self.trace.as_mut() {
+                    if tr.wants(n as u32, seq) && tr.begin(n as u32, seq, at.as_ps()) {
+                        if let Err(cause) = delivered {
+                            tr.on_fate(n as u32, seq, at.as_ps(), cause.as_str());
                         }
                     }
                 }
@@ -722,11 +679,11 @@ impl Engine {
                             }
                             measured_tx_packets += 1;
                             measured_tx_bytes += send.len as u64;
-                            let lat = d.saturating_sub(send.desc.gen) + self.cfg.base_latency;
+                            let lat = d.saturating_sub(send.desc.gen) + BASE_LATENCY;
                             hist.record(lat.as_ns() as u64);
                         }
                         if let Some(tl) = self.timeline.as_mut() {
-                            let lat = d.saturating_sub(send.desc.gen) + self.cfg.base_latency;
+                            let lat = d.saturating_sub(send.desc.gen) + BASE_LATENCY;
                             tl.on_tx(core, d.as_ps(), send.len as u64, lat.as_ns() as u64);
                         }
                     }

@@ -113,15 +113,12 @@ pub enum OptLevel {
 pub enum ExperimentError {
     /// The configuration failed to parse or build.
     Config(ConfigError),
-    /// Inconsistent experiment parameters.
-    Invalid(String),
 }
 
 impl fmt::Display for ExperimentError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ExperimentError::Config(e) => write!(f, "configuration error: {e}"),
-            ExperimentError::Invalid(m) => write!(f, "invalid experiment: {m}"),
         }
     }
 }
@@ -130,7 +127,6 @@ impl Error for ExperimentError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             ExperimentError::Config(e) => Some(e),
-            ExperimentError::Invalid(_) => None,
         }
     }
 }
@@ -408,8 +404,7 @@ impl ExperimentBuilder {
     }
 
     /// Builds the optimized IR (configuration + plan) without running —
-    /// useful for inspecting the transformation log or the emitted
-    /// specialized source.
+    /// useful for inspecting the transformation log.
     pub fn build_ir(&self) -> Result<MillIr, ExperimentError> {
         let config = ConfigGraph::parse(&self.nf.config_text())?;
         let mut ir = MillIr::new(config, self.model);
@@ -440,9 +435,7 @@ impl ExperimentBuilder {
             nics: self.nics,
             freq: Frequency::from_ghz(self.freq_ghz),
             rx_ring: self.rx_ring,
-            tx_ring: 1024,
             burst: self.burst,
-            pool_size: 0,
             model: self.model,
             spec: self.spec.clone().unwrap_or_else(MetadataSpec::routing),
             xchg_layout: (self.model == MetadataModel::XChange)
@@ -450,7 +443,6 @@ impl ExperimentBuilder {
             offered_gbps: self.offered_gbps,
             packets,
             warmup: (packets as f64 * self.warmup_fraction) as usize,
-            base_latency: SimTime::from_us(4.0),
             ddio_ways: self.ddio_ways,
             pool_mode: self.pool_mode,
             profile: self.profile_effective(),
@@ -730,7 +722,7 @@ mod tests {
             .expect("ir");
         assert!(ir.plan.static_graph);
         assert!(ir.plan.constants_embedded);
-        assert!(!ir.log.is_empty());
+        assert!(ir.log.iter().any(|l| l.contains("static-graph")));
     }
 
     #[test]

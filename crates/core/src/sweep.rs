@@ -166,31 +166,22 @@ pub fn default_threads() -> usize {
     }
 }
 
-/// The sweep-relevant command line of a benchmark binary.
+/// What a benchmark binary's command line asks of the binary itself;
+/// the per-run flags (`--threads`, `--profile`, `--faults`,
+/// `--workload`, `--timeline`) live in the process defaults instead,
+/// where every sweep and builder reads them.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SweepCli {
-    /// Resolved worker count (`--threads`, or all cores).
-    pub threads: usize,
-    /// Whether runs collect per-element profiles (`--profile`).
-    pub profile: bool,
     /// Where to write the JSON run-report artifact (`--json <path>`).
     pub json: Option<PathBuf>,
-    /// Fault plan injected into every run (`--faults <spec>`).
-    pub faults: Option<pm_sim::FaultPlan>,
     /// Simulated core count requested on the command line
     /// (`--cores N`). `None` leaves each figure's default in place.
     /// Note this is *simulated* cores inside one experiment, unlike
     /// `--threads`, which is host workers across experiments.
     pub cores: Option<usize>,
-    /// Flight-recorder timeline window in µs
-    /// (`--timeline[=window_us]`). `None` = no timeline recording.
-    pub timeline: Option<f64>,
     /// Lifecycle-trace destination (`--trace <path>`); also enables
     /// trace recording when set.
     pub trace: Option<PathBuf>,
-    /// Flow-population workload injected into every run
-    /// (`--workload <spec>`).
-    pub workload: Option<pm_traffic::WorkloadSpec>,
     /// Flow/route-scale ceiling requested on the command line
     /// (`--flows N`). `None` leaves each figure's default in place.
     pub flows: Option<u64>,
@@ -216,9 +207,9 @@ fn value_of<'a>(args: &'a [String], i: &mut usize, name: &str) -> Option<&'a str
 /// `--workload <spec>`, `--flows N`, `--cores N`,
 /// `--timeline[=window_us]`, `--trace <path>` and `--json <path>` from
 /// the process arguments, installs the thread, profile, fault, workload,
-/// timeline and trace defaults process-wide, and returns the resolved
-/// settings. Unparsable counts are ignored. Call once from a benchmark
-/// binary's `main`.
+/// timeline and trace defaults process-wide, and returns what is left
+/// for the binary itself. Unparsable counts are ignored. Call once from
+/// a benchmark binary's `main`.
 ///
 /// # Panics
 ///
@@ -270,12 +261,7 @@ pub fn configure_from_args() -> SweepCli {
         }
         i += 1;
     }
-    cli.threads = default_threads();
-    cli.profile = default_profile();
-    cli.faults = default_faults();
-    cli.timeline = default_timeline();
     cli.trace = default_trace();
-    cli.workload = default_workload();
     cli
 }
 

@@ -33,7 +33,7 @@ pub mod pmd;
 pub mod xchg;
 
 pub use layout::{FieldDef, StructLayout};
-pub use mbuf::{MbufMeta, RTE_MBUF_SIZE};
+pub use mbuf::RTE_MBUF_SIZE;
 pub use mempool::{Mempool, MempoolMode, MempoolStats};
 pub use pmd::{Pmd, PmdConfig, PmdStats, RxDesc, TxSend};
 pub use xchg::{MetaField, MetadataModel, MetadataSpec, XchgRing};

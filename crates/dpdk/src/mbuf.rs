@@ -1,10 +1,9 @@
 //! The `rte_mbuf`-equivalent packet descriptor.
 //!
 //! DPDK keeps each mbuf's metadata to exactly two cache lines (128 B),
-//! with the RX-hot fields in the first line (paper §2.2). [`MbufMeta`]
-//! carries the *functional* values; [`rte_mbuf_layout`] describes where
-//! each field would live in memory so accesses can be charged at the
-//! right simulated addresses.
+//! with the RX-hot fields in the first line (paper §2.2).
+//! [`rte_mbuf_layout`] describes where each field would live in memory
+//! so accesses can be charged at the right simulated addresses.
 
 use crate::layout::StructLayout;
 
@@ -47,26 +46,6 @@ pub fn rte_mbuf_layout() -> StructLayout {
             ("seqn", 4),
         ],
     )
-}
-
-/// Functional metadata carried with each buffer (the values a real
-/// `rte_mbuf` would hold).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MbufMeta {
-    /// Data length of the frame in the buffer.
-    pub data_len: u32,
-    /// Total packet length (single-segment: equals `data_len`).
-    pub pkt_len: u32,
-    /// Receiving port id.
-    pub port: u16,
-    /// RSS hash from the device.
-    pub rss_hash: u32,
-    /// VLAN TCI if offloaded.
-    pub vlan_tci: u16,
-    /// Offload flags.
-    pub ol_flags: u64,
-    /// Parsed packet-type summary.
-    pub packet_type: u32,
 }
 
 #[cfg(test)]

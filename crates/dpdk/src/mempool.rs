@@ -58,6 +58,9 @@ struct CoreCache {
 #[derive(Debug)]
 pub struct Mempool {
     free: VecDeque<u32>,
+    /// `is_free[id]`: buffer `id` is in the pool (shared ring or a
+    /// per-core cache), not held by a caller. The O(1) double-free check.
+    is_free: Vec<bool>,
     mode: MempoolMode,
     /// Ring of 8-byte object pointers (the part that cycles in cache).
     ring_region: Region,
@@ -128,6 +131,7 @@ impl Mempool {
         };
         Mempool {
             free: (0..n).collect(),
+            is_free: vec![true; n as usize],
             mode,
             ring_region,
             ring_slot: 0,
@@ -184,7 +188,8 @@ impl Mempool {
         if self.cache_size == 0 {
             let cost = self.ring_touch(core, mem, AccessKind::Load);
             let id = self.free.pop_front();
-            if id.is_some() {
+            if let Some(id) = id {
+                self.is_free[id as usize] = false;
                 self.stats.allocs += 1;
             } else {
                 self.stats.alloc_failures += 1;
@@ -227,6 +232,7 @@ impl Mempool {
                     mem,
                     AccessKind::Load,
                 );
+                self.is_free[id as usize] = false;
                 self.stats.allocs += 1;
                 self.stats.cache_hits += 1;
                 (Some(id), cost)
@@ -244,10 +250,11 @@ impl Mempool {
     ///
     /// # Panics
     ///
-    /// Panics (in debug builds) on double free.
+    /// Panics on double free, or if `id` is not one of this pool's
+    /// buffers.
     pub fn free(&mut self, core: usize, mem: &mut MemoryHierarchy, id: u32) -> Cost {
-        debug_assert!(
-            !self.free.contains(&id) && !self.caches.iter().any(|c| c.ids.contains(&id)),
+        assert!(
+            !std::mem::replace(&mut self.is_free[id as usize], true),
             "double free of buffer {id}"
         );
         if self.cache_size == 0 {
@@ -352,7 +359,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
     #[should_panic(expected = "double free")]
     fn double_free_caught() {
         let (mut p, mut m) = rig(MempoolMode::Fifo);
@@ -428,7 +434,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
     #[should_panic(expected = "double free")]
     fn double_free_caught_in_core_cache() {
         let (mut p, mut m) = cached_rig(2, 8);

@@ -16,11 +16,9 @@
 //! The *Copying* model's second conversion (mbuf → framework `Packet`)
 //! happens in the framework layer (`pm-click`), as it does in FastClick.
 //!
-//! Like the paper's prototype, the vectorized RX/TX path is not
-//! supported in X-Change mode ([`PmdConfig::vectorized`] is rejected
-//! there and defaults to off everywhere, matching §4's experiments).
+//! Like the paper's prototype, there is no vectorized RX/TX path
+//! (§4's experiments keep it off everywhere).
 
-use crate::mbuf::MbufMeta;
 use crate::mempool::{Mempool, MempoolMode};
 use crate::xchg::{MetadataModel, MetadataSpec, XchgRing};
 use pm_mem::program::dedup_field_lines;
@@ -35,6 +33,10 @@ use std::collections::VecDeque;
 /// Stride of one buffer's metadata area in the mbuf-header region:
 /// 128 B of `rte_mbuf` plus 128 B for overlaid framework annotations.
 pub const META_STRIDE: u64 = 256;
+
+/// X-Change application-descriptor ring size **per queue** (≈ 2 bursts
+/// suffices, since TX enqueue returns descriptors synchronously).
+const XCHG_RING_SIZE: u32 = 64;
 
 /// PMD construction parameters.
 #[derive(Debug, Clone)]
@@ -59,17 +61,10 @@ pub struct PmdConfig {
     /// single-core configuration) disables the caches entirely so the
     /// address-space layout matches the pre-multicore simulator.
     pub pool_cache: u32,
-    /// X-Change application-descriptor ring size **per queue** (≈ 2
-    /// bursts suffices, since TX enqueue returns descriptors
-    /// synchronously).
-    pub xchg_ring_size: u32,
     /// X-Change: the application's descriptor layout. `None` derives a
     /// minimal layout from `spec`; a framework passes its own `Packet`
     /// layout here so the driver writes fields in place (paper §3.1).
     pub xchg_layout: Option<crate::layout::StructLayout>,
-    /// Vectorized RX/TX (unsupported with X-Change, like the paper's
-    /// prototype; kept false in all experiments).
-    pub vectorized: bool,
 }
 
 impl Default for PmdConfig {
@@ -83,9 +78,7 @@ impl Default for PmdConfig {
             queues: 1,
             cores: 1,
             pool_cache: 0,
-            xchg_ring_size: 64,
             xchg_layout: None,
-            vectorized: false,
         }
     }
 }
@@ -162,8 +155,6 @@ pub struct Pmd {
     /// Injected mempool-exhaustion windows: replenish allocations are
     /// denied while `from <= now < until`.
     pool_denied: Vec<(SimTime, SimTime)>,
-    /// Functional metadata per buffer id.
-    metas: Vec<MbufMeta>,
     stats: PmdStats,
     /// Reused completion buffer for the RX poll loop (no per-burst
     /// allocation).
@@ -191,22 +182,17 @@ impl Pmd {
     ///
     /// # Panics
     ///
-    /// Panics if `burst` is zero, or if `vectorized` is requested with
-    /// the X-Change model (unsupported, as in the paper's prototype).
+    /// Panics if `burst` or `queues` is zero.
     pub fn new(cfg: PmdConfig, space: &mut AddressSpace) -> Self {
         assert!(cfg.burst > 0, "burst must be positive");
         assert!(cfg.queues > 0, "a PMD drives at least one queue pair");
-        assert!(
-            !(cfg.vectorized && cfg.model == MetadataModel::XChange),
-            "vectorized PMD is not supported with X-Change"
-        );
         let xchg = if cfg.model == MetadataModel::XChange {
             let layout = cfg
                 .xchg_layout
                 .clone()
                 .unwrap_or_else(|| cfg.spec.to_layout("AppDescriptor"));
             (0..cfg.queues)
-                .map(|_| XchgRing::new(space, cfg.xchg_ring_size, layout.clone()))
+                .map(|_| XchgRing::new(space, XCHG_RING_SIZE, layout.clone()))
                 .collect()
         } else {
             Vec::new()
@@ -223,7 +209,6 @@ impl Pmd {
             xchg,
             recycled: vec![VecDeque::new(); cfg.queues],
             pool_denied: Vec::new(),
-            metas: vec![MbufMeta::default(); cfg.pool_size as usize],
             stats: PmdStats::default(),
             comps_scratch: Vec::new(),
             rows_scratch: Vec::new(),
@@ -287,17 +272,6 @@ impl Pmd {
     /// Queue 0's X-Change descriptor ring, when that model is active.
     pub fn xchg_ring(&self) -> Option<&XchgRing> {
         self.xchg.first()
-    }
-
-    /// Mutable X-Change ring access for queue 0 (for installing a
-    /// reordered layout).
-    pub fn xchg_ring_mut(&mut self) -> Option<&mut XchgRing> {
-        self.xchg.first_mut()
-    }
-
-    /// Functional metadata of buffer `id`.
-    pub fn meta(&self, id: u32) -> &MbufMeta {
-        &self.metas[id as usize]
     }
 
     /// Address of buffer `id`'s mbuf header.
@@ -388,18 +362,6 @@ impl Pmd {
         let mut rows = std::mem::take(&mut self.rows_scratch);
         rows.clear();
         for &c in &comps {
-            // Record functional metadata (host state, no charges — the
-            // charge order is fully captured by the batched program run
-            // below).
-            self.metas[c.buf_id as usize] = MbufMeta {
-                data_len: c.len,
-                pkt_len: c.len,
-                port: 0,
-                rss_hash: c.rss_hash,
-                vlan_tci: 0,
-                ol_flags: 0,
-                packet_type: 0,
-            };
             let (meta_addr, xslot) = match self.cfg.model {
                 MetadataModel::Copying | MetadataModel::Overlaying => {
                     (self.mbuf_addr(c.buf_id), None)
@@ -1122,17 +1084,5 @@ mod tests {
             Level::Llc,
             "core 0 must not be warmed by core 1's queue setup"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "vectorized")]
-    fn vectorized_xchange_rejected() {
-        let mut space = AddressSpace::new();
-        let cfg = PmdConfig {
-            model: MetadataModel::XChange,
-            vectorized: true,
-            ..PmdConfig::default()
-        };
-        let _ = Pmd::new(cfg, &mut space);
     }
 }

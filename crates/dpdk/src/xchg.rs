@@ -211,6 +211,9 @@ pub struct XchgRing {
     region: Region,
     stride: u64,
     free: VecDeque<u32>,
+    /// `is_free[slot]`: the slot is in `free`, not out with the
+    /// application. The O(1) double-return check.
+    is_free: Vec<bool>,
     n: u32,
     /// Bumped on every layout change, so PMD-side precompiled conversion
     /// programs can detect staleness with one integer compare.
@@ -232,6 +235,7 @@ impl XchgRing {
             layout,
             stride,
             free: (0..n).collect(),
+            is_free: vec![true; n as usize],
             n,
             generation: 0,
         }
@@ -273,7 +277,9 @@ impl XchgRing {
 
     /// Driver side: takes a free descriptor slot.
     pub fn take(&mut self) -> Option<u32> {
-        self.free.pop_front()
+        let slot = self.free.pop_front()?;
+        self.is_free[slot as usize] = false;
+        Some(slot)
     }
 
     /// Application side: returns a slot after the packet is fully
@@ -281,13 +287,13 @@ impl XchgRing {
     ///
     /// # Panics
     ///
-    /// Panics (in debug builds) on double return.
+    /// Panics if `slot` is out of range or already returned.
     pub fn give_back(&mut self, slot: u32) {
-        debug_assert!(
-            !self.free.contains(&slot),
+        assert!(slot < self.n, "slot out of range");
+        assert!(
+            !std::mem::replace(&mut self.is_free[slot as usize], true),
             "double give_back of slot {slot}"
         );
-        debug_assert!(slot < self.n, "slot out of range");
         self.free.push_back(slot);
     }
 
@@ -380,6 +386,24 @@ mod tests {
         let mut r = XchgRing::new(&mut space, 1, MetadataSpec::minimal().to_layout("D"));
         assert!(r.take().is_some());
         assert!(r.take().is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "double give_back")]
+    fn double_give_back_caught() {
+        let mut space = AddressSpace::new();
+        let mut r = XchgRing::new(&mut space, 2, MetadataSpec::minimal().to_layout("D"));
+        let slot = r.take().unwrap();
+        r.give_back(slot);
+        r.give_back(slot);
+    }
+
+    #[test]
+    #[should_panic(expected = "slot out of range")]
+    fn out_of_range_give_back_caught() {
+        let mut space = AddressSpace::new();
+        let mut r = XchgRing::new(&mut space, 2, MetadataSpec::minimal().to_layout("D"));
+        r.give_back(2);
     }
 
     #[test]

@@ -364,6 +364,11 @@ impl MemoryHierarchy {
     /// accessed; the TLB is consulted per line (same-page lines hit).
     /// Equivalent to [`Self::access_range`].
     ///
+    /// Addresses are ones an [`crate::AddressSpace`] can mint, i.e.
+    /// below [`ADDR_LIMIT`]: the caches and TLB are sized to cover that
+    /// span at construction, and the resident filter grows its bitmap to
+    /// the highest line ever seen.
+    ///
     /// # Panics
     ///
     /// Panics if `core` is out of range.

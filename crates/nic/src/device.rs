@@ -7,7 +7,7 @@ use crate::pcie::PcieModel;
 use crate::ring::{Completion, RxRing, TxDone, TxRequest, TxRing, DESC_BYTES};
 use crate::rss::{IndirectionTable, Toeplitz};
 use pm_mem::{AddressSpace, MemoryHierarchy};
-use pm_sim::{SimTime, WireFault};
+use pm_sim::{DropCause, SimTime, WireFault};
 
 /// NIC construction parameters.
 #[derive(Debug, Clone)]
@@ -22,11 +22,6 @@ pub struct NicConfig {
     pub link: LinkModel,
     /// PCIe model.
     pub pcie: PcieModel,
-    /// Maximum packets per second one RX queue can absorb (the paper's
-    /// single-queue NIC-side plateau, §4.2: "there may be other
-    /// bottlenecks in the system (e.g., using one RX/TX queue or other
-    /// NIC-related issues)"). `None` disables the cap.
-    pub max_pps_per_queue: Option<f64>,
 }
 
 impl Default for NicConfig {
@@ -37,7 +32,6 @@ impl Default for NicConfig {
             tx_ring_size: 1024,
             link: LinkModel::new(100.0),
             pcie: PcieModel::gen3_x16(),
-            max_pps_per_queue: None,
         }
     }
 }
@@ -95,8 +89,6 @@ pub struct Nic {
     rx_pcie_free: SimTime,
     tx_pcie_free: SimTime,
     tx_link_free: SimTime,
-    rx_queue_free: Vec<SimTime>,
-    queue_slot: Option<SimTime>,
     link_down: Vec<(SimTime, SimTime)>,
     stats: NicStats,
     /// Frames delivered per queue (the rings count their own drops).
@@ -128,19 +120,12 @@ impl Nic {
             rx_pcie_free: SimTime::ZERO,
             tx_pcie_free: SimTime::ZERO,
             tx_link_free: SimTime::ZERO,
-            rx_queue_free: vec![SimTime::ZERO; cfg.queues],
-            queue_slot: cfg.max_pps_per_queue.map(|pps| SimTime::from_ns(1e9 / pps)),
             link_down: Vec::new(),
             stats: NicStats::default(),
             rx_q_packets: vec![0; cfg.queues],
             tx_q_packets: vec![0; cfg.queues],
             seq: 0,
         }
-    }
-
-    /// Number of queue pairs.
-    pub fn queue_count(&self) -> usize {
-        self.rx.len()
     }
 
     /// The link model.
@@ -277,9 +262,23 @@ impl Nic {
         mem: &mut MemoryHierarchy,
         dma: &mut DmaMemory,
     ) -> Option<usize> {
+        self.deliver(frame, hash, now, seq, mem, dma).ok()
+    }
+
+    /// The delivery itself: the queue the frame landed on, or which
+    /// [`NicStats`] counter its loss moved.
+    fn deliver(
+        &mut self,
+        frame: &[u8],
+        hash: u32,
+        now: SimTime,
+        seq: u64,
+        mem: &mut MemoryHierarchy,
+        dma: &mut DmaMemory,
+    ) -> Result<usize, DropCause> {
         if self.link_resume(now).is_some() {
             self.stats.rx_link_down += 1;
-            return None;
+            return Err(DropCause::LinkDown);
         }
         // `queue_for` is the single steering path: the indirection table
         // is built over exactly `rx.len()` queues, so its entries are
@@ -288,15 +287,10 @@ impl Nic {
         let q = self.indirection.queue_for(hash);
         debug_assert!(q < self.rx.len(), "indirection entry out of range");
         let Some(buf) = self.rx[q].take_posted() else {
-            return None; // ring counted the drop
+            return Err(DropCause::RxRing); // ring counted the drop
         };
-        // PCIe pacing + per-queue descriptor-processing pacing.
-        let mut ready = now.max(self.rx_pcie_free);
-        if let Some(slot) = self.queue_slot {
-            ready = ready.max(self.rx_queue_free[q]);
-            self.rx_queue_free[q] = ready + slot;
-        }
-        let delivery = ready + self.pcie.transfer_time(frame.len() as u64);
+        // PCIe pacing.
+        let delivery = now.max(self.rx_pcie_free) + self.pcie.transfer_time(frame.len() as u64);
         self.rx_pcie_free = delivery;
 
         dma.write_packet(buf.buf_id, frame);
@@ -317,15 +311,17 @@ impl Nic {
         self.stats.rx_packets += 1;
         self.stats.rx_bytes += frame.len() as u64;
         self.rx_q_packets[q] += 1;
-        Some(q)
+        Ok(q)
     }
 
     /// [`Self::rx_deliver_hashed`] with an injected wire fault applied
-    /// first. Bit-flipped frames fail the FCS check and descriptor-drop
-    /// episodes lose the frame outright — both are counted and consume
-    /// **no** posted buffer (the device rejects them before DMA).
-    /// Truncated frames carry a valid FCS, so the shortened bytes are
-    /// re-hashed and delivered all the way into the NF.
+    /// first, and a lost frame's cause in place of `None` (always one of
+    /// `LinkDown` / `Fcs` / `Desc` / `RxRing`, naming the [`NicStats`]
+    /// counter that moved). Bit-flipped frames fail the FCS check and
+    /// descriptor-drop episodes lose the frame outright — both are
+    /// counted and consume **no** posted buffer (the device rejects them
+    /// before DMA). Truncated frames carry a valid FCS, so the shortened
+    /// bytes are re-hashed and delivered all the way into the NF.
     #[allow(clippy::too_many_arguments)] // rx_deliver_hashed's params + the fault
     pub fn rx_deliver_wire(
         &mut self,
@@ -336,33 +332,27 @@ impl Nic {
         mem: &mut MemoryHierarchy,
         dma: &mut DmaMemory,
         fault: Option<WireFault>,
-    ) -> Option<usize> {
+    ) -> Result<usize, DropCause> {
         match fault {
-            None => self.rx_deliver_hashed(frame, hash, now, seq, mem, dma),
+            None => self.deliver(frame, hash, now, seq, mem, dma),
+            Some(WireFault::BitFlip | WireFault::DescDrop) if self.link_resume(now).is_some() => {
+                self.stats.rx_link_down += 1;
+                Err(DropCause::LinkDown)
+            }
             Some(WireFault::BitFlip) => {
-                if self.link_resume(now).is_some() {
-                    self.stats.rx_link_down += 1;
-                } else {
-                    self.stats.rx_fcs_errors += 1;
-                }
-                None
+                self.stats.rx_fcs_errors += 1;
+                Err(DropCause::Fcs)
             }
             Some(WireFault::DescDrop) => {
-                if self.link_resume(now).is_some() {
-                    self.stats.rx_link_down += 1;
-                } else {
-                    self.stats.rx_desc_drops += 1;
-                }
-                None
+                self.stats.rx_desc_drops += 1;
+                Err(DropCause::Desc)
             }
             Some(WireFault::Truncate { new_len }) => {
                 let short = &frame[..new_len.min(frame.len())];
                 let hash = self.rss_hash(short);
-                let q = self.rx_deliver_hashed(short, hash, now, seq, mem, dma);
-                if q.is_some() {
-                    self.stats.rx_truncated += 1;
-                }
-                q
+                let q = self.deliver(short, hash, now, seq, mem, dma)?;
+                self.stats.rx_truncated += 1;
+                Ok(q)
             }
         }
     }
@@ -570,7 +560,10 @@ mod tests {
         post(&mut r, 0, 0..4);
         let frame = PacketBuilder::udp().frame_len(128).build();
         let h = r.nic.rss_hash(&frame);
-        for (fault, _) in [(WireFault::BitFlip, "fcs"), (WireFault::DescDrop, "desc")] {
+        for (fault, cause) in [
+            (WireFault::BitFlip, DropCause::Fcs),
+            (WireFault::DescDrop, DropCause::Desc),
+        ] {
             assert_eq!(
                 r.nic.rx_deliver_wire(
                     &frame,
@@ -581,7 +574,7 @@ mod tests {
                     &mut r.dma,
                     Some(fault)
                 ),
-                None
+                Err(cause)
             );
         }
         let s = r.nic.stats();
@@ -616,6 +609,61 @@ mod tests {
         let c = r.nic.rx_ring_mut(q).reap(32);
         assert_eq!(c[0].len, 17, "completion reports the surviving length");
         assert_eq!(r.nic.stats().rx_truncated, 1);
+    }
+
+    #[test]
+    fn wire_delivery_names_the_counter_that_moved() {
+        let frame = PacketBuilder::udp().frame_len(128).build();
+        let (down_at, up_at) = (SimTime::from_us(1.0), SimTime::from_us(2.0));
+        let truncate = WireFault::Truncate { new_len: 60 };
+        for fault in [
+            None,
+            Some(WireFault::BitFlip),
+            Some(WireFault::DescDrop),
+            Some(truncate),
+        ] {
+            for (down, posted) in [(false, true), (false, false), (true, true), (true, false)] {
+                let mut r = rig(1);
+                r.nic.set_link_flaps(vec![(down_at, up_at)]);
+                if posted {
+                    post(&mut r, 0, 0..1);
+                }
+                let now = if down { down_at } else { SimTime::ZERO };
+                let h = r.nic.rss_hash(&frame);
+                let got = r
+                    .nic
+                    .rx_deliver_wire(&frame, h, now, 0, &mut r.mem, &mut r.dma, fault);
+                // A down link wins over every injected cause; FCS and
+                // descriptor rejects happen before a buffer is needed.
+                let want = match fault {
+                    _ if down => Err(DropCause::LinkDown),
+                    Some(WireFault::BitFlip) => Err(DropCause::Fcs),
+                    Some(WireFault::DescDrop) => Err(DropCause::Desc),
+                    _ if !posted => Err(DropCause::RxRing),
+                    _ => Ok(0),
+                };
+                let case = format!("{fault:?}, link down: {down}, buffer posted: {posted}");
+                assert_eq!(got, want, "{case}");
+                let s = r.nic.stats();
+                let moved = [
+                    s.rx_link_down,
+                    s.rx_fcs_errors,
+                    s.rx_desc_drops,
+                    s.rx_dropped,
+                    s.rx_packets,
+                    s.rx_truncated,
+                ];
+                let expect = match got {
+                    Err(DropCause::LinkDown) => [1, 0, 0, 0, 0, 0],
+                    Err(DropCause::Fcs) => [0, 1, 0, 0, 0, 0],
+                    Err(DropCause::Desc) => [0, 0, 1, 0, 0, 0],
+                    Err(DropCause::RxRing) => [0, 0, 0, 1, 0, 0],
+                    Ok(_) => [0, 0, 0, 0, 1, u64::from(fault == Some(truncate))],
+                    Err(other) => panic!("{case}: not a wire-drop cause: {other}"),
+                };
+                assert_eq!(moved, expect, "{case}");
+            }
+        }
     }
 
     #[test]

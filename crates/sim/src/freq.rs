@@ -1,13 +1,13 @@
-//! Clock-frequency arithmetic.
+//! Clock frequencies.
 //!
 //! The PacketMill evaluation sweeps the DUT core frequency from 1.2 to
 //! 3.0 GHz while pinning the *uncore* (LLC / memory controller) clock at
 //! 2.4 GHz. Splitting costs into core-clock cycles and uncore/wall-clock
-//! nanoseconds — and converting between them explicitly — is what produces
-//! the paper's frequency-dependent throughput curves, so the conversion
-//! lives here as a small, well-tested primitive.
+//! nanoseconds is what produces the paper's frequency-dependent
+//! throughput curves; this module holds the frequency value, and the
+//! cycle↔time conversion itself is `pm_mem::Cost::time` /
+//! `Cost::total_cycles_at`.
 
-use crate::time::SimTime;
 use std::fmt;
 
 /// A clock frequency, stored in kHz so common GHz values are exact.
@@ -15,11 +15,11 @@ use std::fmt;
 /// # Examples
 ///
 /// ```
-/// use pm_sim::{Frequency, SimTime};
+/// use pm_sim::Frequency;
 ///
 /// let f = Frequency::from_ghz(2.3);
-/// // 230 cycles at 2.3 GHz take exactly 100 ns.
-/// assert_eq!(f.cycles_to_time(230), SimTime::from_ns(100.0));
+/// assert_eq!(f.as_ghz(), 2.3);
+/// assert_eq!(f.to_string(), "2.300 GHz");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Frequency {
@@ -39,53 +39,10 @@ impl Frequency {
         }
     }
 
-    /// Creates a frequency from MHz.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mhz` is not strictly positive.
-    pub fn from_mhz(mhz: f64) -> Self {
-        assert!(mhz > 0.0, "frequency must be positive, got {mhz}");
-        Frequency {
-            khz: (mhz * 1_000.0).round() as u64,
-        }
-    }
-
     /// Returns the frequency in GHz.
     #[inline]
     pub fn as_ghz(self) -> f64 {
         self.khz as f64 / 1_000_000.0
-    }
-
-    /// Returns the frequency in Hz.
-    #[inline]
-    pub fn as_hz(self) -> f64 {
-        self.khz as f64 * 1_000.0
-    }
-
-    /// Converts a cycle count at this frequency into simulated time.
-    #[inline]
-    pub fn cycles_to_time(self, cycles: u64) -> SimTime {
-        // ps = cycles * 1e12 / Hz = cycles * 1e9 / kHz
-        SimTime::from_ps(cycles * 1_000_000_000 / self.khz)
-    }
-
-    /// Converts fractional cycles at this frequency into simulated time.
-    #[inline]
-    pub fn cycles_f64_to_time(self, cycles: f64) -> SimTime {
-        SimTime::from_ps((cycles * 1e9 / self.khz as f64).round().max(0.0) as u64)
-    }
-
-    /// Converts a duration into (fractional) cycles at this frequency.
-    #[inline]
-    pub fn time_to_cycles(self, t: SimTime) -> f64 {
-        t.as_ns() * self.as_ghz()
-    }
-
-    /// The period of one cycle.
-    #[inline]
-    pub fn period(self) -> SimTime {
-        self.cycles_to_time(1)
     }
 }
 
@@ -105,31 +62,6 @@ mod tests {
             let f = Frequency::from_ghz(ghz);
             assert!((f.as_ghz() - ghz).abs() < 1e-9, "{ghz}");
         }
-    }
-
-    #[test]
-    fn cycles_to_time_exact_values() {
-        let f = Frequency::from_ghz(2.0);
-        assert_eq!(f.cycles_to_time(1), SimTime::from_ps(500));
-        assert_eq!(f.cycles_to_time(4), SimTime::from_ns(2.0));
-    }
-
-    #[test]
-    fn time_to_cycles_inverse() {
-        let f = Frequency::from_ghz(2.4);
-        let t = SimTime::from_ns(100.0);
-        assert!((f.time_to_cycles(t) - 240.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fractional_cycles() {
-        let f = Frequency::from_ghz(1.0);
-        assert_eq!(f.cycles_f64_to_time(2.5), SimTime::from_ns(2.5));
-    }
-
-    #[test]
-    fn mhz_constructor() {
-        assert_eq!(Frequency::from_mhz(2_300.0), Frequency::from_ghz(2.3));
     }
 
     #[test]

@@ -134,12 +134,6 @@ impl SimTime {
         }
     }
 
-    /// Returns true if this is the zero timestamp.
-    #[inline]
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
     /// The index of the recording window containing this instant, for a
     /// given window length: window `i` covers
     /// `[i * window, (i + 1) * window)`. The flight recorder keys all of

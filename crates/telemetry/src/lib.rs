@@ -1,6 +1,6 @@
-//! Measurement primitives for PacketMill-rs: counters, latency histograms,
+//! Measurement primitives for PacketMill-rs: latency histograms,
 //! percentile estimation, windowed perf-counter sampling, and plain-text
-//! table/CSV rendering.
+//! table rendering.
 //!
 //! This crate is dependency-free and usable both by the simulator (to
 //! collect the metrics the paper reports — throughput, median/99th
@@ -10,7 +10,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod counters;
 pub mod histogram;
 pub mod json;
 pub mod profile;
@@ -19,7 +18,6 @@ pub mod table;
 pub mod timeline;
 pub mod trace;
 
-pub use counters::CounterSet;
 pub use histogram::LatencyHistogram;
 pub use json::{Json, JsonError};
 pub use profile::{ProfileRecord, ProfileReport};

@@ -1,4 +1,4 @@
-//! Plain-text table and CSV rendering for benchmark output.
+//! Plain-text table rendering for benchmark output.
 //!
 //! Every figure/table harness in `pm-bench` prints its series through this
 //! module so that `bench_output.txt` contains consistently formatted,
@@ -6,7 +6,7 @@
 
 use std::fmt;
 
-/// A simple column-aligned text table that can also render as CSV.
+/// A simple column-aligned text table.
 ///
 /// # Examples
 ///
@@ -18,7 +18,6 @@ use std::fmt;
 /// t.row(vec!["3.0".into(), "74.4".into(), "88.9".into()]);
 /// let text = t.to_string();
 /// assert!(text.contains("freq (GHz)"));
-/// assert!(t.to_csv().starts_with("freq (GHz),vanilla,packetmill"));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -74,27 +73,6 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// Renders as comma-separated values (header row first).
-    ///
-    /// Cells containing a comma, double quote, or line break are quoted
-    /// per RFC 4180 (embedded quotes doubled); plain cells are emitted
-    /// verbatim.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        for row in std::iter::once(&self.headers).chain(&self.rows) {
-            let mut first = true;
-            for cell in row {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                push_csv_cell(&mut out, cell);
-            }
-            out.push('\n');
-        }
-        out
-    }
-
     fn widths(&self) -> Vec<usize> {
         let mut w: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for r in &self.rows {
@@ -103,23 +81,6 @@ impl Table {
             }
         }
         w
-    }
-}
-
-/// Appends one CSV cell to `out`, quoting per RFC 4180 only when the cell
-/// contains a comma, a double quote, or a line break.
-fn push_csv_cell(out: &mut String, cell: &str) {
-    if cell.contains([',', '"', '\n', '\r']) {
-        out.push('"');
-        for c in cell.chars() {
-            if c == '"' {
-                out.push('"');
-            }
-            out.push(c);
-        }
-        out.push('"');
-    } else {
-        out.push_str(cell);
     }
 }
 
@@ -163,35 +124,10 @@ mod tests {
     }
 
     #[test]
-    fn csv_output() {
-        let mut t = Table::new(vec!["x", "y"]);
-        t.row(vec!["1".into(), "2".into()]);
-        assert_eq!(t.to_csv(), "x,y\n1,2\n");
-    }
-
-    #[test]
-    fn csv_quotes_special_cells() {
-        let mut t = Table::new(vec!["name", "note"]);
-        t.row(vec!["a,b".into(), "plain".into()]);
-        t.row(vec!["say \"hi\"".into(), "line\nbreak".into()]);
-        assert_eq!(
-            t.to_csv(),
-            "name,note\n\"a,b\",plain\n\"say \"\"hi\"\"\",\"line\nbreak\"\n"
-        );
-    }
-
-    #[test]
-    fn csv_quotes_headers_too() {
-        let mut t = Table::new(vec!["freq, GHz", "gbps"]);
-        t.row(vec!["1.2".into(), "33.9".into()]);
-        assert_eq!(t.to_csv(), "\"freq, GHz\",gbps\n1.2,33.9\n");
-    }
-
-    #[test]
     fn row_f64_formats() {
         let mut t = Table::new(vec!["label", "v1", "v2"]);
         t.row_f64("r", &[1.23456, 2.0], 2);
-        assert!(t.to_csv().contains("r,1.23,2.00"));
+        assert!(t.to_string().contains("r  1.23  2.00"));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use packetmill::{ExperimentBuilder, MetadataModel, Nf, OptLevel, SweepSpec, Table};
 
 fn main() {
-    let threads = packetmill::sweep::configure_from_args().threads;
+    packetmill::sweep::configure_from_args();
 
     let mut spec = SweepSpec::new().progress(true);
     for cores in 1..=4usize {
@@ -34,7 +34,7 @@ fn main() {
                 .packets(40_000),
         );
     }
-    let results = spec.run_with_threads(threads);
+    let results = spec.run();
     let ms = results.expect_all();
 
     let mut table = Table::new(vec!["cores", "vanilla Gbps", "packetmill Gbps", "speedup"]);

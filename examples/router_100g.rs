@@ -12,7 +12,7 @@
 use packetmill::{ExperimentBuilder, MetadataModel, Nf, OptLevel, SweepSpec, Table};
 
 fn main() {
-    let threads = packetmill::sweep::configure_from_args().threads;
+    packetmill::sweep::configure_from_args();
     const OFFERED: [f64; 5] = [20.0, 40.0, 60.0, 80.0, 100.0];
 
     let mut spec = SweepSpec::new().progress(true);
@@ -36,7 +36,7 @@ fn main() {
                 .packets(40_000),
         );
     }
-    let results = spec.run_with_threads(threads);
+    let results = spec.run();
     let ms = results.expect_all();
 
     let mut table = Table::new(vec![

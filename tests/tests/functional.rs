@@ -193,20 +193,6 @@ fn seed_affects_trace_not_shape() {
     assert!((0.8..1.25).contains(&ratio), "ratio {ratio:.2} stays close");
 }
 
-/// The emitted specialized source reflects the optimization pipeline.
-#[test]
-fn specialized_source_emission() {
-    let ir = ExperimentBuilder::new(Nf::Router)
-        .metadata_model(MetadataModel::XChange)
-        .optimization(OptLevel::AllSource)
-        .build_ir()
-        .expect("ir");
-    let src = packetmill::emit_specialized_source(&ir);
-    assert!(src.contains("static"), "static element declarations");
-    assert!(src.contains("inline_"), "inlined call chain");
-    assert!(ir.log.iter().any(|l| l.contains("static-graph")));
-}
-
 /// The Full optimization level runs the profile-guided reordering pass:
 /// hot fields move to the front of the Packet layout.
 #[test]

@@ -9,11 +9,6 @@
 //! pair **byte for byte**: every optimization in the simulator hot path
 //! is required to be semantically invisible, so any diff here is a
 //! correctness bug, not a tolerance question.
-//!
-//! The sweeps are full-size (fig7 alone is 50 runs × 40 000 packets),
-//! so in a debug build each test says it did not run and returns; run
-//! them with `cargo test --release --test golden`, as CI's perf-smoke
-//! step does.
 
 use packetmill::sweep::{artifact_document, set_default_profile};
 
@@ -35,9 +30,6 @@ fn assert_same(actual: &str, expected: &str, what: &str) {
 
 #[test]
 fn fig7_n1_artifact_matches_committed_fixture() {
-    if pm_integration_tests::full_size_sweep_skipped("golden") {
-        return;
-    }
     set_default_profile(true);
     let a = pm_bench::figures::fig7(1);
 
@@ -64,9 +56,6 @@ const FAULT_SPEC: &str = "seed=0xF417;bitflip@..:rate=5000ppm;trunc@..:rate=5000
 
 #[test]
 fn fig7_n1_faulted_artifact_matches_committed_fixture() {
-    if pm_integration_tests::full_size_sweep_skipped("golden") {
-        return;
-    }
     set_default_profile(true);
     let plan = packetmill::FaultPlan::parse(FAULT_SPEC).expect("valid fault spec");
     let a = pm_bench::figures::fig7_with(1, Some(plan));
@@ -101,9 +90,6 @@ fn fig7_n1_faulted_artifact_matches_committed_fixture() {
 /// LLC/DDIO path is also locked byte-for-byte.
 #[test]
 fn fig_multicore_c2_profiled_artifact_matches_committed_fixture() {
-    if pm_integration_tests::full_size_sweep_skipped("golden") {
-        return;
-    }
     set_default_profile(true);
     let a = pm_bench::figures::fig_multicore(2);
     let json = artifact_document(vec![a.results.to_json("fig-multicore")]).to_pretty() + "\n";
@@ -129,9 +115,6 @@ fn fig_multicore_c2_profiled_artifact_matches_committed_fixture() {
 /// bucketing, sampling hashes, or span attribution shows up here.
 #[test]
 fn fig_timeline_artifact_matches_committed_fixture() {
-    if pm_integration_tests::full_size_sweep_skipped("golden") {
-        return;
-    }
     set_default_profile(true);
     let a = pm_bench::figures::fig_timeline();
 
@@ -173,9 +156,6 @@ fn fig_timeline_artifact_matches_committed_fixture() {
 /// cuckoo/trie/conntrack charging shows up here.
 #[test]
 fn fig_flowscale_artifact_matches_committed_fixture() {
-    if pm_integration_tests::full_size_sweep_skipped("golden") {
-        return;
-    }
     set_default_profile(true);
     let a = pm_bench::figures::fig_flowscale(10_000);
 
@@ -214,9 +194,6 @@ fn fig_flowscale_artifact_matches_committed_fixture() {
 
 #[test]
 fn table1_artifact_matches_committed_fixture() {
-    if pm_integration_tests::full_size_sweep_skipped("golden") {
-        return;
-    }
     set_default_profile(true);
     let a = pm_bench::figures::table1();
 

@@ -190,9 +190,6 @@ fn nic_steering_keeps_a_flow_on_one_queue() {
 
 #[test]
 fn fig_multicore_c2_matches_committed_fixture() {
-    if pm_integration_tests::full_size_sweep_skipped("multicore") {
-        return;
-    }
     let a = pm_bench::figures::fig_multicore(2);
     let stdout = format!("{}\n", a.table);
 

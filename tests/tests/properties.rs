@@ -182,11 +182,14 @@ mod cache {
     proptest! {
         /// Temporal locality invariant: any address accessed twice in
         /// immediate succession hits L1 the second time (zero uncore
-        /// stall), regardless of history.
+        /// stall), regardless of history. Lines come from the first
+        /// 256 MiB: `access` takes addresses an `AddressSpace` can mint
+        /// (below `ADDR_LIMIT`), and the resident filter's bitmap grows
+        /// to the highest line it has seen.
         #[test]
         fn repeat_access_hits(
-            history in proptest::collection::vec(any::<u32>(), 0..200),
-            addr in any::<u32>(),
+            history in proptest::collection::vec(0u32..1 << 22, 0..200),
+            addr in 0u32..1 << 22,
         ) {
             let mut m = MemoryHierarchy::skylake(1);
             for h in history {

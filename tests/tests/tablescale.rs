@@ -249,11 +249,6 @@ fn handed_over_fib_equals_a_fresh_build_at_scale() {
 #[test]
 fn nat_expiry_accounting_is_deterministic() {
     use packetmill::{ExperimentBuilder, Nf, WorkloadSpec};
-    // Two 40k-packet engine runs take ~30 s unoptimized; the release CI
-    // job runs the real thing.
-    if pm_integration_tests::full_size_sweep_skipped("tablescale") {
-        return;
-    }
     // The trace cycle (frames=16k, ~1.4 ms of virtual time) must outlast
     // the NAT's 1000-us idle timeout, or no binding can ever sit idle
     // long enough to expire; two cycles give every once-per-cycle flow
