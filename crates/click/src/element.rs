@@ -362,7 +362,10 @@ mod tests {
     #[test]
     fn sroa_meta_access_is_free_of_memory() {
         let mut mem = MemoryHierarchy::skylake(1);
-        let mut plan = ExecPlan::packetmill(MetadataModel::Copying);
+        let mut plan = ExecPlan {
+            static_graph: true,
+            ..ExecPlan::vanilla(MetadataModel::Copying)
+        };
         assert!(plan.sroa_active());
         let mut data = vec![0u8; 64];
         let pkt = Pkt {

@@ -1,9 +1,8 @@
 //! The execution plan: which PacketMill optimizations are active.
 //!
-//! `pm-compile`'s pass pipeline transforms a vanilla plan step by step;
-//! the runtime consults the plan on every dispatch, parameter access, and
-//! metadata touch. The five evaluation variants of Fig. 4 / Table 1 are
-//! plan constructors here.
+//! `pm-compile`'s pass functions transform a vanilla plan step by step
+//! into the evaluation variants of Fig. 4 / Table 1; the runtime consults
+//! the plan on every dispatch, parameter access, and metadata touch.
 
 use crate::packet::default_packet_layout;
 use crate::StructLayout;
@@ -57,48 +56,6 @@ impl ExecPlan {
         }
     }
 
-    /// `click-devirtualize` only (Fig. 4 "Devirtualize").
-    pub fn devirtualized(model: MetadataModel) -> Self {
-        ExecPlan {
-            dispatch: DispatchMode::Direct,
-            ..Self::vanilla(model)
-        }
-    }
-
-    /// Constant embedding only (Fig. 4 "Constant Embedding").
-    pub fn constants(model: MetadataModel) -> Self {
-        ExecPlan {
-            constants_embedded: true,
-            ..Self::vanilla(model)
-        }
-    }
-
-    /// Static graph only (Fig. 4 "Static Graph"): implies full inlining.
-    pub fn static_graph(model: MetadataModel) -> Self {
-        ExecPlan {
-            dispatch: DispatchMode::Inlined,
-            static_graph: true,
-            ..Self::vanilla(model)
-        }
-    }
-
-    /// All source-code optimizations (Fig. 4 "All").
-    pub fn all_source_opts(model: MetadataModel) -> Self {
-        ExecPlan {
-            dispatch: DispatchMode::Inlined,
-            constants_embedded: true,
-            static_graph: true,
-            ..Self::vanilla(model)
-        }
-    }
-
-    /// Full PacketMill: all source optimizations. Combine with
-    /// [`MetadataModel::XChange`] for the paper's headline configuration
-    /// (Fig. 1 "PacketMill").
-    pub fn packetmill(model: MetadataModel) -> Self {
-        Self::all_source_opts(model)
-    }
-
     /// True when the per-packet `Packet` object is scalar-replaced: the
     /// static graph inlines the whole path, so (under Copying) the
     /// mbuf→Packet conversion lives in registers and the object pool is
@@ -131,28 +88,33 @@ mod tests {
         assert_eq!(v.dispatch, DispatchMode::Virtual);
         assert!(!v.constants_embedded && !v.static_graph);
         assert!(!v.sroa_active());
+        assert_eq!(v.packet_layout, default_packet_layout());
 
-        let d = ExecPlan::devirtualized(MetadataModel::Copying);
-        assert_eq!(d.dispatch, DispatchMode::Direct);
-
-        let s = ExecPlan::static_graph(MetadataModel::Copying);
+        let s = ExecPlan {
+            dispatch: DispatchMode::Inlined,
+            static_graph: true,
+            ..v
+        };
         assert!(s.sroa_active());
-        assert_eq!(s.dispatch, DispatchMode::Inlined);
+        assert_eq!(s.label(), "static-graph+copying");
 
-        let a = ExecPlan::all_source_opts(MetadataModel::XChange);
-        assert!(a.constants_embedded && a.static_graph);
+        let a = ExecPlan {
+            constants_embedded: true,
+            metadata_model: MetadataModel::XChange,
+            ..s
+        };
         assert!(!a.sroa_active(), "SROA applies to the Copying model only");
+        assert_eq!(a.label(), "all+x-change");
     }
 
     #[test]
     fn labels() {
-        assert_eq!(
-            ExecPlan::vanilla(MetadataModel::Copying).label(),
-            "vanilla+copying"
-        );
-        assert_eq!(
-            ExecPlan::packetmill(MetadataModel::XChange).label(),
-            "all+x-change"
-        );
+        let v = ExecPlan::vanilla(MetadataModel::Copying);
+        assert_eq!(v.label(), "vanilla+copying");
+        let d = ExecPlan {
+            dispatch: DispatchMode::Direct,
+            ..v
+        };
+        assert_eq!(d.label(), "devirtualize+copying");
     }
 }

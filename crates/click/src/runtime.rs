@@ -18,7 +18,7 @@
 //!   under static graph + Copying).
 
 use crate::element::{Action, Ctx, ElementKind, Pkt};
-use crate::graph::Graph;
+use crate::graph::{ElementInfo, Graph};
 use crate::packet::{ClickPool, COPY_FIELDS};
 use crate::plan::{DispatchMode, ExecPlan};
 use pm_dpdk::{MetadataModel, RxDesc};
@@ -61,6 +61,16 @@ const MAX_HOPS: usize = 64;
 /// Default Click packet-object pool size (objects).
 const CLICK_POOL_OBJECTS: u32 = 131072;
 
+/// An element's attribution-scope and span label: `Class(name)`, or the
+/// raw `Class@N` form of an anonymous element.
+fn scope_label(e: &ElementInfo) -> String {
+    if e.name.contains('@') {
+        e.name.clone()
+    } else {
+        format!("{}({})", e.class, e.name)
+    }
+}
+
 /// The executable form of a graph under a specific plan.
 pub struct GraphRuntime {
     /// The element graph (public so the engine can inspect sources).
@@ -77,19 +87,16 @@ pub struct GraphRuntime {
     /// Attribution scopes per element, registered lazily on the first run
     /// against a hierarchy with profiling enabled.
     element_scopes: Option<Vec<ScopeId>>,
-    /// Distinct cache lines (sorted) holding the Copying-model
-    /// bookkeeping fields, precomputed from the packet layout so the
-    /// per-packet conversion does not re-search field names.
-    copy_lines: Vec<u64>,
     /// Per-element dispatch access programs (vtable load, call penalty,
     /// bookkeeping, state touch — the whole `charge_hop` charge set as
     /// one program over bases `[vtable, state]`). Built lazily on first
     /// run because the charges bake in the hierarchy's latency model.
     hop_progs: Option<Vec<AccessProgram>>,
     /// The Copying-model conversion program (mbuf load + bookkeeping-line
-    /// stores + conversion work) over bases `[mbuf, packet]`. Rebuilt
-    /// when the packet layout changes; `None` until first use.
-    copy_prog: Option<AccessProgram>,
+    /// stores + conversion work) over bases `[mbuf, packet]`, built from
+    /// the plan's packet layout — fixed for the runtime's life (the
+    /// reordering pass runs on the IR, before any runtime exists).
+    copy_prog: AccessProgram,
     /// Injected per-element slow-down windows
     /// `(from, until, factor_x1000)`, indexed by element. `None` (the
     /// default) keeps the hop loop untouched.
@@ -171,7 +178,7 @@ impl GraphRuntime {
         let stack_region = space.alloc(256);
 
         let element_counts = vec![(0, 0); n_elements];
-        let copy_lines = Self::copy_lines_of(&plan.packet_layout);
+        let copy_prog = Self::copy_program(&plan.packet_layout);
         GraphRuntime {
             graph,
             plan,
@@ -182,9 +189,8 @@ impl GraphRuntime {
             stats: RuntimeStats::default(),
             element_counts,
             element_scopes: None,
-            copy_lines,
             hop_progs: None,
-            copy_prog: None,
+            copy_prog,
             slowdowns: None,
             span_log: None,
         }
@@ -206,13 +212,7 @@ impl GraphRuntime {
     pub fn take_spans(&mut self, out: &mut Vec<(String, Cost)>) {
         if let Some(log) = self.span_log.as_mut() {
             for &(idx, cost) in log.iter() {
-                let e = &self.graph.elements[idx];
-                let label = if e.name.contains('@') {
-                    e.name.clone()
-                } else {
-                    format!("{}({})", e.class, e.name)
-                };
-                out.push((label, cost));
+                out.push((scope_label(&self.graph.elements[idx]), cost));
             }
             log.clear();
         }
@@ -246,28 +246,23 @@ impl GraphRuntime {
             .map(|&(_, _, factor)| spent.scaled(f64::from(factor - 1000) / 1000.0))
     }
 
-    /// Sorted distinct line indices holding [`COPY_FIELDS`] under `layout`.
-    fn copy_lines_of(layout: &crate::StructLayout) -> Vec<u64> {
-        let mut lines: Vec<u64> = COPY_FIELDS
-            .iter()
-            .map(|f| u64::from(layout.line_of(f)))
-            .collect();
+    /// The Copying-model conversion under `layout`: the mbuf load, one
+    /// store per distinct line (ascending) holding a [`COPY_FIELDS`]
+    /// field, and the conversion work.
+    fn copy_program(layout: &crate::StructLayout) -> AccessProgram {
+        let mut lines: Vec<u32> = COPY_FIELDS.iter().map(|f| layout.line_of(f)).collect();
         lines.sort_unstable();
         lines.dedup();
-        lines
+        let mut b = ProgramBuilder::new().load(0, 0, 32);
+        for l in lines {
+            b = b.store(1, l * 64, 64);
+        }
+        b.compute(95).build()
     }
 
     /// The active plan.
     pub fn plan(&self) -> &ExecPlan {
         &self.plan
-    }
-
-    /// Replaces the plan's packet layout (after a reordering pass).
-    pub fn set_packet_layout(&mut self, layout: crate::StructLayout) {
-        self.copy_lines = Self::copy_lines_of(&layout);
-        self.plan.packet_layout = layout;
-        // The conversion program bakes in the bookkeeping lines.
-        self.copy_prog = None;
     }
 
     /// Counters.
@@ -312,8 +307,8 @@ impl GraphRuntime {
     }
 
     /// Registers one attribution scope per element (idempotent; no-op
-    /// until the hierarchy has profiling enabled). Named elements render
-    /// as `Class(name)`, anonymous ones keep their `Class@N` form.
+    /// until the hierarchy has profiling enabled), labelled by
+    /// [`scope_label`].
     fn ensure_scopes(&mut self, mem: &mut MemoryHierarchy) {
         if !mem.attribution_enabled() || self.element_scopes.is_some() {
             return;
@@ -322,14 +317,7 @@ impl GraphRuntime {
             self.graph
                 .elements
                 .iter()
-                .map(|e| {
-                    let label = if e.name.contains('@') {
-                        e.name.clone()
-                    } else {
-                        format!("{}({})", e.class, e.name)
-                    };
-                    mem.register_scope(&label)
-                })
+                .map(|e| mem.register_scope(&scope_label(e)))
                 .collect(),
         );
     }
@@ -386,16 +374,12 @@ impl GraphRuntime {
                     // work, as one precompiled program (annotation lines
                     // are touched lazily by the elements that use them,
                     // which is why reordering them matters).
-                    let copy_lines = &self.copy_lines;
-                    let prog = self.copy_prog.get_or_insert_with(|| {
-                        let mut b = ProgramBuilder::new().load(0, 0, 32);
-                        for &l in copy_lines {
-                            b = b.store(1, l as u32 * 64, 64);
-                        }
-                        b.compute(95).build()
-                    });
-                    ctx.mem
-                        .run_program(ctx.core, prog, &[desc.meta_addr, addr], &mut ctx.cost);
+                    ctx.mem.run_program(
+                        ctx.core,
+                        &self.copy_prog,
+                        &[desc.meta_addr, addr],
+                        &mut ctx.cost,
+                    );
                     addr
                 }
             }
@@ -661,10 +645,16 @@ mod tests {
             }
             last
         };
-        let vanilla = measure(ExecPlan::vanilla(MetadataModel::Copying));
-        let devirt = measure(ExecPlan::devirtualized(MetadataModel::Copying));
-        let constants = measure(ExecPlan::constants(MetadataModel::Copying));
-        let all = measure(ExecPlan::all_source_opts(MetadataModel::Copying));
+        let plan = |dispatch, constants_embedded, static_graph| ExecPlan {
+            dispatch,
+            constants_embedded,
+            static_graph,
+            ..ExecPlan::vanilla(MetadataModel::Copying)
+        };
+        let vanilla = measure(plan(DispatchMode::Virtual, false, false));
+        let devirt = measure(plan(DispatchMode::Direct, false, false));
+        let constants = measure(plan(DispatchMode::Virtual, true, false));
+        let all = measure(plan(DispatchMode::Inlined, true, true));
         let f = pm_sim::Frequency::from_ghz(3.0);
         assert!(devirt.time(f) < vanilla.time(f), "devirt should win");
         assert!(constants.time(f) < vanilla.time(f), "constants should win");
@@ -675,7 +665,11 @@ mod tests {
     #[test]
     fn static_graph_bypasses_packet_pool() {
         let mut mem = MemoryHierarchy::skylake(1);
-        let (mut rtm, _s) = rt(ExecPlan::static_graph(MetadataModel::Copying));
+        let (mut rtm, _s) = rt(ExecPlan {
+            dispatch: DispatchMode::Inlined,
+            static_graph: true,
+            ..ExecPlan::vanilla(MetadataModel::Copying)
+        });
         for _ in 0..100 {
             push_one(&mut rtm, &mut mem);
         }

@@ -6,9 +6,9 @@
 //! resurrection of `click-devirtualize` plus the paper's additions), and
 //! an IR-level transformation (profile-guided reordering of the `Packet`
 //! metadata structure, §3.2.2), producing a specialized execution plan
-//! and a log of what each pass did ([`MillIr::log`]).
-//!
-//! The pipeline mirrors Fig. 3:
+//! and a log of what each pass did ([`MillIr::log`]). Each pass is a plain
+//! function over `&mut MillIr`, in the stages of Fig. 3 ([`packetmill`]
+//! runs the first two, in order):
 //!
 //! ```text
 //! Config file ─┬─> config passes  (dead-element elimination)
@@ -22,7 +22,5 @@
 pub mod passes;
 pub mod pipeline;
 
-pub use passes::{
-    ConstantEmbedPass, DeadElementPass, DevirtualizePass, Pass, ReorderFieldsPass, StaticGraphPass,
-};
-pub use pipeline::{MillIr, Pipeline};
+pub use passes::{dead_elements, devirtualize, embed_constants, reorder_fields, static_graph};
+pub use pipeline::{packetmill, MillIr};

@@ -1,215 +1,153 @@
-//! The individual optimization passes.
+//! The individual optimization passes: plain functions over [`MillIr`].
 
 use crate::pipeline::MillIr;
 use pm_click::{DispatchMode, FieldProfile, StructLayout};
 use std::collections::HashSet;
 
-/// A transformation over the optimization IR.
-pub trait Pass {
-    /// The pass's name (for logs).
-    fn name(&self) -> &'static str;
-    /// Applies the transformation.
-    fn run(&self, ir: &mut MillIr);
-}
-
 /// Removes declared elements with no connection path from any source —
 /// the `click-undead` analogue from the Click optimization toolkit
 /// (paper §2.1 ①).
-#[derive(Debug, Clone, Copy)]
-pub struct DeadElementPass;
-
-impl Pass for DeadElementPass {
-    fn name(&self) -> &'static str {
-        "dead-element-elimination"
+pub fn dead_elements(ir: &mut MillIr) {
+    let cfg = &ir.config;
+    // Reachability from every FromDPDKDevice.
+    let mut live: HashSet<usize> = cfg
+        .declarations
+        .iter()
+        .enumerate()
+        .filter(|(_, d)| d.class == "FromDPDKDevice")
+        .map(|(i, _)| i)
+        .collect();
+    loop {
+        let mut grew = false;
+        for c in &cfg.connections {
+            if live.contains(&c.from) && live.insert(c.to) {
+                grew = true;
+            }
+        }
+        if !grew {
+            break;
+        }
     }
-
-    fn run(&self, ir: &mut MillIr) {
-        let cfg = &ir.config;
-        // Reachability from every FromDPDKDevice.
-        let mut live: HashSet<usize> = cfg
-            .declarations
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.class == "FromDPDKDevice")
-            .map(|(i, _)| i)
-            .collect();
-        loop {
-            let mut grew = false;
-            for c in &cfg.connections {
-                if live.contains(&c.from) && live.insert(c.to) {
-                    grew = true;
-                }
-            }
-            if !grew {
-                break;
-            }
-        }
-        let dead: Vec<usize> = (0..cfg.declarations.len())
-            .filter(|i| !live.contains(i))
-            .collect();
-        if dead.is_empty() {
-            ir.note("dead-element-elimination: nothing to remove");
-            return;
-        }
-        // Rebuild with dead declarations (and their edges) removed.
-        let mut remap = vec![usize::MAX; cfg.declarations.len()];
-        let mut decls = Vec::new();
-        for (i, d) in cfg.declarations.iter().enumerate() {
-            if live.contains(&i) {
-                remap[i] = decls.len();
-                decls.push(d.clone());
-            }
-        }
-        let conns = cfg
-            .connections
-            .iter()
-            .filter(|c| live.contains(&c.from) && live.contains(&c.to))
-            .map(|c| pm_click::Connection {
-                from: remap[c.from],
-                from_port: c.from_port,
-                to: remap[c.to],
-                to_port: c.to_port,
-            })
-            .collect();
-        let names: Vec<String> = dead
-            .iter()
-            .map(|&i| ir.config.declarations[i].name.clone())
-            .collect();
-        ir.config.declarations = decls;
-        ir.config.connections = conns;
-        ir.note(format!(
-            "dead-element-elimination: removed {} element(s): {}",
-            names.len(),
-            names.join(", ")
-        ));
+    let dead: Vec<usize> = (0..cfg.declarations.len())
+        .filter(|i| !live.contains(i))
+        .collect();
+    if dead.is_empty() {
+        ir.note("dead-element-elimination: nothing to remove");
+        return;
     }
+    // Rebuild with dead declarations (and their edges) removed.
+    let mut remap = vec![usize::MAX; cfg.declarations.len()];
+    let mut decls = Vec::new();
+    for (i, d) in cfg.declarations.iter().enumerate() {
+        if live.contains(&i) {
+            remap[i] = decls.len();
+            decls.push(d.clone());
+        }
+    }
+    let conns = cfg
+        .connections
+        .iter()
+        .filter(|c| live.contains(&c.from) && live.contains(&c.to))
+        .map(|c| pm_click::Connection {
+            from: remap[c.from],
+            from_port: c.from_port,
+            to: remap[c.to],
+            to_port: c.to_port,
+        })
+        .collect();
+    let names: Vec<String> = dead
+        .iter()
+        .map(|&i| ir.config.declarations[i].name.clone())
+        .collect();
+    ir.config.declarations = decls;
+    ir.config.connections = conns;
+    ir.note(format!(
+        "dead-element-elimination: removed {} element(s): {}",
+        names.len(),
+        names.join(", ")
+    ));
 }
 
 /// Replaces virtual calls with direct calls (`click-devirtualize`,
 /// paper §2.1 ① / §3.2.1).
-#[derive(Debug, Clone, Copy)]
-pub struct DevirtualizePass;
-
-impl Pass for DevirtualizePass {
-    fn name(&self) -> &'static str {
-        "devirtualize"
-    }
-
-    fn run(&self, ir: &mut MillIr) {
-        if ir.plan.dispatch == DispatchMode::Virtual {
-            ir.plan.dispatch = DispatchMode::Direct;
-            let n = ir.config.declarations.len();
-            ir.note(format!(
-                "devirtualize: {n} element classes resolved; virtual calls replaced with direct calls"
-            ));
-        }
+pub fn devirtualize(ir: &mut MillIr) {
+    if ir.plan.dispatch == DispatchMode::Virtual {
+        ir.plan.dispatch = DispatchMode::Direct;
+        let n = ir.config.declarations.len();
+        ir.note(format!(
+            "devirtualize: {n} element classes resolved; virtual calls replaced with direct calls"
+        ));
     }
 }
 
 /// Embeds constant element parameters into the code (paper §3.2.1:
 /// constant propagation, folding, dead-code elimination, unrolling).
-#[derive(Debug, Clone, Copy)]
-pub struct ConstantEmbedPass;
-
-impl Pass for ConstantEmbedPass {
-    fn name(&self) -> &'static str {
-        "constant-embedding"
-    }
-
-    fn run(&self, ir: &mut MillIr) {
-        if !ir.plan.constants_embedded {
-            ir.plan.constants_embedded = true;
-            let params: usize = ir.config.declarations.iter().map(|d| d.args.len()).sum();
-            ir.note(format!(
-                "constant-embedding: {params} configuration parameter(s) embedded as constants"
-            ));
-        }
+pub fn embed_constants(ir: &mut MillIr) {
+    if !ir.plan.constants_embedded {
+        ir.plan.constants_embedded = true;
+        let params: usize = ir.config.declarations.iter().map(|d| d.args.len()).sum();
+        ir.note(format!(
+            "constant-embedding: {params} configuration parameter(s) embedded as constants"
+        ));
     }
 }
 
 /// Declares the element graph statically (paper §3.2.1): arena layout,
 /// embedded connections, full inlining — which in turn lets the per-packet
 /// metadata conversion be scalar-replaced under the Copying model.
-#[derive(Debug, Clone, Copy)]
-pub struct StaticGraphPass;
-
-impl Pass for StaticGraphPass {
-    fn name(&self) -> &'static str {
-        "static-graph"
-    }
-
-    fn run(&self, ir: &mut MillIr) {
-        if !ir.plan.static_graph {
-            ir.plan.static_graph = true;
-            ir.plan.dispatch = DispatchMode::Inlined;
-            ir.note(format!(
-                "static-graph: {} element(s) and {} connection(s) embedded statically; \
-                 per-packet path fully inlined{}",
-                ir.config.declarations.len(),
-                ir.config.connections.len(),
-                if ir.plan.sroa_active() {
-                    "; Packet conversion scalar-replaced"
-                } else {
-                    ""
-                }
-            ));
-        }
+pub fn static_graph(ir: &mut MillIr) {
+    if !ir.plan.static_graph {
+        ir.plan.static_graph = true;
+        ir.plan.dispatch = DispatchMode::Inlined;
+        ir.note(format!(
+            "static-graph: {} element(s) and {} connection(s) embedded statically; \
+             per-packet path fully inlined{}",
+            ir.config.declarations.len(),
+            ir.config.connections.len(),
+            if ir.plan.sroa_active() {
+                "; Packet conversion scalar-replaced"
+            } else {
+                ""
+            }
+        ));
     }
 }
 
 /// Reorders the `Packet` metadata structure by access frequency
-/// (paper §3.2.2: the LLVM LTO pass over GEPI references).
+/// (paper §3.2.2: the LLVM LTO pass over GEPI references), from a
+/// per-field access profile collected by a profiling run of the NF.
 ///
 /// Fields never accessed keep their relative order after the hot ones —
 /// the pass "only sorts the variables" like the paper's current version.
-#[derive(Debug, Clone)]
-pub struct ReorderFieldsPass {
-    profile: FieldProfile,
+pub fn reorder_fields(ir: &mut MillIr, profile: &FieldProfile) {
+    let order = hot_order(profile, &ir.plan.packet_layout);
+    if order.is_empty() {
+        ir.note("reorder-fields: no profile data; layout unchanged");
+        return;
+    }
+    let before = ir.plan.packet_layout.lines_touched(&order);
+    let new_layout = ir.plan.packet_layout.reordered(&order);
+    let after = new_layout.lines_touched(&order);
+    ir.plan.packet_layout = new_layout;
+    ir.note(format!(
+        "reorder-fields: {} hot field(s) moved to the front; hot set now spans {after} \
+         line(s) (was {before})",
+        order.len()
+    ));
 }
 
-impl ReorderFieldsPass {
-    /// Builds the pass from a per-field access profile (collected by a
-    /// profiling run of the NF).
-    pub fn from_profile(profile: FieldProfile) -> Self {
-        ReorderFieldsPass { profile }
-    }
-
-    /// The hot-first field order this profile implies for `layout`.
-    pub fn order_for(&self, layout: &StructLayout) -> Vec<&'static str> {
-        let mut hot: Vec<(&'static str, u64)> = layout
-            .fields()
-            .iter()
-            .filter_map(|f| self.profile.get(f.name).map(|&c| (f.name, c)))
-            .filter(|&(_, c)| c > 0)
-            .collect();
-        // Sort by count descending; ties keep original layout order
-        // (sort is stable over the layout-ordered input).
-        hot.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
-        hot.into_iter().map(|(n, _)| n).collect()
-    }
-}
-
-impl Pass for ReorderFieldsPass {
-    fn name(&self) -> &'static str {
-        "reorder-fields"
-    }
-
-    fn run(&self, ir: &mut MillIr) {
-        let order = self.order_for(&ir.plan.packet_layout);
-        if order.is_empty() {
-            ir.note("reorder-fields: no profile data; layout unchanged");
-            return;
-        }
-        let before = ir.plan.packet_layout.lines_touched(&order.to_vec());
-        let new_layout = ir.plan.packet_layout.reordered(&order);
-        let after = new_layout.lines_touched(&order.to_vec());
-        ir.plan.packet_layout = new_layout;
-        ir.note(format!(
-            "reorder-fields: {} hot field(s) moved to the front; hot set now spans {after} \
-             line(s) (was {before})",
-            order.len()
-        ));
-    }
+/// The hot-first field order `profile` implies for `layout`.
+fn hot_order(profile: &FieldProfile, layout: &StructLayout) -> Vec<&'static str> {
+    let mut hot: Vec<(&'static str, u64)> = layout
+        .fields()
+        .iter()
+        .filter_map(|f| profile.get(f.name).map(|&c| (f.name, c)))
+        .filter(|&(_, c)| c > 0)
+        .collect();
+    // Sort by count descending; ties keep original layout order
+    // (sort is stable over the layout-ordered input).
+    hot.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
+    hot.into_iter().map(|(n, _)| n).collect()
 }
 
 #[cfg(test)]
@@ -229,7 +167,7 @@ mod tests {
              dead2 :: Null; orphan -> dead2 -> Discard; in -> Null -> out;",
         );
         let before = ir.config.declarations.len();
-        DeadElementPass.run(&mut ir);
+        dead_elements(&mut ir);
         // orphan, dead2, and the inline Discard die; Null@N stays.
         assert_eq!(ir.config.declarations.len(), before - 3);
         assert!(ir.config.find("orphan").is_none());
@@ -245,17 +183,17 @@ mod tests {
     fn dead_pass_noop_when_all_live() {
         let mut ir = ir_from("in :: FromDPDKDevice(0); in -> Discard;");
         let before = ir.config.clone();
-        DeadElementPass.run(&mut ir);
+        dead_elements(&mut ir);
         assert_eq!(ir.config, before);
     }
 
     #[test]
     fn devirtualize_idempotent() {
         let mut ir = ir_from("in :: FromDPDKDevice(0); in -> Discard;");
-        DevirtualizePass.run(&mut ir);
+        devirtualize(&mut ir);
         assert_eq!(ir.plan.dispatch, DispatchMode::Direct);
         let log_len = ir.log.len();
-        DevirtualizePass.run(&mut ir);
+        devirtualize(&mut ir);
         assert_eq!(ir.log.len(), log_len, "second run is a no-op");
     }
 
@@ -266,7 +204,7 @@ mod tests {
         prof.insert("dst_ip_anno", 100);
         prof.insert("net_hdr", 50);
         prof.insert("paint_anno", 150);
-        ReorderFieldsPass::from_profile(prof).run(&mut ir);
+        reorder_fields(&mut ir, &prof);
         let l = &ir.plan.packet_layout;
         assert_eq!(l.offset_of("paint_anno"), 0);
         assert!(l.offset_of("dst_ip_anno") < l.offset_of("net_hdr"));
@@ -285,7 +223,7 @@ mod tests {
     fn reorder_without_profile_is_noop() {
         let mut ir = ir_from("in :: FromDPDKDevice(0); in -> Discard;");
         let before = ir.plan.packet_layout.clone();
-        ReorderFieldsPass::from_profile(FieldProfile::new()).run(&mut ir);
+        reorder_fields(&mut ir, &FieldProfile::new());
         assert_eq!(ir.plan.packet_layout, before);
     }
 
@@ -295,7 +233,7 @@ mod tests {
         let mut prof = FieldProfile::new();
         prof.insert("no_such_field", 10);
         prof.insert("rss_hash", 5);
-        ReorderFieldsPass::from_profile(prof).run(&mut ir);
+        reorder_fields(&mut ir, &prof);
         assert_eq!(ir.plan.packet_layout.offset_of("rss_hash"), 0);
     }
 }

@@ -1,6 +1,6 @@
-//! The optimization IR and pass manager.
+//! The optimization IR and the Fig. 3 pass order.
 
-use crate::passes::Pass;
+use crate::passes;
 use pm_click::{ConfigGraph, ExecPlan, MetadataModel};
 
 /// The unit the passes transform: the parsed configuration plus the
@@ -32,64 +32,15 @@ impl MillIr {
     }
 }
 
-/// An ordered sequence of passes.
-pub struct Pipeline {
-    passes: Vec<Box<dyn Pass>>,
-}
-
-impl std::fmt::Debug for Pipeline {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let names: Vec<&str> = self.passes.iter().map(|p| p.name()).collect();
-        f.debug_struct("Pipeline").field("passes", &names).finish()
-    }
-}
-
-impl Pipeline {
-    /// An empty pipeline.
-    pub fn new() -> Self {
-        Pipeline { passes: Vec::new() }
-    }
-
-    /// Appends a pass.
-    pub fn then(mut self, pass: impl Pass + 'static) -> Self {
-        self.passes.push(Box::new(pass));
-        self
-    }
-
-    /// The full PacketMill source-optimization pipeline (Fig. 3 ②):
-    /// dead-element elimination, devirtualization, constant embedding,
-    /// static graph. Field reordering (Fig. 3 ③) is added separately
-    /// because it needs an access profile.
-    pub fn packetmill() -> Self {
-        Pipeline::new()
-            .then(crate::passes::DeadElementPass)
-            .then(crate::passes::DevirtualizePass)
-            .then(crate::passes::ConstantEmbedPass)
-            .then(crate::passes::StaticGraphPass)
-    }
-
-    /// Number of passes.
-    pub fn len(&self) -> usize {
-        self.passes.len()
-    }
-
-    /// True if the pipeline has no passes.
-    pub fn is_empty(&self) -> bool {
-        self.passes.is_empty()
-    }
-
-    /// Runs every pass in order.
-    pub fn run(&self, ir: &mut MillIr) {
-        for p in &self.passes {
-            p.run(ir);
-        }
-    }
-}
-
-impl Default for Pipeline {
-    fn default() -> Self {
-        Self::new()
-    }
+/// The full PacketMill source-optimization pipeline (Fig. 3 ②), in
+/// order: dead-element elimination, devirtualization, constant
+/// embedding, static graph. Field reordering (Fig. 3 ③) runs separately
+/// because it needs an access profile.
+pub fn packetmill(ir: &mut MillIr) {
+    passes::dead_elements(ir);
+    passes::devirtualize(ir);
+    passes::embed_constants(ir);
+    passes::static_graph(ir);
 }
 
 #[cfg(test)]
@@ -108,25 +59,23 @@ mod tests {
     #[test]
     fn packetmill_pipeline_sets_all_flags() {
         let mut i = ir();
-        Pipeline::packetmill().run(&mut i);
+        packetmill(&mut i);
         assert_eq!(i.plan.dispatch, DispatchMode::Inlined);
         assert!(i.plan.constants_embedded);
         assert!(i.plan.static_graph);
-        assert!(!i.log.is_empty());
+        assert_eq!(i.log.len(), 4, "one line per pass: {:?}", i.log);
     }
 
     #[test]
     fn empty_pipeline_is_identity() {
+        // A second run finds nothing left to change: only dead-element
+        // elimination logs again ("nothing to remove").
         let mut i = ir();
-        let before = i.plan.clone();
-        Pipeline::new().run(&mut i);
-        assert_eq!(i.plan, before);
-        assert!(i.log.is_empty());
-    }
-
-    #[test]
-    fn pipeline_len() {
-        assert_eq!(Pipeline::packetmill().len(), 4);
-        assert!(Pipeline::new().is_empty());
+        packetmill(&mut i);
+        let (plan, config, lines) = (i.plan.clone(), i.config.clone(), i.log.len());
+        packetmill(&mut i);
+        assert_eq!(i.plan, plan);
+        assert_eq!(i.config, config);
+        assert_eq!(i.log.len(), lines + 1);
     }
 }

@@ -52,7 +52,8 @@ struct Options {
     handlers: bool,
 }
 
-fn parse_args() -> Result<Options, String> {
+/// Parses the flags (without the program name).
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
     let mut o = Options {
         nf: Nf::Router,
         model: MetadataModel::Copying,
@@ -68,7 +69,7 @@ fn parse_args() -> Result<Options, String> {
         show_log: false,
         handlers: false,
     };
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(flag) = args.next() {
         let mut value = |name: &str| {
             args.next()
@@ -111,13 +112,13 @@ fn parse_args() -> Result<Options, String> {
                 }
             }
             "--freq" => o.freq = num(&value("--freq")?)?,
-            "--cores" => o.cores = num(&value("--cores")?)? as usize,
-            "--nics" => o.nics = num(&value("--nics")?)? as usize,
+            "--cores" => o.cores = at_least_one("--cores", &value("--cores")?)?,
+            "--nics" => o.nics = at_least_one("--nics", &value("--nics")?)?,
             "--offered" => o.offered = num(&value("--offered")?)?,
-            "--packets" => o.packets = num(&value("--packets")?)? as usize,
-            "--size" => o.size = Some(num(&value("--size")?)? as usize),
+            "--packets" => o.packets = int(&value("--packets")?)?,
+            "--size" => o.size = Some(int(&value("--size")?)?),
             "--pcap" => o.pcap = Some(value("--pcap")?),
-            "--seed" => o.seed = num(&value("--seed")?)? as u64,
+            "--seed" => o.seed = int(&value("--seed")?)?,
             "--show-log" => o.show_log = true,
             "--handlers" => o.handlers = true,
             "-h" | "--help" => {
@@ -134,8 +135,24 @@ fn num(s: &str) -> Result<f64, String> {
     s.parse().map_err(|_| format!("not a number: {s:?}"))
 }
 
+/// An integer, read exactly: decimal, `k`/`M`-suffixed or `0x` hex —
+/// the count syntax of the `--faults` / `--workload` grammars.
+fn int<T: TryFrom<u64>>(s: &str) -> Result<T, String> {
+    pm_sim::spec::parse_count(s)
+        .and_then(|n| T::try_from(n).ok())
+        .ok_or_else(|| format!("not an integer: {s:?}"))
+}
+
+/// A core or NIC count.
+fn at_least_one(flag: &str, s: &str) -> Result<usize, String> {
+    match int(s)? {
+        0 => Err(format!("{flag} must be at least 1")),
+        n => Ok(n),
+    }
+}
+
 fn main() -> ExitCode {
-    let o = match parse_args() {
+    let o = match parse_args(std::env::args().skip(1)) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
@@ -249,5 +266,46 @@ fn nf_name(nf: &Nf) -> &'static str {
         Nf::RouterScale(_) => "router-scale",
         Nf::WorkPackage { .. } | Nf::WorkPackageKb { .. } => "workpackage",
         Nf::Custom(_) => "custom config",
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn integer_flags_are_read_as_integers() {
+        let o = parse(&[
+            "--seed",
+            "0xCAFE",
+            "--cores",
+            "4",
+            "--nics",
+            "2",
+            "--packets",
+            "4k",
+        ])
+        .expect("valid flags");
+        assert_eq!((o.seed, o.cores, o.nics, o.packets), (0xCAFE, 4, 2, 4_000));
+        // Through `f64` this seed would have run as 2^53.
+        let o = parse(&["--seed", "9007199254740993"]).expect("valid seed");
+        assert_eq!(o.seed, (1 << 53) + 1);
+    }
+
+    #[test]
+    fn bad_integer_flags_are_errors() {
+        for bad in [
+            ["--cores", "0"],
+            ["--nics", "0"],
+            ["--packets", "1.5"],
+            ["--seed", "-1"],
+            ["--size", "1e3"],
+        ] {
+            assert!(parse(&bad).is_err(), "{bad:?} should fail");
+        }
     }
 }

@@ -8,8 +8,8 @@ use pm_mem::{Cost, MemoryHierarchy};
 /// Wraps a [`GraphRuntime`] so the experiment engine can drive it.
 pub struct ClickDataplane {
     rt: GraphRuntime,
-    /// Copy of the runtime's plan handed to per-packet contexts (kept in
-    /// sync by [`Self::set_packet_layout`]).
+    /// Copy of the runtime's plan handed to per-packet contexts (a
+    /// context borrows it while the runtime is borrowed mutably).
     plan: ExecPlan,
     /// Source element index packets enter through.
     source: usize,
@@ -49,18 +49,6 @@ impl ClickDataplane {
             profile: FieldProfile::new(),
             label: label.into(),
         }
-    }
-
-    /// Replaces the packet layout (after the reordering pass) in both the
-    /// runtime and the context plan.
-    pub fn set_packet_layout(&mut self, layout: pm_click::StructLayout) {
-        self.rt.set_packet_layout(layout.clone());
-        self.plan.packet_layout = layout;
-    }
-
-    /// The underlying runtime (for stats).
-    pub fn runtime(&self) -> &GraphRuntime {
-        &self.rt
     }
 }
 

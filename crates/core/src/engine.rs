@@ -134,7 +134,8 @@ pub struct Measurement {
     pub llc_miss_pct: f64,
     /// Packets dropped by the NIC (ring overflow), whole run.
     pub rx_dropped: u64,
-    /// Packets the NF dropped, whole run.
+    /// Packets the NF dropped in the measured window (post-warm-up
+    /// sequence numbers only, unlike `rx_dropped` and `tx_dropped`).
     pub nf_dropped: u64,
     /// Frames dropped at the TX ring, whole run.
     pub tx_dropped: u64,
@@ -209,10 +210,12 @@ pub struct Engine {
     traces: Vec<Trace>,
     /// Generation timestamp of the first post-warmup packet.
     measure_gen_start: Option<SimTime>,
+    /// Whole-run NF drops per (nic, queue) pair: the `nf` count of the
+    /// conservation ledgers ([`Measurement::nf_dropped`] counts only the
+    /// measured window).
+    nf_dropped_pairs: Vec<u64>,
     /// RX batch-size histogram over the measured window (profiled runs).
     batches: BTreeMap<u64, u64>,
-    /// Packet-conservation ledger, filled in by [`Engine::run`].
-    ledger: Option<Ledger>,
     /// Per-(nic, queue) conservation ledgers, filled in by [`Engine::run`].
     queue_ledgers: Option<Vec<QueueLedger>>,
     /// Flight-recorder time series, live while [`Engine::run`] runs.
@@ -376,11 +379,11 @@ impl Engine {
             mem,
             nics,
             dataplanes,
+            nf_dropped_pairs: vec![0; pairs.len()],
             pairs,
             traces,
             measure_gen_start: None,
             batches: BTreeMap::new(),
-            ledger: None,
             queue_ledgers: None,
             timeline,
             trace,
@@ -469,16 +472,11 @@ impl Engine {
         let mut measured_tx_packets = 0u64;
         let mut measured_tx_bytes = 0u64;
         let mut nf_dropped = 0u64;
-        // Whole-run NF drops per (nic, queue) pair for the per-queue
-        // conservation ledger (`nf_dropped` only counts the measured
-        // window).
-        let mut nf_dropped_pairs = vec![0u64; self.pairs.len()];
         // Rotating tie-break cursor: when several cores share the
         // earliest clock, service them round-robin instead of always
         // favoring the lowest index. Deterministic, and at cores == 1 it
         // degenerates to the old lowest-index rule.
         let mut tie_rr = 0usize;
-        let mut first_measured_arrival: Option<SimTime> = None;
         let mut first_measured_departure: Option<SimTime> = None;
         let mut last_departure = SimTime::ZERO;
         let mut measured_cost = Cost::ZERO;
@@ -503,7 +501,7 @@ impl Engine {
             let now = clocks[core];
             self.deliver_up_to(now);
             if self.timeline.is_some() {
-                self.observe_recorder(now, nf_dropped_pairs.iter().sum());
+                self.observe_recorder(now);
             }
 
             // Poll the next pair of this core.
@@ -568,11 +566,6 @@ impl Engine {
             if self.cfg.profile && any_measured && !first_measured {
                 *self.batches.entry(pkts.len() as u64).or_insert(0) += 1;
             }
-            if first_measured_arrival.is_none() {
-                if let Some(p) = pkts.iter().find(|p| p.seq >= warmup_seq) {
-                    first_measured_arrival = Some(p.arrival);
-                }
-            }
 
             // Process the burst through the dataplane.
             if let Some(tr) = self.trace.as_mut() {
@@ -616,7 +609,7 @@ impl Engine {
                     Some(len) => sends.push(TxSend { desc: *desc, len }),
                     None => {
                         cost += st.pmd.release(core, q, &mut self.mem, desc);
-                        nf_dropped_pairs[pair] += 1;
+                        self.nf_dropped_pairs[pair] += 1;
                         if desc.seq >= warmup_seq {
                             nf_dropped += 1;
                         }
@@ -673,18 +666,18 @@ impl Engine {
                 for (send, dep) in chunk.iter().zip(&departures) {
                     if let Some(d) = dep {
                         last_departure = last_departure.max(*d);
+                        let lat_ns =
+                            (d.saturating_sub(send.desc.gen) + BASE_LATENCY).as_ns() as u64;
                         if send.desc.seq >= warmup_seq {
                             if first_measured_departure.is_none() {
                                 first_measured_departure = Some(*d);
                             }
                             measured_tx_packets += 1;
                             measured_tx_bytes += send.len as u64;
-                            let lat = d.saturating_sub(send.desc.gen) + BASE_LATENCY;
-                            hist.record(lat.as_ns() as u64);
+                            hist.record(lat_ns);
                         }
                         if let Some(tl) = self.timeline.as_mut() {
-                            let lat = d.saturating_sub(send.desc.gen) + BASE_LATENCY;
-                            tl.on_tx(core, d.as_ps(), send.len as u64, lat.as_ns() as u64);
+                            tl.on_tx(core, d.as_ps(), send.len as u64, lat_ns);
                         }
                     }
                     if let Some(tr) = self.trace.as_mut() {
@@ -731,10 +724,11 @@ impl Engine {
         // saturation this yields the true service rate; unsaturated it
         // converges to the offered rate (both ends shift by the same
         // latency). The generation-span start is kept as a lower bound so
-        // a handful of departures cannot inflate the rate.
+        // a handful of departures cannot inflate the rate. (It is set by
+        // the time any measured packet is polled: delivering sequence
+        // number `warmup` sets it.)
         let start = first_measured_departure
             .or(self.measure_gen_start)
-            .or(first_measured_arrival)
             .unwrap_or(SimTime::ZERO);
         let elapsed = last_departure.saturating_sub(start);
         let elapsed_s = elapsed.as_secs().max(1e-9);
@@ -748,24 +742,11 @@ impl Engine {
         // explained by exactly one categorized outcome. An imbalance
         // means a layer lost or double-counted packets — a bug, faulted
         // or not.
-        let stats: Vec<_> = self.nics.iter().map(|s| s.dev.stats()).collect();
-        let ledger = Ledger {
-            generated: self.nics.iter().map(|s| s.next_idx as u64).sum(),
-            fcs_dropped: stats.iter().map(|s| s.rx_fcs_errors).sum(),
-            link_down_dropped: stats.iter().map(|s| s.rx_link_down).sum(),
-            desc_dropped: stats.iter().map(|s| s.rx_desc_drops).sum(),
-            rx_ring_dropped: stats.iter().map(|s| s.rx_dropped).sum(),
-            nf_dropped: nf_dropped_pairs.iter().sum(),
-            tx_ring_dropped: stats.iter().map(|s| s.tx_dropped).sum(),
-            tx_sent: stats.iter().map(|s| s.tx_packets).sum(),
-            truncated_delivered: stats.iter().map(|s| s.rx_truncated).sum(),
-            pool_denials: self.nics.iter().map(|s| s.pmd.stats().pool_denials).sum(),
-        };
+        let ledger = self.tally();
         assert!(
             ledger.balances(),
             "packet-conservation ledger unbalanced: {ledger}"
         );
-        self.ledger = Some(ledger);
 
         // Per-queue conservation: each queue's delivered packets must be
         // explained by that queue's own NF drops, TX-ring drops, and
@@ -783,7 +764,7 @@ impl Engine {
                     queue: q,
                     delivered: qs.rx_packets,
                     rx_ring_dropped: qs.rx_dropped,
-                    nf_dropped: nf_dropped_pairs[p],
+                    nf_dropped: self.nf_dropped_pairs[p],
                     tx_ring_dropped: qs.tx_dropped,
                     tx_sent: qs.tx_packets,
                 }
@@ -829,26 +810,38 @@ impl Engine {
         }
     }
 
-    /// Feeds the timeline's cumulative counter series at `now`. Pure
-    /// reads of engine state — the recorder charges nothing.
-    fn observe_recorder(&mut self, now: SimTime, nf_total: u64) {
-        let Some(tl) = self.timeline.as_mut() else {
-            return;
+    /// The packet-conservation ledger of the run so far, from the NIC
+    /// and PMD counters and the per-pair NF drops: the end-of-run check
+    /// and the timeline's drop series read the same counters.
+    fn tally(&self) -> Ledger {
+        let mut l = Ledger {
+            nf_dropped: self.nf_dropped_pairs.iter().sum(),
+            ..Ledger::default()
         };
-        let now_ps = now.as_ps();
-        tl.observe_llc(now_ps, self.mem.counters().llc_load_misses);
-        // Cumulative drops, in `DropCause::ALL` order.
-        let mut drops = [0u64; 6];
         for st in &self.nics {
             let s = st.dev.stats();
-            drops[0] += s.rx_fcs_errors;
-            drops[1] += s.rx_link_down;
-            drops[2] += s.rx_desc_drops;
-            drops[3] += s.rx_dropped;
-            drops[5] += s.tx_dropped;
+            l.generated += st.next_idx as u64;
+            l.fcs_dropped += s.rx_fcs_errors;
+            l.link_down_dropped += s.rx_link_down;
+            l.desc_dropped += s.rx_desc_drops;
+            l.rx_ring_dropped += s.rx_dropped;
+            l.tx_ring_dropped += s.tx_dropped;
+            l.tx_sent += s.tx_packets;
+            l.truncated_delivered += s.rx_truncated;
+            l.pool_denials += st.pmd.stats().pool_denials;
         }
-        drops[4] = nf_total;
-        tl.observe_drops(now_ps, &drops);
+        l
+    }
+
+    /// Feeds the timeline's cumulative counter series at `now`. Pure
+    /// reads of engine state — the recorder charges nothing.
+    fn observe_recorder(&mut self, now: SimTime) {
+        let ledger = self.tally();
+        let llc_misses = self.mem.counters().llc_load_misses;
+        if let Some(tl) = self.timeline.as_mut() {
+            tl.observe_llc(now.as_ps(), llc_misses);
+            tl.observe_drops(now.as_ps(), &DropCause::ALL.map(|c| ledger.count(c)));
+        }
     }
 
     /// Takes the finished flight-recorder timeline (`None` unless the
@@ -866,7 +859,7 @@ impl Engine {
     /// The packet-conservation ledger of the completed run (`None`
     /// before [`Engine::run`]). Always balanced — `run` asserts it.
     pub fn ledger(&self) -> Option<Ledger> {
-        self.ledger
+        self.queue_ledgers.is_some().then(|| self.tally())
     }
 
     /// The per-(nic, queue) conservation ledgers of the completed run

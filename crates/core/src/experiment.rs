@@ -7,7 +7,7 @@ use crate::click_dataplane::ClickDataplane;
 use crate::engine::{Engine, EngineConfig, Measurement};
 use crate::report::RunReport;
 use pm_click::{ConfigError, ConfigGraph, Graph, GraphRuntime};
-use pm_compile::{MillIr, Pass, Pipeline, ReorderFieldsPass};
+use pm_compile::MillIr;
 use pm_dpdk::{MetadataModel, MetadataSpec};
 use pm_elements::standard_registry;
 use pm_frameworks::Dataplane;
@@ -392,17 +392,6 @@ impl ExperimentBuilder {
         self
     }
 
-    fn pipeline(&self) -> Pipeline {
-        match self.opt {
-            OptLevel::Vanilla => Pipeline::new(),
-            OptLevel::Devirtualize => Pipeline::new().then(pm_compile::DevirtualizePass),
-            OptLevel::ConstantEmbed => Pipeline::new().then(pm_compile::ConstantEmbedPass),
-            OptLevel::StaticGraph => Pipeline::new().then(pm_compile::StaticGraphPass),
-            OptLevel::Reorder => Pipeline::new(),
-            OptLevel::AllSource | OptLevel::Full => Pipeline::packetmill(),
-        }
-    }
-
     /// Builds the optimized IR (configuration + plan) without running —
     /// useful for inspecting the transformation log.
     pub fn build_ir(&self) -> Result<MillIr, ExperimentError> {
@@ -411,12 +400,18 @@ impl ExperimentBuilder {
         if let Some(pm_dpdk::MempoolMode::Lifo) = self.pool_mode {
             ir.plan.lifo_packet_pool = true;
         }
-        self.pipeline().run(&mut ir);
+        match self.opt {
+            OptLevel::Vanilla | OptLevel::Reorder => {}
+            OptLevel::Devirtualize => pm_compile::devirtualize(&mut ir),
+            OptLevel::ConstantEmbed => pm_compile::embed_constants(&mut ir),
+            OptLevel::StaticGraph => pm_compile::static_graph(&mut ir),
+            OptLevel::AllSource | OptLevel::Full => pm_compile::packetmill(&mut ir),
+        }
         if matches!(self.opt, OptLevel::Full | OptLevel::Reorder)
             && self.model == MetadataModel::Copying
         {
             let profile = self.collect_profile(&ir)?;
-            ReorderFieldsPass::from_profile(profile).run(&mut ir);
+            pm_compile::reorder_fields(&mut ir, &profile);
         }
         Ok(ir)
     }
@@ -694,24 +689,30 @@ mod tests {
 
     #[test]
     fn pipeline_matches_opt_level() {
-        let b = ExperimentBuilder::new(Nf::Forwarder);
-        assert!(b
-            .clone()
-            .optimization(OptLevel::Vanilla)
-            .pipeline()
-            .is_empty());
-        assert_eq!(
-            b.clone()
-                .optimization(OptLevel::Devirtualize)
-                .pipeline()
-                .len(),
-            1
-        );
-        assert_eq!(
-            b.clone().optimization(OptLevel::AllSource).pipeline().len(),
-            4
-        );
-        assert_eq!(b.optimization(OptLevel::Full).pipeline().len(), 4);
+        use pm_click::DispatchMode::{Direct, Inlined, Virtual};
+        // X-Change skips the reordering pre-run; the flags do not depend
+        // on the model.
+        for (opt, dispatch, constants, static_graph) in [
+            (OptLevel::Vanilla, Virtual, false, false),
+            (OptLevel::Devirtualize, Direct, false, false),
+            (OptLevel::ConstantEmbed, Virtual, true, false),
+            (OptLevel::StaticGraph, Inlined, false, true),
+            (OptLevel::AllSource, Inlined, true, true),
+            (OptLevel::Reorder, Virtual, false, false),
+            (OptLevel::Full, Inlined, true, true),
+        ] {
+            let plan = ExperimentBuilder::new(Nf::Forwarder)
+                .metadata_model(MetadataModel::XChange)
+                .optimization(opt)
+                .build_ir()
+                .expect("ir")
+                .plan;
+            assert_eq!(
+                (plan.dispatch, plan.constants_embedded, plan.static_graph),
+                (dispatch, constants, static_graph),
+                "{opt:?}"
+            );
+        }
     }
 
     #[test]

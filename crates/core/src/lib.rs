@@ -50,7 +50,7 @@ pub use sweep::{RunOutcome, SweepCli, SweepReport, SweepResults, SweepSpec};
 // Re-exports so examples and tests need only this crate.
 pub use pm_click::TableStats;
 pub use pm_click::{ConfigGraph, DispatchMode, ExecPlan, Graph};
-pub use pm_compile::{MillIr, Pipeline, ReorderFieldsPass};
+pub use pm_compile::MillIr;
 pub use pm_dpdk::{MempoolMode, MetaField, MetadataModel, MetadataSpec};
 pub use pm_elements::{configs, standard_registry};
 pub use pm_frameworks::{BessEngine, Dataplane, L2Fwd, VppEngine};

@@ -19,6 +19,7 @@
 //! Like the paper's prototype, there is no vectorized RX/TX path
 //! (§4's experiments keep it off everywhere).
 
+use crate::layout::StructLayout;
 use crate::mempool::{Mempool, MempoolMode};
 use crate::xchg::{MetadataModel, MetadataSpec, XchgRing};
 use pm_mem::program::dedup_field_lines;
@@ -64,7 +65,7 @@ pub struct PmdConfig {
     /// X-Change: the application's descriptor layout. `None` derives a
     /// minimal layout from `spec`; a framework passes its own `Packet`
     /// layout here so the driver writes fields in place (paper §3.1).
-    pub xchg_layout: Option<crate::layout::StructLayout>,
+    pub xchg_layout: Option<StructLayout>,
 }
 
 impl Default for PmdConfig {
@@ -163,18 +164,15 @@ pub struct Pmd {
     /// conversion program (no per-burst allocation).
     rows_scratch: Vec<[u64; 3]>,
     /// Precompiled access programs for the hot per-packet charge sets
-    /// (see [`pm_mem::program`]): CQE poll, per-completion mbuf-write
-    /// conversion, TX metadata load, TX WQE store. Built on first use;
-    /// step-for-step identical to the former inline call sequences.
-    poll_prog: Option<AccessProgram>,
-    rx_mbuf_prog: Option<AccessProgram>,
-    rx_wqe_prog: Option<AccessProgram>,
-    tx_meta_prog: Option<AccessProgram>,
-    tx_wqe_prog: Option<AccessProgram>,
-    /// Per-queue X-Change conversion programs (CQE parse + one store per
-    /// distinct descriptor line + conversion work), tagged with the
-    /// ring's layout generation so a reordering pass recompiles them.
-    xchg_progs: Vec<Option<(u64, AccessProgram)>>,
+    /// (see [`pm_mem::program`]), built in [`Pmd::new`]: CQE poll, the
+    /// per-completion conversion the metadata model implies (for
+    /// X-Change, from the layout every queue's ring shares), RX WQE
+    /// store, TX metadata load, TX WQE store.
+    poll_prog: AccessProgram,
+    rx_meta_prog: AccessProgram,
+    rx_wqe_prog: AccessProgram,
+    tx_meta_prog: AccessProgram,
+    tx_wqe_prog: AccessProgram,
 }
 
 impl Pmd {
@@ -186,16 +184,28 @@ impl Pmd {
     pub fn new(cfg: PmdConfig, space: &mut AddressSpace) -> Self {
         assert!(cfg.burst > 0, "burst must be positive");
         assert!(cfg.queues > 0, "a PMD drives at least one queue pair");
-        let xchg = if cfg.model == MetadataModel::XChange {
+        let (xchg, rx_meta_prog) = if cfg.model == MetadataModel::XChange {
             let layout = cfg
                 .xchg_layout
                 .clone()
                 .unwrap_or_else(|| cfg.spec.to_layout("AppDescriptor"));
-            (0..cfg.queues)
+            let prog = xchg_program(&cfg.spec, &layout);
+            let rings = (0..cfg.queues)
                 .map(|_| XchgRing::new(space, XCHG_RING_SIZE, layout.clone()))
-                .collect()
+                .collect();
+            (rings, prog)
         } else {
-            Vec::new()
+            // Full rte_mbuf RX field set: all in the first line.
+            let prog = ProgramBuilder::new()
+                .prefetch(0, 0, 64)
+                .load(0, 0, 32)
+                .compute(18)
+                .prefetch(1, 0, 128)
+                .compute(2)
+                .store(2, 0, 64)
+                .compute(16)
+                .build();
+            (Vec::new(), prog)
         };
         Pmd {
             meta_region: space.alloc_pages(u64::from(cfg.pool_size) * META_STRIDE),
@@ -212,19 +222,13 @@ impl Pmd {
             stats: PmdStats::default(),
             comps_scratch: Vec::new(),
             rows_scratch: Vec::new(),
-            poll_prog: None,
-            rx_mbuf_prog: None,
-            rx_wqe_prog: None,
-            tx_meta_prog: None,
-            tx_wqe_prog: None,
-            xchg_progs: vec![None; cfg.queues],
+            poll_prog: ProgramBuilder::new().compute(8).load(0, 0, 8).build(),
+            rx_meta_prog,
+            rx_wqe_prog: ProgramBuilder::new().store(0, 0, 16).compute(7).build(),
+            tx_meta_prog: ProgramBuilder::new().load(0, 0, 16).compute(13).build(),
+            tx_wqe_prog: ProgramBuilder::new().store(0, 0, 32).compute(10).build(),
             cfg,
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &PmdConfig {
-        &self.cfg
     }
 
     /// Statistics.
@@ -339,12 +343,9 @@ impl Pmd {
         let mut cost = Cost::ZERO;
         // Poll-loop entry + the next CQE slot read (happens even when
         // empty), as one program.
-        let poll_prog = self
-            .poll_prog
-            .get_or_insert_with(|| ProgramBuilder::new().compute(8).load(0, 0, 8).build());
         mem.run_program(
             core,
-            poll_prog,
+            &self.poll_prog,
             &[nic.rx_ring_mut(q).poll_addr()],
             &mut cost,
         );
@@ -401,57 +402,7 @@ impl Pmd {
         // identical to the former per-completion runs, one attribution
         // window for the burst).
         if !rows.is_empty() {
-            let prog = match self.cfg.model {
-                MetadataModel::Copying | MetadataModel::Overlaying => {
-                    // Full rte_mbuf RX field set: all in the first line.
-                    self.rx_mbuf_prog.get_or_insert_with(|| {
-                        ProgramBuilder::new()
-                            .prefetch(0, 0, 64)
-                            .load(0, 0, 32)
-                            .compute(18)
-                            .prefetch(1, 0, 128)
-                            .compute(2)
-                            .store(2, 0, 64)
-                            .compute(16)
-                            .build()
-                    })
-                }
-                MetadataModel::XChange => {
-                    // Conversion functions: one store per needed field,
-                    // deduped to distinct descriptor lines — resolved at
-                    // program-compile time from the ring layout (slots
-                    // are line-aligned, so offset-relative dedup equals
-                    // the per-packet absolute-address dedup it replaces).
-                    // The layout generation only changes between bursts
-                    // (a reordering pass installs a new layout), so one
-                    // compile check per burst suffices.
-                    let ring = &self.xchg[q];
-                    let slot_prog = &mut self.xchg_progs[q];
-                    let gen = ring.generation();
-                    if slot_prog.as_ref().map(|(g, _)| *g) != Some(gen) {
-                        let fields: Vec<(u32, u32)> = self
-                            .cfg
-                            .spec
-                            .fields()
-                            .iter()
-                            .filter_map(|f| ring.layout().field(f.name()))
-                            .map(|fl| (fl.offset, fl.size))
-                            .collect();
-                        let mut b = ProgramBuilder::new()
-                            .prefetch(0, 0, 64)
-                            .load(0, 0, 32)
-                            .compute(18)
-                            .prefetch(1, 0, 128)
-                            .compute(2);
-                        for l in dedup_field_lines(&fields) {
-                            b = b.store(2, l * 64, 64);
-                        }
-                        *slot_prog = Some((gen, b.compute(self.cfg.spec.len() as u32).build()));
-                    }
-                    &slot_prog.as_ref().unwrap().1
-                }
-            };
-            mem.run_program_batch(core, prog, &rows, &mut cost);
+            mem.run_program_batch(core, &self.rx_meta_prog, &rows, &mut cost);
         }
         self.rows_scratch = rows;
         // Replenish the ring back to full (covers this burst plus any
@@ -494,10 +445,7 @@ impl Pmd {
                 buf_id: b,
                 data_addr: dma.data_addr(b),
             });
-            let wqe_prog = self
-                .rx_wqe_prog
-                .get_or_insert_with(|| ProgramBuilder::new().store(0, 0, 16).compute(7).build());
-            mem.run_program(core, wqe_prog, &[wqe], &mut cost);
+            mem.run_program(core, &self.rx_wqe_prog, &[wqe], &mut cost);
         }
 
         if !out.is_empty() {
@@ -558,10 +506,7 @@ impl Pmd {
         for s in sends {
             // Convert metadata to the TX descriptor: load the metadata
             // structure (hot for X-Change, pool-cycled otherwise).
-            let meta_prog = self
-                .tx_meta_prog
-                .get_or_insert_with(|| ProgramBuilder::new().load(0, 0, 16).compute(13).build());
-            mem.run_program(core, meta_prog, &[s.desc.meta_addr], &mut cost);
+            mem.run_program(core, &self.tx_meta_prog, &[s.desc.meta_addr], &mut cost);
 
             let req = TxRequest {
                 buf_id: s.desc.buf_id,
@@ -572,10 +517,7 @@ impl Pmd {
             };
             match nic.tx_send(q, req, now, mem) {
                 Some((departed, wqe_addr)) => {
-                    let wqe_prog = self.tx_wqe_prog.get_or_insert_with(|| {
-                        ProgramBuilder::new().store(0, 0, 32).compute(10).build()
-                    });
-                    mem.run_program(core, wqe_prog, &[wqe_addr], &mut cost);
+                    mem.run_program(core, &self.tx_wqe_prog, &[wqe_addr], &mut cost);
                     self.stats.tx_packets += 1;
                     departures.push(Some(departed));
                 }
@@ -650,6 +592,30 @@ impl Pmd {
         mem.profile_charge_at(SCOPE_MEMPOOL, cost);
         cost
     }
+}
+
+/// The X-Change per-completion conversion: the mbuf program's CQE parse
+/// and header prefetch, then the conversion functions — one store per
+/// distinct descriptor line holding a field of `spec` (slots are
+/// line-aligned, so offset-relative dedup equals the per-packet
+/// absolute-address dedup) — and one work unit per field.
+fn xchg_program(spec: &MetadataSpec, layout: &StructLayout) -> AccessProgram {
+    let fields: Vec<(u32, u32)> = spec
+        .fields()
+        .iter()
+        .filter_map(|f| layout.field(f.name()))
+        .map(|fl| (fl.offset, fl.size))
+        .collect();
+    let mut b = ProgramBuilder::new()
+        .prefetch(0, 0, 64)
+        .load(0, 0, 32)
+        .compute(18)
+        .prefetch(1, 0, 128)
+        .compute(2);
+    for l in dedup_field_lines(&fields) {
+        b = b.store(2, l * 64, 64);
+    }
+    b.compute(spec.len() as u32).build()
 }
 
 #[cfg(test)]

@@ -215,9 +215,6 @@ pub struct XchgRing {
     /// application. The O(1) double-return check.
     is_free: Vec<bool>,
     n: u32,
-    /// Bumped on every layout change, so PMD-side precompiled conversion
-    /// programs can detect staleness with one integer compare.
-    generation: u64,
 }
 
 impl XchgRing {
@@ -237,7 +234,6 @@ impl XchgRing {
             free: (0..n).collect(),
             is_free: vec![true; n as usize],
             n,
-            generation: 0,
         }
     }
 
@@ -249,30 +245,6 @@ impl XchgRing {
     /// Free descriptors available for the driver.
     pub fn available(&self) -> usize {
         self.free.len()
-    }
-
-    /// The application descriptor layout.
-    pub fn layout(&self) -> &StructLayout {
-        &self.layout
-    }
-
-    /// Replaces the layout (after a reordering pass).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the new layout needs more lines than the ring's stride.
-    pub fn set_layout(&mut self, layout: StructLayout) {
-        assert!(
-            u64::from(layout.size_lines()) <= self.stride,
-            "reordered layout must not grow past the slot stride"
-        );
-        self.layout = layout;
-        self.generation += 1;
-    }
-
-    /// The layout generation (bumped by [`XchgRing::set_layout`]).
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Driver side: takes a free descriptor slot.
@@ -404,15 +376,6 @@ mod tests {
         let mut space = AddressSpace::new();
         let mut r = XchgRing::new(&mut space, 2, MetadataSpec::minimal().to_layout("D"));
         r.give_back(2);
-    }
-
-    #[test]
-    fn reordered_layout_swap() {
-        let mut space = AddressSpace::new();
-        let mut r = XchgRing::new(&mut space, 2, MetadataSpec::routing().to_layout("D"));
-        let new = r.layout().reordered(&["rss_hash"]);
-        r.set_layout(new);
-        assert_eq!(r.layout().offset_of("rss_hash"), 0);
     }
 
     #[test]

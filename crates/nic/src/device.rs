@@ -229,30 +229,17 @@ impl Nic {
         self.toeplitz = Toeplitz::with_key(key);
     }
 
-    /// Delivers a frame arriving at `now`: RSS-steers it, consumes a
-    /// posted buffer, paces the PCIe write, DMA-writes data + completion
-    /// descriptor, and publishes the completion. The caller supplies the
-    /// generator's packet index as `seq` (latency/measurement identity —
-    /// drops must not renumber survivors).
+    /// Delivers a frame arriving at `now` with RSS hash `hash`: steers
+    /// it, consumes a posted buffer, paces the PCIe write, DMA-writes the
+    /// data and the completion descriptor, and publishes the completion.
+    /// The caller supplies the generator's packet index as `seq`
+    /// (latency/measurement identity — drops must not renumber
+    /// survivors) and the hash: a cyclic trace replays the same frames
+    /// many times, so a generator can compute each frame's hash once
+    /// ([`Self::rss_hash`] is a pure function of the bytes) and skip the
+    /// per-delivery Toeplitz work.
     ///
     /// Returns the queue it landed on, or `None` if it was dropped.
-    pub fn rx_deliver_seq(
-        &mut self,
-        frame: &[u8],
-        now: SimTime,
-        seq: u64,
-        mem: &mut MemoryHierarchy,
-        dma: &mut DmaMemory,
-    ) -> Option<usize> {
-        let hash = self.rss_hash(frame);
-        self.rx_deliver_hashed(frame, hash, now, seq, mem, dma)
-    }
-
-    /// [`Self::rx_deliver_seq`] with the RSS hash supplied by the
-    /// caller. A cyclic trace replays the same frames many times, so a
-    /// generator can compute each frame's hash once ([`Self::rss_hash`]
-    /// is a pure function of the bytes) and skip the per-delivery
-    /// Toeplitz work.
     pub fn rx_deliver_hashed(
         &mut self,
         frame: &[u8],
@@ -357,8 +344,8 @@ impl Nic {
         }
     }
 
-    /// [`Self::rx_deliver_seq`] with an internally assigned sequence
-    /// number (tests and simple drivers).
+    /// [`Self::rx_deliver_hashed`] with the hash computed here and an
+    /// internally assigned sequence number (tests and simple drivers).
     pub fn rx_deliver(
         &mut self,
         frame: &[u8],
@@ -368,7 +355,8 @@ impl Nic {
     ) -> Option<usize> {
         let seq = self.seq;
         self.seq += 1;
-        self.rx_deliver_seq(frame, now, seq, mem, dma)
+        let hash = self.rss_hash(frame);
+        self.rx_deliver_hashed(frame, hash, now, seq, mem, dma)
     }
 
     /// Accepts a transmit request at `now`; returns the wire-departure

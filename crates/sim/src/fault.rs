@@ -21,12 +21,9 @@
 //! the engine asserts the balance at the end of every run.
 
 use crate::rng::SplitMix64;
+use crate::spec::{clauses, fmt_window, parse_count, parse_rate, Clause, Event, PPM};
 use crate::time::SimTime;
 use std::fmt;
-
-/// Probabilities are stored in parts-per-million so plans are `Eq`,
-/// hashable, and free of float-comparison hazards.
-pub const PPM: u64 = 1_000_000;
 
 /// What kind of fault an event injects.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -267,102 +264,32 @@ impl FaultPlan {
     /// `seed=7;bitflip@..:rate=0.001;flap@1ms..1.5ms;slow@..:element=Null,factor=3`
     pub fn parse(spec: &str) -> Result<FaultPlan, FaultSpecError> {
         let mut plan = FaultPlan::new(0);
-        for clause in spec.split(';') {
-            let clause = clause.trim();
-            if clause.is_empty() {
-                continue;
-            }
-            if let Some(v) = clause.strip_prefix("seed=") {
-                plan.seed =
-                    parse_u64(v).ok_or_else(|| FaultSpecError(format!("bad seed '{v}'")))?;
-                continue;
-            }
-            let (head, params) = match clause.split_once(':') {
-                Some((h, p)) => (h, Some(p)),
-                None => (clause, None),
-            };
-            let (kind_name, window) = head
-                .split_once('@')
-                .ok_or_else(|| FaultSpecError(format!("clause '{clause}' needs '@window'")))?;
-            let (from_s, until_s) = window
-                .split_once("..")
-                .ok_or_else(|| FaultSpecError(format!("window '{window}' needs '..'")))?;
-            let from = parse_time(from_s, SimTime::ZERO)?;
-            let until = parse_time(until_s, SimTime::MAX)?;
-            if until <= from {
-                return Err(FaultSpecError(format!("empty window '{window}'")));
-            }
-            let params = parse_params(params.unwrap_or(""))?;
-            let get = |key: &str| {
-                params
-                    .iter()
-                    .find(|(k, _)| k == key)
-                    .map(|(_, v)| v.as_str())
-            };
-            let known = |allowed: &[&str]| -> Result<(), FaultSpecError> {
-                for (k, _) in &params {
-                    if !allowed.contains(&k.as_str()) {
-                        return Err(FaultSpecError(format!(
-                            "unknown parameter '{k}' for '{kind_name}'"
-                        )));
-                    }
-                }
-                Ok(())
-            };
-            let rate = || -> Result<u32, FaultSpecError> {
-                let v = get("rate")
-                    .ok_or_else(|| FaultSpecError(format!("'{kind_name}' needs rate=")))?;
-                parse_rate(v).ok_or_else(|| FaultSpecError(format!("bad rate '{v}'")))
-            };
-            let kind = match kind_name {
-                "bitflip" => {
-                    known(&["rate"])?;
-                    FaultKind::BitFlip { rate_ppm: rate()? }
-                }
-                "trunc" => {
-                    known(&["rate"])?;
-                    FaultKind::Truncate { rate_ppm: rate()? }
-                }
-                "drop" => {
-                    known(&["rate"])?;
-                    FaultKind::DescDrop { rate_ppm: rate()? }
-                }
-                "flap" => {
-                    known(&[])?;
-                    FaultKind::LinkFlap
-                }
-                "pool" => {
-                    known(&[])?;
-                    FaultKind::PoolExhaust
-                }
-                "slow" => {
-                    known(&["element", "factor"])?;
-                    let element = get("element")
-                        .ok_or_else(|| FaultSpecError("'slow' needs element=".into()))?
-                        .to_string();
-                    let f = get("factor")
-                        .ok_or_else(|| FaultSpecError("'slow' needs factor=".into()))?;
-                    let factor: f64 =
-                        f.parse().ok().filter(|&f| f >= 1.0).ok_or_else(|| {
-                            FaultSpecError(format!("bad factor '{f}' (must be ≥ 1)"))
-                        })?;
-                    FaultKind::Slowdown {
-                        element,
-                        factor_x1000: (factor * 1000.0).round() as u32,
-                    }
-                }
-                other => return Err(FaultSpecError(format!("unknown fault kind '{other}'"))),
-            };
-            plan.push(kind, from, until);
+        for clause in clauses(spec) {
+            plan.apply(clause).map_err(FaultSpecError)?;
         }
         Ok(plan)
+    }
+
+    /// Applies one lexed clause.
+    fn apply(&mut self, clause: Result<Clause<'_>, String>) -> Result<(), String> {
+        match clause? {
+            Clause::Scalar("seed", v) => {
+                self.seed = parse_count(v).ok_or_else(|| format!("bad seed '{v}'"))?;
+            }
+            Clause::Scalar(key, _) => return Err(format!("unknown key '{key}'")),
+            Clause::Event(ev) => {
+                let (from, until) = ev.window(SimTime::ZERO, SimTime::MAX, parse_time)?;
+                self.push(fault_kind(&ev)?, from, until);
+            }
+        }
+        Ok(())
     }
 
     /// The canonical spec string ([`Self::parse`] round-trips it).
     pub fn to_spec(&self) -> String {
         let mut out = format!("seed={}", self.seed);
         for e in &self.events {
-            let window = format!("{}..{}", fmt_time(e.from), fmt_until(e.until));
+            let window = fmt_window((e.from, e.until), (SimTime::ZERO, SimTime::MAX), fmt_time);
             let clause = match &e.kind {
                 FaultKind::BitFlip { rate_ppm } => format!("bitflip@{window}:rate={rate_ppm}ppm"),
                 FaultKind::Truncate { rate_ppm } => format!("trunc@{window}:rate={rate_ppm}ppm"),
@@ -384,81 +311,77 @@ impl FaultPlan {
     }
 }
 
-fn parse_u64(s: &str) -> Option<u64> {
-    match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => s.parse().ok(),
-    }
-}
-
-/// `0.01` (probability) or `1500ppm`.
-fn parse_rate(s: &str) -> Option<u32> {
-    if let Some(p) = s.strip_suffix("ppm") {
-        return p.parse::<u32>().ok().filter(|&p| u64::from(p) <= PPM);
-    }
-    let f: f64 = s.parse().ok()?;
-    (0.0..=1.0)
-        .contains(&f)
-        .then(|| (f * PPM as f64).round() as u32)
-}
-
-fn parse_time(s: &str, default: SimTime) -> Result<SimTime, FaultSpecError> {
-    let s = s.trim();
-    if s.is_empty() {
-        return Ok(default);
-    }
-    let (num, mul_ps) = if let Some(v) = s.strip_suffix("ns") {
-        (v, 1_000.0)
-    } else if let Some(v) = s.strip_suffix("us") {
-        (v, 1_000_000.0)
-    } else if let Some(v) = s.strip_suffix("ms") {
-        (v, 1_000_000_000.0)
-    } else if let Some(v) = s.strip_suffix("ps") {
-        (v, 1.0)
-    } else if let Some(v) = s.strip_suffix('s') {
-        (v, 1e12)
-    } else {
-        return Err(FaultSpecError(format!(
-            "time '{s}' needs a unit (ps/ns/us/ms/s)"
-        )));
+/// The fault one event clause schedules.
+fn fault_kind(ev: &Event<'_>) -> Result<FaultKind, String> {
+    let rate = || {
+        ev.only(&["rate"])?;
+        let v = ev.param("rate")?;
+        parse_rate(v).ok_or_else(|| format!("bad rate '{v}'"))
     };
+    Ok(match ev.kind {
+        "bitflip" => FaultKind::BitFlip { rate_ppm: rate()? },
+        "trunc" => FaultKind::Truncate { rate_ppm: rate()? },
+        "drop" => FaultKind::DescDrop { rate_ppm: rate()? },
+        "flap" => {
+            ev.only(&[])?;
+            FaultKind::LinkFlap
+        }
+        "pool" => {
+            ev.only(&[])?;
+            FaultKind::PoolExhaust
+        }
+        "slow" => {
+            ev.only(&["element", "factor"])?;
+            let element = ev.param("element")?.to_string();
+            let f = ev.param("factor")?;
+            let factor: f64 = f
+                .parse()
+                .ok()
+                .filter(|&f| f >= 1.0)
+                .ok_or_else(|| format!("bad factor '{f}' (must be ≥ 1)"))?;
+            FaultKind::Slowdown {
+                element,
+                factor_x1000: (factor * 1000.0).round() as u32,
+            }
+        }
+        other => return Err(format!("unknown fault kind '{other}'")),
+    })
+}
+
+/// A window endpoint: a number with a unit. Integers are read exactly
+/// (saturating), so every [`fmt_time`] output parses back to its
+/// picoseconds; fractions go through `f64`.
+fn parse_time(s: &str) -> Result<SimTime, String> {
+    // `s` last: every other unit ends with it.
+    let units: [(&str, u64); 5] = [
+        ("ps", 1),
+        ("ns", 1_000),
+        ("us", 1_000_000),
+        ("ms", 1_000_000_000),
+        ("s", 1_000_000_000_000),
+    ];
+    let (num, mul_ps) = units
+        .into_iter()
+        .find_map(|(unit, ps)| s.strip_suffix(unit).map(|n| (n, ps)))
+        .ok_or_else(|| format!("time '{s}' needs a unit (ps/ns/us/ms/s)"))?;
+    if let Ok(n) = num.parse::<u64>() {
+        return Ok(SimTime::from_ps(n.saturating_mul(mul_ps)));
+    }
     let f: f64 = num
         .parse()
         .ok()
         .filter(|f| *f >= 0.0)
-        .ok_or_else(|| FaultSpecError(format!("bad time '{s}'")))?;
-    Ok(SimTime::from_ps((f * mul_ps).round() as u64))
+        .ok_or_else(|| format!("bad time '{s}'"))?;
+    Ok(SimTime::from_ps((f * mul_ps as f64).round() as u64))
 }
 
+/// Whole nanoseconds as integer `ns`, anything else as integer `ps`:
+/// `f64` nanoseconds lose picosecond resolution near 2^43 ns.
 fn fmt_time(t: SimTime) -> String {
-    if t == SimTime::ZERO {
-        String::new()
-    } else {
-        format!("{}ns", t.as_ps() as f64 / 1e3)
+    match t.as_ps() {
+        ps if ps % 1000 == 0 => format!("{}ns", ps / 1000),
+        ps => format!("{ps}ps"),
     }
-}
-
-fn fmt_until(t: SimTime) -> String {
-    if t == SimTime::MAX {
-        String::new()
-    } else {
-        fmt_time(t)
-    }
-}
-
-fn parse_params(s: &str) -> Result<Vec<(String, String)>, FaultSpecError> {
-    let mut out = Vec::new();
-    for p in s.split(',') {
-        let p = p.trim();
-        if p.is_empty() {
-            continue;
-        }
-        let (k, v) = p
-            .split_once('=')
-            .ok_or_else(|| FaultSpecError(format!("parameter '{p}' needs '='")))?;
-        out.push((k.trim().to_string(), v.trim().to_string()));
-    }
-    Ok(out)
 }
 
 /// The shared drop-cause taxonomy: every packet that does not make it
@@ -654,8 +577,8 @@ mod tests {
 
     #[test]
     fn spec_parses_and_round_trips() {
-        let spec = "seed=0xCAFE;bitflip@..:rate=0.001;trunc@1ms..2ms:rate=250ppm;\
-                    drop@..1ms:rate=0.02;flap@1.5ms..1.6ms;pool@2ms..;\
+        let spec = " seed = 0xCAFE ;bitflip@..:rate=0.001;trunc @ 1ms .. 2ms : rate= 250ppm ,;\
+                    drop@..1ms:rate=0.02;;flap@1.5ms..1.6ms;pool@2ms..;\
                     slow@..:element=Null,factor=2.5";
         let p = FaultPlan::parse(spec).expect("parses");
         assert_eq!(p.seed, 0xCAFE);
@@ -677,6 +600,26 @@ mod tests {
     }
 
     #[test]
+    fn long_windows_round_trip_exactly() {
+        // 8 857 258 893 747.124 ns has no exact `f64`: printed as a
+        // decimal `ns` count it reparsed one picosecond short.
+        let p = FaultPlan::parse("flap@8857258893747124ps..").expect("parses");
+        assert_eq!(p.events()[0].from, SimTime::from_ps(8_857_258_893_747_124));
+        assert_eq!(p.to_spec(), "seed=0;flap@8857258893747124ps..");
+        for ps in [1, 999, 1_000, 40_000_000, (1 << 53) + 1, u64::MAX - 1] {
+            let p =
+                FaultPlan::new(3).with(FaultKind::PoolExhaust, SimTime::from_ps(ps), SimTime::MAX);
+            assert_eq!(FaultPlan::parse(&p.to_spec()), Ok(p), "{ps} ps");
+        }
+        assert_eq!(
+            FaultPlan::new(0)
+                .with(FaultKind::LinkFlap, ms(0.8), ms(1.0))
+                .to_spec(),
+            "seed=0;flap@800000ns..1000000ns"
+        );
+    }
+
+    #[test]
     fn spec_errors_are_reported() {
         for bad in [
             "bitflip@..",                      // missing rate
@@ -688,6 +631,10 @@ mod tests {
             "slow@..:element=Null,factor=0.5", // factor < 1
             "pool@1q..2q",                     // bad time unit
             "bitflip",                         // no window
+            "flows=1k",                        // a workload key
+            "seed=0x",                         // bad seed
+            "drop@..:rate=0.1,x=1",            // unknown parameter
+            "drop@..:rate",                    // parameter without '='
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "'{bad}' should fail");
         }

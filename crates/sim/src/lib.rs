@@ -1,7 +1,8 @@
 //! Simulation kernel for PacketMill-rs.
 //!
 //! This crate provides the shared time base, frequency arithmetic,
-//! fault plans, and deterministic random-number generation used by every
+//! fault plans, the clause lexer both spec grammars share, and
+//! deterministic random-number generation used by every
 //! other simulation crate in the workspace.
 //!
 //! # Design notes
@@ -19,6 +20,7 @@
 pub mod fault;
 pub mod freq;
 pub mod rng;
+pub mod spec;
 pub mod time;
 
 pub use fault::{DropCause, FaultEvent, FaultKind, FaultPlan, FaultSpecError, Ledger, WireFault};

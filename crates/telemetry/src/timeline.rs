@@ -408,8 +408,7 @@ mod tests {
         assert_eq!(t.window_end_us, vec![100.0, 200.0, 250.0]);
         // Window 0 closes at the 120 µs observation with the full delta.
         assert_eq!(t.llc_misses, vec![25, 0, 0]);
-        assert_eq!(t.drops[0], ("fcs", vec![2, 0, 0]));
-        assert_eq!(t.drops[1], ("nf", vec![3, 0, 0]));
+        assert_eq!(t.drops, [("fcs", vec![2, 0, 0]), ("nf", vec![3, 0, 0])]);
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! exist, how skewed their popularity is, how fast they churn, and which
 //! adversarial mixes (SYN floods, port-scan storms) ride on top — in a
 //! compact `--workload` spec string with a canonical
-//! [`WorkloadSpec::parse`]/[`WorkloadSpec::to_spec`] round-trip, in the
-//! same grammar family as `--faults` (`pm_sim::fault::FaultPlan`).
+//! [`WorkloadSpec::parse`]/[`WorkloadSpec::to_spec`] round-trip. Clauses
+//! are lexed by `pm_sim::spec`, the lexer `--faults` uses too; this
+//! module owns only the keys, the attack kinds and the frame-count
+//! window unit.
 //!
 //! Every decision a [`Workload`] makes — which flow a frame belongs to,
 //! when a flow's generation rotates, whether a frame is an attack
@@ -23,11 +25,9 @@
 //! conservation property pinned by `tests/tests/workloads.rs`.
 
 use crate::zipf::Zipf;
+use pm_sim::spec::{clauses, fmt_window, parse_count, parse_rate, Clause, Event, PPM};
 use pm_sim::SplitMix64;
 use std::fmt;
-
-/// Probabilities are parts-per-million, like fault-plan rates.
-pub const PPM: u64 = 1_000_000;
 
 /// Parse-level cap on the flow population (a `Zipf` table costs 8 B per
 /// flow, so an unbounded spec would let a fuzzed string allocate
@@ -146,32 +146,6 @@ impl Default for WorkloadSpec {
     }
 }
 
-/// `1000`, `64k`, `10M` (k = 1000, M = 1000000), hex with `0x`.
-fn parse_count(s: &str) -> Option<u64> {
-    if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        return u64::from_str_radix(hex, 16).ok();
-    }
-    let (num, mul) = if let Some(v) = s.strip_suffix(['k', 'K']) {
-        (v, 1_000u64)
-    } else if let Some(v) = s.strip_suffix('M') {
-        (v, 1_000_000)
-    } else {
-        (s, 1)
-    };
-    num.parse::<u64>().ok()?.checked_mul(mul)
-}
-
-/// `0.01` (probability) or `1500ppm`.
-fn parse_rate(s: &str) -> Option<u32> {
-    if let Some(p) = s.strip_suffix("ppm") {
-        return p.parse::<u32>().ok().filter(|&p| u64::from(p) <= PPM);
-    }
-    let f: f64 = s.parse().ok()?;
-    (0.0..=1.0)
-        .contains(&f)
-        .then(|| (f * PPM as f64).round() as u32)
-}
-
 impl WorkloadSpec {
     /// Parses a workload spec (the `--workload` CLI syntax):
     /// `;`-separated clauses.
@@ -187,137 +161,54 @@ impl WorkloadSpec {
     /// `flows=1M;zipf=1.1;life=64k;syn@10k..200k:rate=0.2;scan@..:rate=5000ppm`
     pub fn parse(spec: &str) -> Result<WorkloadSpec, WorkloadSpecError> {
         let mut w = WorkloadSpec::default();
-        for clause in spec.split(';') {
-            let clause = clause.trim();
-            if clause.is_empty() {
-                continue;
-            }
-            if let Some((key, v)) = clause.split_once('=') {
-                if !clause.contains('@') {
-                    match key.trim() {
-                        "seed" => {
-                            w.seed = parse_count(v)
-                                .ok_or_else(|| WorkloadSpecError(format!("bad seed '{v}'")))?;
-                        }
-                        "flows" => {
-                            w.flows = parse_count(v)
-                                .filter(|&n| (1..=MAX_FLOWS).contains(&n))
-                                .ok_or_else(|| {
-                                    WorkloadSpecError(format!("bad flows '{v}' (1..={MAX_FLOWS})"))
-                                })?;
-                        }
-                        "zipf" => {
-                            let a: f64 = v
-                                .parse()
-                                .ok()
-                                .filter(|a| (0.0..=4.0).contains(a))
-                                .ok_or_else(|| {
-                                    WorkloadSpecError(format!("bad zipf '{v}' (0..=4)"))
-                                })?;
-                            w.zipf_x1000 = (a * 1000.0).round() as u32;
-                        }
-                        "life" => {
-                            w.life = parse_count(v)
-                                .ok_or_else(|| WorkloadSpecError(format!("bad life '{v}'")))?;
-                        }
-                        "frames" => {
-                            w.frames =
-                                parse_count(v).filter(|&n| n <= MAX_FRAMES).ok_or_else(|| {
-                                    WorkloadSpecError(format!(
-                                        "bad frames '{v}' (0..={MAX_FRAMES})"
-                                    ))
-                                })?;
-                        }
-                        "size" => {
-                            w.size = if v.trim() == "campus" {
-                                SizeModel::Campus
-                            } else {
-                                let b = v
-                                    .trim()
-                                    .parse::<u16>()
-                                    .ok()
-                                    .filter(|b| (64..=1500).contains(b))
-                                    .ok_or_else(|| {
-                                        WorkloadSpecError(format!(
-                                            "bad size '{v}' (campus or 64..=1500)"
-                                        ))
-                                    })?;
-                                SizeModel::Fixed(b)
-                            };
-                        }
-                        other => {
-                            return Err(WorkloadSpecError(format!("unknown key '{other}'")));
-                        }
-                    }
-                    continue;
-                }
-            }
-            // Attack clause: kind@from..until:rate=R.
-            let (head, params) = match clause.split_once(':') {
-                Some((h, p)) => (h, p),
-                None => (clause, ""),
-            };
-            let (kind_name, window) = head
-                .split_once('@')
-                .ok_or_else(|| WorkloadSpecError(format!("clause '{clause}' needs '@window'")))?;
-            let kind = match kind_name.trim() {
-                "syn" => AttackKind::SynFlood,
-                "scan" => AttackKind::PortScan,
-                other => {
-                    return Err(WorkloadSpecError(format!("unknown attack kind '{other}'")));
-                }
-            };
-            let (from_s, until_s) = window
-                .split_once("..")
-                .ok_or_else(|| WorkloadSpecError(format!("window '{window}' needs '..'")))?;
-            let from = if from_s.trim().is_empty() {
-                0
-            } else {
-                parse_count(from_s.trim())
-                    .ok_or_else(|| WorkloadSpecError(format!("bad window start '{from_s}'")))?
-            };
-            let until = if until_s.trim().is_empty() {
-                u64::MAX
-            } else {
-                parse_count(until_s.trim())
-                    .ok_or_else(|| WorkloadSpecError(format!("bad window end '{until_s}'")))?
-            };
-            if until <= from {
-                return Err(WorkloadSpecError(format!("empty window '{window}'")));
-            }
-            let mut rate = None;
-            for p in params.split(',') {
-                let p = p.trim();
-                if p.is_empty() {
-                    continue;
-                }
-                let (k, v) = p
-                    .split_once('=')
-                    .ok_or_else(|| WorkloadSpecError(format!("parameter '{p}' needs '='")))?;
-                match k.trim() {
-                    "rate" => {
-                        rate = Some(
-                            parse_rate(v.trim())
-                                .ok_or_else(|| WorkloadSpecError(format!("bad rate '{v}'")))?,
-                        );
-                    }
-                    other => {
-                        return Err(WorkloadSpecError(format!(
-                            "unknown parameter '{other}' for '{kind_name}'"
-                        )));
-                    }
-                }
-            }
-            let rate_ppm =
-                rate.ok_or_else(|| WorkloadSpecError(format!("'{kind_name}' needs rate=")))?;
-            w.attacks.push(AttackEvent {
-                kind,
-                from,
-                until,
-                rate_ppm,
-            });
+        for clause in clauses(spec) {
+            w.apply(clause).map_err(WorkloadSpecError)?;
         }
         Ok(w)
+    }
+
+    /// Applies one lexed clause.
+    fn apply(&mut self, clause: Result<Clause<'_>, String>) -> Result<(), String> {
+        let (key, v) = match clause? {
+            Clause::Scalar(key, v) => (key, v),
+            Clause::Event(ev) => {
+                self.attacks.push(attack(&ev)?);
+                return Ok(());
+            }
+        };
+        match key {
+            "seed" => self.seed = parse_count(v).ok_or_else(|| format!("bad seed '{v}'"))?,
+            "flows" => {
+                self.flows = parse_count(v)
+                    .filter(|&n| (1..=MAX_FLOWS).contains(&n))
+                    .ok_or_else(|| format!("bad flows '{v}' (1..={MAX_FLOWS})"))?;
+            }
+            "zipf" => {
+                let a: f64 = v
+                    .parse()
+                    .ok()
+                    .filter(|a| (0.0..=4.0).contains(a))
+                    .ok_or_else(|| format!("bad zipf '{v}' (0..=4)"))?;
+                self.zipf_x1000 = (a * 1000.0).round() as u32;
+            }
+            "life" => self.life = parse_count(v).ok_or_else(|| format!("bad life '{v}'"))?,
+            "frames" => {
+                self.frames = parse_count(v)
+                    .filter(|&n| n <= MAX_FRAMES)
+                    .ok_or_else(|| format!("bad frames '{v}' (0..={MAX_FRAMES})"))?;
+            }
+            "size" if v == "campus" => self.size = SizeModel::Campus,
+            "size" => {
+                let b = v
+                    .parse::<u16>()
+                    .ok()
+                    .filter(|b| (64..=1500).contains(b))
+                    .ok_or_else(|| format!("bad size '{v}' (campus or 64..=1500)"))?;
+                self.size = SizeModel::Fixed(b);
+            }
+            other => return Err(format!("unknown key '{other}'")),
+        }
+        Ok(())
     }
 
     /// The canonical spec string ([`Self::parse`] round-trips it).
@@ -335,24 +226,36 @@ impl WorkloadSpec {
             },
         );
         for a in &self.attacks {
-            let from = if a.from == 0 {
-                String::new()
-            } else {
-                a.from.to_string()
-            };
-            let until = if a.until == u64::MAX {
-                String::new()
-            } else {
-                a.until.to_string()
-            };
+            let window = fmt_window((a.from, a.until), (0, u64::MAX), |n| n.to_string());
             out.push_str(&format!(
-                ";{}@{from}..{until}:rate={}ppm",
+                ";{}@{window}:rate={}ppm",
                 a.kind.keyword(),
                 a.rate_ppm
             ));
         }
         out
     }
+}
+
+/// The attack mix one event clause schedules; windows are frame
+/// sequences.
+fn attack(ev: &Event<'_>) -> Result<AttackEvent, String> {
+    let kind = match ev.kind {
+        "syn" => AttackKind::SynFlood,
+        "scan" => AttackKind::PortScan,
+        other => return Err(format!("unknown attack kind '{other}'")),
+    };
+    let (from, until) = ev.window(0, u64::MAX, |s| {
+        parse_count(s).ok_or_else(|| format!("bad window endpoint '{s}'"))
+    })?;
+    ev.only(&["rate"])?;
+    let v = ev.param("rate")?;
+    Ok(AttackEvent {
+        kind,
+        from,
+        until,
+        rate_ppm: parse_rate(v).ok_or_else(|| format!("bad rate '{v}'"))?,
+    })
 }
 
 /// What one frame of the trace carries.
@@ -667,8 +570,8 @@ mod tests {
     #[test]
     fn spec_parses_suffixes_and_attacks() {
         let w = WorkloadSpec::parse(
-            "flows=1M;zipf=1.1;life=64k;frames=128k;size=256;\
-             syn@10k..200k:rate=0.2;scan@..:rate=5000ppm;seed=0xBEEF",
+            "flows=1M;zipf = 1.1;life=64k;frames=128k;size=256;;\
+             syn @ 10k .. 200k : rate= 0.2 ,;scan@..:rate=5000ppm; seed=0xBEEF ",
         )
         .expect("parses");
         assert_eq!(w.flows, 1_000_000);

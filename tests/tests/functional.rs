@@ -106,10 +106,11 @@ fn ids_router_tags_and_filters() {
 #[test]
 fn optimized_plan_preserves_behavior() {
     let mut vanilla = dataplane(&Nf::Router, ExecPlan::vanilla(MetadataModel::Copying));
-    let mut optimized = dataplane(
-        &Nf::Router,
-        ExecPlan::all_source_opts(MetadataModel::Copying),
-    );
+    let all = ExperimentBuilder::new(Nf::Router)
+        .optimization(OptLevel::AllSource)
+        .build_ir()
+        .expect("ir");
+    let mut optimized = dataplane(&Nf::Router, all.plan);
     let mut mem_a = MemoryHierarchy::skylake(1);
     let mut mem_b = MemoryHierarchy::skylake(1);
     let trace = packetmill::Trace::synthesize(&packetmill::TraceConfig {

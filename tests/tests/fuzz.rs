@@ -201,6 +201,28 @@ mod round_trip {
     }
 }
 
+/// A canonical spec string, then wire-style damage: truncation, splicing
+/// in arbitrary bytes, or one byte changed.
+fn damaged(canonical: impl Strategy<Value = String>) -> impl Strategy<Value = String> {
+    (canonical, any::<u16>(), any::<u8>(), "[ -~]{0,8}").prop_map(|(mut s, pos, op, splice)| {
+        let i = usize::from(pos) % s.len().max(1);
+        match op % 3 {
+            0 => s.truncate(i),
+            1 => s.insert_str(i.min(s.len()), &splice),
+            _ => {
+                let mut b = s.into_bytes();
+                if !b.is_empty() {
+                    // Stay ASCII so byte indexing stays char-aligned.
+                    let j = i % b.len();
+                    b[j] = 32 + (b[j] ^ op) % 95;
+                }
+                s = String::from_utf8(b).expect("ascii");
+            }
+        }
+        s
+    })
+}
+
 mod workload_grammar {
     use super::*;
     use pm_traffic::{Workload, WorkloadSpec};
@@ -241,38 +263,22 @@ mod workload_grammar {
         proptest::collection::vec(clause, 0..8).prop_map(|cs| cs.join(";"))
     }
 
-    /// A canonical valid spec, then wire-style damage: bit flips,
-    /// truncation, or splicing in arbitrary bytes.
+    /// A canonical valid spec, damaged.
     fn damaged_spec() -> impl Strategy<Value = String> {
-        let base = (any::<u64>(), 1u64..100_000, 0u32..3_000, 0u64..10_000).prop_map(
-            |(seed, flows, zipf_x1000, life)| {
-                WorkloadSpec {
-                    seed,
-                    flows,
-                    zipf_x1000,
-                    life,
-                    ..WorkloadSpec::default()
-                }
-                .to_spec()
-            },
-        );
-        (base, any::<u16>(), any::<u8>(), "[ -~]{0,8}").prop_map(|(mut s, pos, op, splice)| {
-            let i = usize::from(pos) % s.len().max(1);
-            match op % 3 {
-                0 => s.truncate(i),
-                1 => s.insert_str(i.min(s.len()), &splice),
-                _ => {
-                    let mut b = s.into_bytes();
-                    if !b.is_empty() {
-                        // Stay ASCII so byte indexing stays char-aligned.
-                        let j = i % b.len();
-                        b[j] = 32 + (b[j] ^ op) % 95;
+        damaged(
+            (any::<u64>(), 1u64..100_000, 0u32..3_000, 0u64..10_000).prop_map(
+                |(seed, flows, zipf_x1000, life)| {
+                    WorkloadSpec {
+                        seed,
+                        flows,
+                        zipf_x1000,
+                        life,
+                        ..WorkloadSpec::default()
                     }
-                    s = String::from_utf8(b).expect("ascii");
-                }
-            }
-            s
-        })
+                    .to_spec()
+                },
+            ),
+        )
     }
 
     proptest! {
@@ -317,6 +323,126 @@ mod workload_grammar {
                 let stats = w.stats(n);
                 prop_assert!(stats.conserves(), "n={n}: {stats:?}");
             }
+        }
+    }
+}
+
+mod fault_grammar {
+    use super::*;
+    use pm_sim::fault::FaultKind;
+    use pm_sim::{FaultPlan, SimTime};
+
+    /// A window endpoint: open, whole and fractional times in every
+    /// unit (integers past `f64`'s exact range too), or noise.
+    fn time() -> impl Strategy<Value = String> {
+        prop_oneof![
+            "",
+            "",
+            "[0-9]{1,22}[pnum]s",
+            "[0-9]{1,3}.[0-9]{1,4}[num]s",
+            "[0-9]{1,3}s",
+            "[ -~]{0,4}",
+        ]
+    }
+
+    /// An event clause: each kind mostly with its own parameters, over
+    /// those endpoints, or a made-up kind with noise.
+    fn event() -> impl Strategy<Value = String> {
+        let kind_params = prop_oneof![
+            ("bitflip", "rate=[0-9]{1,7}ppm"),
+            ("trunc", "rate=0.[0-9]{1,4}"),
+            ("drop", "rate=[0-9.]{1,5}"),
+            ("flap", ""),
+            ("pool", ""),
+            ("slow", "element=[A-Za-z@0-9]{1,6},factor=[1-9].[0-9]{0,3}"),
+            ("bitflip", "[ -~]{0,8}"),
+            ("[a-z]{0,6}", "[ -~]{0,8}"),
+        ];
+        (kind_params, time(), time()).prop_map(|((k, p), a, b)| format!("{k}@{a}..{b}:{p}"))
+    }
+
+    /// Clause soup: mostly events, plus `seed=` and other scalars and
+    /// raw noise.
+    fn spec_soup() -> impl Strategy<Value = String> {
+        let clause = prop_oneof![
+            event(),
+            event(),
+            event(),
+            event(),
+            "seed=[0-9]{1,20}",
+            "seed=0x[0-9A-Fa-z]{0,16}",
+            "[a-z]{0,5}=[0-9]{0,3}",
+            "[ -~]{0,16}"
+        ];
+        proptest::collection::vec(clause, 0..4).prop_map(|cs| cs.join(";"))
+    }
+
+    /// Any valid plan: every kind, endpoints of every magnitude up to
+    /// `u64::MAX - 1` picoseconds (whole nanoseconds half the time),
+    /// open and closed ends.
+    fn plan() -> impl Strategy<Value = FaultPlan> {
+        let event = (0u8..6, any::<u64>(), any::<u64>(), any::<u32>()).prop_map(|(k, a, b, x)| {
+            let mut from = (a >> (x % 64)).min(u64::MAX - 1);
+            if x & 64 != 0 {
+                from -= from % 1000;
+            }
+            let until = if x & 128 != 0 {
+                u64::MAX
+            } else {
+                from.saturating_add(1 + (b >> (b % 64)))
+            };
+            let rate_ppm = x % 1_000_001;
+            let kind = match k {
+                0 => FaultKind::BitFlip { rate_ppm },
+                1 => FaultKind::Truncate { rate_ppm },
+                2 => FaultKind::DescDrop { rate_ppm },
+                3 => FaultKind::LinkFlap,
+                4 => FaultKind::PoolExhaust,
+                _ => FaultKind::Slowdown {
+                    element: ["Null", "Null@3", "rt", "IPFilter"][x as usize % 4].to_string(),
+                    factor_x1000: 1_000 + x % 100_000,
+                },
+            };
+            (kind, SimTime::from_ps(from), SimTime::from_ps(until))
+        });
+        (any::<u64>(), proptest::collection::vec(event, 0..5)).prop_map(|(seed, events)| {
+            events
+                .into_iter()
+                .fold(FaultPlan::new(seed), |p, (kind, from, until)| {
+                    p.with(kind, from, until)
+                })
+        })
+    }
+
+    /// The fuzz property: a spec parses or renders a typed error, and an
+    /// accepted plan reparses from its canonical form.
+    fn check(s: &str) -> Result<(), proptest::TestCaseError> {
+        match FaultPlan::parse(s) {
+            Ok(plan) => prop_assert_eq!(FaultPlan::parse(&plan.to_spec()), Ok(plan)),
+            // `--faults` prints the Display form.
+            Err(e) => prop_assert!(!e.to_string().is_empty()),
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// Every plan's canonical spec (what a run report records) parses
+        /// back to the same plan — long windows included.
+        #[test]
+        fn canonical_spec_round_trips(p in plan()) {
+            prop_assert_eq!(FaultPlan::parse(&p.to_spec()), Ok(p));
+        }
+
+        /// The `--faults` grammar never panics on clause soup.
+        #[test]
+        fn parse_never_panics_on_clause_soup(s in spec_soup()) {
+            check(&s)?;
+        }
+
+        /// Nor on damaged canonical specs, the near-miss region.
+        #[test]
+        fn parse_never_panics_on_damaged_specs(s in damaged(plan().prop_map(|p| p.to_spec()))) {
+            check(&s)?;
         }
     }
 }
