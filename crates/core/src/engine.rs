@@ -27,6 +27,11 @@ const TX_RING: usize = 1024;
 /// Fixed latency outside the DUT (generator + PHYs + cabling).
 const BASE_LATENCY: SimTime = SimTime::from_ps(4_000_000);
 
+/// How far past the next event an idle core's clock lands: busy-polling
+/// an empty ring is not simulated poll by poll but coarsened into one
+/// 30-ns step.
+const IDLE_POLL_STEP: SimTime = SimTime::from_ps(30_000);
+
 /// Engine construction parameters.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -186,6 +191,7 @@ impl QueueLedger {
 
 struct NicState {
     dev: Nic,
+    /// Buffer geometry; the bytes are the trace's.
     dma: DmaMemory,
     pmd: Pmd,
     /// Replay cursor.
@@ -409,7 +415,7 @@ impl Engine {
                 let fault = plan.and_then(|p| p.wire_fault(n as u64, seq, at, frame.len()));
                 let delivered =
                     st.dev
-                        .rx_deliver_wire(frame, hash, at, seq, &mut self.mem, &mut st.dma, fault);
+                        .rx_deliver_wire(frame, hash, at, seq, &mut self.mem, &st.dma, fault);
                 if let (Some(tl), Ok(q)) = (self.timeline.as_mut(), delivered) {
                     // Attribute the arrival to the core that owns the
                     // steered (nic, queue) pair.
@@ -487,6 +493,10 @@ impl Engine {
         let mut sends: Vec<TxSend> = Vec::new();
         // Reused span scratch for the lifecycle trace.
         let mut span_buf: Vec<(String, Cost)> = Vec::new();
+        // The one buffer the dataplane sees every packet in: the NIC
+        // moves no bytes, so a packet's delivered bytes are copied out of
+        // the trace just before it is processed.
+        let mut scratch = vec![0u8; self.nics[0].dma.data_capacity() as usize];
 
         while !done {
             // Pick the core with the earliest clock, breaking ties with
@@ -540,10 +550,7 @@ impl Engine {
                     (a, p) => a.or(p),
                 };
                 match next {
-                    Some(t) => {
-                        // Busy-poll until the event (coarsened).
-                        clocks[core] = clocks[core].max(t) + SimTime::from_ns(30.0);
-                    }
+                    Some(t) => clocks[core] = clocks[core].max(t) + IDLE_POLL_STEP,
                     None => done = true,
                 }
                 continue;
@@ -579,7 +586,9 @@ impl Engine {
             let dp = &mut self.dataplanes[pair];
             sends.clear();
             for desc in &pkts {
-                let data = st.dma.data_mut(desc.buf_id);
+                let len = desc.len as usize;
+                scratch[..len]
+                    .copy_from_slice(&self.traces[nic_idx].frame(desc.seq as usize)[..len]);
                 let sampled = self
                     .trace
                     .as_ref()
@@ -591,7 +600,7 @@ impl Engine {
                 } else {
                     SimTime::ZERO
                 };
-                let r = dp.process(core, &mut self.mem, desc, data);
+                let r = dp.process(core, &mut self.mem, desc, &mut scratch);
                 cost += r.cost;
                 if sampled {
                     span_buf.clear();

@@ -418,9 +418,7 @@ impl SweepSpec {
         };
 
         let worker = |_worker_id: usize| {
-            // One DMA pool image per worker, not one per run, and a
-            // synthetic FIB handed from each run to the next.
-            let _backing = pm_nic::BackingReuse::open();
+            // A synthetic FIB handed from each run to the next.
             let fibs = pm_elements::route::FibReuse::open();
             let before = pm_traffic::cache_counts();
             claim_runs();

@@ -657,7 +657,7 @@ mod tests {
         let frame = PacketBuilder::udp().frame_len(128).build();
         for _ in 0..n {
             r.nic
-                .rx_deliver(&frame, SimTime::ZERO, &mut r.mem, &mut r.dma)
+                .rx_deliver(&frame, SimTime::ZERO, &mut r.mem, &r.dma)
                 .expect("delivery");
         }
     }
@@ -676,9 +676,10 @@ mod tests {
         );
         assert_eq!(pkts.len(), 5);
         assert!(cost.instructions > 0);
-        for p in &pkts {
-            assert_eq!(p.len, 128);
-            assert!(r.dma.data(p.buf_id).len() >= 128);
+        for (seq, p) in pkts.iter().enumerate() {
+            // A packet's bytes are its frame's first `len`, found by `seq`.
+            assert_eq!((p.seq, p.len), (seq as u64, 128));
+            assert_eq!(p.data_addr, r.dma.data_addr(p.buf_id));
             assert!(p.xslot.is_none());
         }
     }

@@ -8,17 +8,16 @@
 //! per-miss victim scan over stamps. The common case — re-touching the
 //! most recently used line — is a single compare, and the hit scan is a
 //! branch-free sweep over contiguous tags. This is behaviorally
-//! identical to the original per-way timestamp scheme, which is kept as
-//! [`ClassicSetAssocCache`] and driven lock-step by the proptest suite
-//! to prove it.
+//! identical to the original per-way timestamp scheme, which the
+//! integration-test crate keeps as its reference model
+//! (`tests/src/classic.rs`) and drives lock-step against this one to
+//! prove it.
 //!
 //! Physical way indexes matter because allocation can be restricted to a
 //! sub-range of the ways in each set, which models Intel DDIO: DMA
 //! writes may only allocate into a configurable subset of LLC ways (the
 //! paper sets `IIO LLC WAYS` to eight bits, §4 *Testbed*). A line never
 //! changes ways over its lifetime — only its recency position moves.
-//!
-//! [`ClassicSetAssocCache`]: crate::ClassicSetAssocCache
 
 /// Geometry of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

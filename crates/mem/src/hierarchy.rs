@@ -222,8 +222,7 @@ pub struct MemoryHierarchy {
     resident: ResidentFilter,
     /// False in reference mode: every program resolves through the
     /// original per-call sequence and invalidation scans always run.
-    /// The lock-step oracle for the default resolver, kept the way
-    /// `ClassicSetAssocCache` is.
+    /// The lock-step oracle for the default resolver.
     fast: bool,
 }
 

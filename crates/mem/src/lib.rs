@@ -28,7 +28,6 @@
 
 pub mod address;
 pub mod cache;
-pub mod classic;
 pub mod cost;
 pub mod hierarchy;
 pub mod profile;
@@ -38,7 +37,6 @@ pub mod tlb;
 
 pub use address::{AddressSpace, Region, ScatterAlloc, ADDR_LIMIT};
 pub use cache::{CacheParams, SetAssocCache};
-pub use classic::ClassicSetAssocCache;
 pub use cost::{Cost, LatencyModel};
 pub use hierarchy::{AccessKind, HierarchyParams, Level, MemCounters, MemoryHierarchy};
 pub use profile::{

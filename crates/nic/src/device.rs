@@ -1,5 +1,9 @@
 //! The NIC device model: RSS steering, PCIe pacing, DMA into the cache
 //! hierarchy, and link-rate TX serialization.
+//!
+//! The NIC moves no bytes. Delivering a frame charges its DMA write to
+//! the cache model and publishes a completion that names the frame by
+//! `seq`; the completion's bytes are the trace's `frame(seq)[..len]`.
 
 use crate::dma::DmaMemory;
 use crate::link::LinkModel;
@@ -230,8 +234,9 @@ impl Nic {
     }
 
     /// Delivers a frame arriving at `now` with RSS hash `hash`: steers
-    /// it, consumes a posted buffer, paces the PCIe write, DMA-writes the
-    /// data and the completion descriptor, and publishes the completion.
+    /// it, consumes a posted buffer, paces the PCIe write, charges the DMA
+    /// write of the data and the completion descriptor, and publishes the
+    /// completion.
     /// The caller supplies the generator's packet index as `seq`
     /// (latency/measurement identity — drops must not renumber
     /// survivors) and the hash: a cyclic trace replays the same frames
@@ -247,7 +252,7 @@ impl Nic {
         now: SimTime,
         seq: u64,
         mem: &mut MemoryHierarchy,
-        dma: &mut DmaMemory,
+        dma: &DmaMemory,
     ) -> Option<usize> {
         self.deliver(frame, hash, now, seq, mem, dma).ok()
     }
@@ -261,7 +266,7 @@ impl Nic {
         now: SimTime,
         seq: u64,
         mem: &mut MemoryHierarchy,
-        dma: &mut DmaMemory,
+        dma: &DmaMemory,
     ) -> Result<usize, DropCause> {
         if self.link_resume(now).is_some() {
             self.stats.rx_link_down += 1;
@@ -272,15 +277,17 @@ impl Nic {
         // already in range (NAT flow affinity depends on this mapping
         // being a pure function of the hash — no rescaling afterwards).
         let q = self.indirection.queue_for(hash);
-        debug_assert!(q < self.rx.len(), "indirection entry out of range");
         let Some(buf) = self.rx[q].take_posted() else {
             return Err(DropCause::RxRing); // ring counted the drop
         };
+        assert!(
+            frame.len() <= dma.data_capacity() as usize,
+            "packet larger than buffer"
+        );
         // PCIe pacing.
         let delivery = now.max(self.rx_pcie_free) + self.pcie.transfer_time(frame.len() as u64);
         self.rx_pcie_free = delivery;
 
-        dma.write_packet(buf.buf_id, frame);
         let desc_addr = self.rx[q].push_completion(Completion {
             buf_id: buf.buf_id,
             data_addr: buf.data_addr,
@@ -317,7 +324,7 @@ impl Nic {
         now: SimTime,
         seq: u64,
         mem: &mut MemoryHierarchy,
-        dma: &mut DmaMemory,
+        dma: &DmaMemory,
         fault: Option<WireFault>,
     ) -> Result<usize, DropCause> {
         match fault {
@@ -351,7 +358,7 @@ impl Nic {
         frame: &[u8],
         now: SimTime,
         mem: &mut MemoryHierarchy,
-        dma: &mut DmaMemory,
+        dma: &DmaMemory,
     ) -> Option<usize> {
         let seq = self.seq;
         self.seq += 1;
@@ -449,20 +456,34 @@ mod tests {
     fn rx_delivers_data_and_completion() {
         let mut r = rig(1);
         post(&mut r, 0, 0..4);
-        let frame = PacketBuilder::udp().frame_len(128).build();
-        let q = r
-            .nic
-            .rx_deliver(&frame, SimTime::ZERO, &mut r.mem, &mut r.dma)
-            .unwrap();
-        assert_eq!(q, 0);
+        let frames: Vec<Vec<u8>> = [128, 64, 1500]
+            .map(|len| PacketBuilder::udp().frame_len(len).build())
+            .into();
+        for frame in &frames {
+            let q = r.nic.rx_deliver(frame, SimTime::ZERO, &mut r.mem, &r.dma);
+            assert_eq!(q, Some(0));
+        }
         let c = r.nic.rx_ring_mut(0).reap(32);
-        assert_eq!(c.len(), 1);
-        assert_eq!(c[0].len, 128);
-        // Real bytes landed in the buffer.
-        assert_eq!(r.dma.data(c[0].buf_id)[..128], frame[..]);
+        assert_eq!(c.iter().map(|d| d.seq).collect::<Vec<_>>(), [0, 1, 2]);
+        for d in &c {
+            // The NIC moves no bytes: a completion's bytes are
+            // `frames[seq][..len]`, here the whole frame.
+            assert_eq!(d.len as usize, frames[d.seq as usize].len());
+            assert_eq!(d.data_addr, r.dma.data_addr(d.buf_id));
+        }
         // Data was DDIO'd into the LLC.
         assert!(r.mem.counters().dma_write_lines >= 2);
         assert!(c[0].arrival > SimTime::ZERO, "PCIe transfer takes time");
+    }
+
+    #[test]
+    #[should_panic(expected = "larger than buffer")]
+    fn oversize_packet_rejected() {
+        let mut r = rig(1);
+        post(&mut r, 0, 0..1);
+        let _ = r
+            .nic
+            .rx_deliver(&[0u8; 4096], SimTime::ZERO, &mut r.mem, &r.dma);
     }
 
     #[test]
@@ -471,7 +492,7 @@ mod tests {
         let frame = PacketBuilder::udp().frame_len(64).build();
         assert!(r
             .nic
-            .rx_deliver(&frame, SimTime::ZERO, &mut r.mem, &mut r.dma)
+            .rx_deliver(&frame, SimTime::ZERO, &mut r.mem, &r.dma)
             .is_none());
         assert_eq!(r.nic.stats().rx_dropped, 1);
     }
@@ -488,10 +509,7 @@ mod tests {
                 .src_port(3000 + p)
                 .frame_len(128)
                 .build();
-            if let Some(q) = r
-                .nic
-                .rx_deliver(&frame, SimTime::ZERO, &mut r.mem, &mut r.dma)
-            {
+            if let Some(q) = r.nic.rx_deliver(&frame, SimTime::ZERO, &mut r.mem, &r.dma) {
                 hit[q] = true;
             }
         }
@@ -553,15 +571,8 @@ mod tests {
             (WireFault::DescDrop, DropCause::Desc),
         ] {
             assert_eq!(
-                r.nic.rx_deliver_wire(
-                    &frame,
-                    h,
-                    SimTime::ZERO,
-                    0,
-                    &mut r.mem,
-                    &mut r.dma,
-                    Some(fault)
-                ),
+                r.nic
+                    .rx_deliver_wire(&frame, h, SimTime::ZERO, 0, &mut r.mem, &r.dma, Some(fault)),
                 Err(cause)
             );
         }
@@ -570,9 +581,7 @@ mod tests {
         assert_eq!(s.rx_packets, 0);
         assert_eq!(s.rx_dropped, 0, "rejected frames must not touch the ring");
         // All four posted buffers are still available.
-        let q = r
-            .nic
-            .rx_deliver(&frame, SimTime::ZERO, &mut r.mem, &mut r.dma);
+        let q = r.nic.rx_deliver(&frame, SimTime::ZERO, &mut r.mem, &r.dma);
         assert_eq!(q, Some(0));
     }
 
@@ -590,7 +599,7 @@ mod tests {
                 SimTime::ZERO,
                 0,
                 &mut r.mem,
-                &mut r.dma,
+                &r.dma,
                 Some(WireFault::Truncate { new_len: 17 }),
             )
             .expect("short frame still delivers");
@@ -620,7 +629,7 @@ mod tests {
                 let h = r.nic.rss_hash(&frame);
                 let got = r
                     .nic
-                    .rx_deliver_wire(&frame, h, now, 0, &mut r.mem, &mut r.dma, fault);
+                    .rx_deliver_wire(&frame, h, now, 0, &mut r.mem, &r.dma, fault);
                 // A down link wins over every injected cause; FCS and
                 // descriptor rejects happen before a buffer is needed.
                 let want = match fault {
@@ -674,12 +683,12 @@ mod tests {
         let frame = PacketBuilder::udp().frame_len(64).build();
         assert!(r
             .nic
-            .rx_deliver(&frame, down_at, &mut r.mem, &mut r.dma)
+            .rx_deliver(&frame, down_at, &mut r.mem, &r.dma)
             .is_none());
         assert_eq!(r.nic.stats().rx_link_down, 1);
         assert!(r
             .nic
-            .rx_deliver(&frame, up_at, &mut r.mem, &mut r.dma)
+            .rx_deliver(&frame, up_at, &mut r.mem, &r.dma)
             .is_some());
 
         // TX submitted mid-flap serializes only after the link is back.
@@ -702,8 +711,7 @@ mod tests {
         }
         let frame = PacketBuilder::arp().build();
         assert_eq!(
-            r.nic
-                .rx_deliver(&frame, SimTime::ZERO, &mut r.mem, &mut r.dma),
+            r.nic.rx_deliver(&frame, SimTime::ZERO, &mut r.mem, &r.dma),
             Some(0)
         );
     }

@@ -31,7 +31,7 @@ pub mod ring;
 pub mod rss;
 
 pub use device::{Nic, NicConfig, NicStats, QueueStats};
-pub use dma::{BackingReuse, DmaMemory};
+pub use dma::DmaMemory;
 pub use link::LinkModel;
 pub use pcie::PcieModel;
 pub use ring::{Completion, PostedBuffer, RxRing, TxRequest, TxRing};

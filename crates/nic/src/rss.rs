@@ -161,6 +161,11 @@ impl IndirectionTable {
     /// is a pure function of the hash, so a flow's 4-tuple always lands
     /// on the same queue.
     ///
+    /// Every entry is below `queues`. This is the only constructor and
+    /// the entries are private, so [`IndirectionTable::queue_for`] is
+    /// always a valid queue index for the device the table was built
+    /// for, and delivery indexes its rings with it unchecked.
+    ///
     /// # Panics
     ///
     /// Panics if `queues` is zero or exceeds `u16::MAX`.
@@ -261,10 +266,11 @@ mod tests {
 
     /// Documents the residual imbalance when the queue count does not
     /// divide the 128-entry table: the first `128 % q` queues get one
-    /// extra entry, and every entry stays in range.
+    /// extra entry, and every entry stays in range — for every queue
+    /// count up to the table size.
     #[test]
     fn round_robin_residual_imbalance() {
-        for q in 1..=8usize {
+        for q in 1..=128usize {
             let t = IndirectionTable::round_robin(q);
             let mut counts = vec![0usize; q];
             for h in 0..128u32 {

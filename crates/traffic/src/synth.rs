@@ -65,16 +65,17 @@ enum FlowProto {
 
 /// A synthesized trace of complete Ethernet frames.
 ///
-/// Frames are shared behind an [`Arc`], so cloning a trace (one clone
-/// per engine build) is O(1) rather than a deep copy of several
-/// megabytes of packet bytes. What is derived from the frames — the
-/// per-frame RSS hashes, the workload accounting — is shared the same
-/// way, so every run that replays a cached trace reads values computed
-/// once.
+/// The trace is the only place packet bytes live: the NIC model moves
+/// none, and the engine copies a packet's bytes out of [`Self::frame`]
+/// just before processing it. Frames are shared behind an [`Arc`], so
+/// cloning a trace (one clone per engine build) is O(1) rather than a
+/// deep copy of several megabytes of packet bytes. What is derived from
+/// the frames — the per-frame RSS hashes, the workload accounting — is
+/// shared the same way, so every run that replays a cached trace reads
+/// values computed once.
 #[derive(Debug, Clone)]
 pub struct Trace {
-    frames: Arc<[Box<[u8]>]>,
-    total_bytes: u64,
+    frames: Arc<Frames>,
     /// [`Workload::stats`] over the whole trace, for a trace built by
     /// [`Trace::from_workload`].
     workload_stats: Option<WorkloadStats>,
@@ -84,6 +85,35 @@ pub struct Trace {
 }
 
 type HashMemos = Vec<([u8; 40], Arc<[u32]>)>;
+
+/// A trace's frames back to back in one buffer, and where each ends.
+///
+/// One allocation per trace, not one per frame: thousands of small
+/// blocks are what glibc trims and faults back in between a sweep's
+/// set-up passes once no large block is freed (DESIGN.md §10, "Packet
+/// bytes live once").
+#[derive(Debug, Default)]
+struct Frames {
+    bytes: Vec<u8>,
+    /// One past the last byte of each frame.
+    ends: Vec<usize>,
+}
+
+impl Frames {
+    fn push(&mut self, frame: &[u8]) {
+        self.bytes.extend_from_slice(frame);
+        self.ends.push(self.bytes.len());
+    }
+
+    fn get(&self, i: usize) -> &[u8] {
+        let start = i.checked_sub(1).map_or(0, |p| self.ends[p]);
+        &self.bytes[start..self.ends[i]]
+    }
+
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+}
 
 /// Keys one trace keeps hash memos for. Every NIC of the simulator is
 /// programmed with one key today; four leaves room for a sweep over
@@ -175,8 +205,7 @@ impl Trace {
             })
             .collect();
 
-        let mut frames = Vec::with_capacity(cfg.packets);
-        let mut total_bytes = 0u64;
+        let mut frames = Frames::default();
         for seq in 0..cfg.packets {
             let flow = &flows[zipf.sample(&mut rng)];
             let frame = match cfg.profile {
@@ -214,20 +243,14 @@ impl Trace {
                     }
                 }
             };
-            total_bytes += frame.len() as u64;
-            frames.push(frame.into_boxed_slice());
+            frames.push(&frame);
         }
-        Trace::new(frames, total_bytes, None)
+        Trace::new(frames, None)
     }
 
-    fn new(
-        frames: Vec<Box<[u8]>>,
-        total_bytes: u64,
-        workload_stats: Option<WorkloadStats>,
-    ) -> Trace {
+    fn new(frames: Frames, workload_stats: Option<WorkloadStats>) -> Trace {
         Trace {
-            frames: frames.into(),
-            total_bytes,
+            frames: Arc::new(frames),
             workload_stats,
             hash_memos: Arc::default(),
         }
@@ -252,8 +275,7 @@ impl Trace {
     pub fn from_workload(w: &Workload) -> Trace {
         let n = w.frames();
         assert!(n > 0, "empty workload trace");
-        let mut frames = Vec::with_capacity(n);
-        let mut total_bytes = 0u64;
+        let mut frames = Frames::default();
         let mut stats = w.churn(n as u64);
         for seq in 0..n as u64 {
             let plan = w.plan(seq);
@@ -262,11 +284,9 @@ impl Trace {
                 FramePlan::Scan => stats.scan_frames += 1,
                 FramePlan::Normal { .. } => stats.normal_frames += 1,
             }
-            let frame = w.build_planned(seq, plan);
-            total_bytes += frame.len() as u64;
-            frames.push(frame.into_boxed_slice());
+            frames.push(&w.build_planned(seq, plan));
         }
-        Trace::new(frames, total_bytes, Some(stats))
+        Trace::new(frames, Some(stats))
     }
 
     /// Like [`Self::from_workload`], but memoized in the same
@@ -305,7 +325,9 @@ impl Trace {
             return Arc::clone(h);
         }
         let toeplitz = Toeplitz::with_key(*rss_key);
-        let hashes: Arc<[u32]> = self.frames.iter().map(|f| toeplitz.hash_frame(f)).collect();
+        let hashes: Arc<[u32]> = (0..self.frames.len())
+            .map(|i| toeplitz.hash_frame(self.frames.get(i)))
+            .collect();
         if memos.len() >= HASH_MEMO_CAP {
             memos.remove(0);
         }
@@ -322,9 +344,11 @@ impl Trace {
     /// Panics if `frames` is empty.
     pub fn from_frames(frames: Vec<Vec<u8>>) -> Trace {
         assert!(!frames.is_empty(), "empty trace");
-        let total_bytes = frames.iter().map(|f| f.len() as u64).sum();
-        let frames = frames.into_iter().map(Vec::into_boxed_slice).collect();
-        Trace::new(frames, total_bytes, None)
+        let mut all = Frames::default();
+        for f in &frames {
+            all.push(f);
+        }
+        Trace::new(all, None)
     }
 
     /// Number of frames.
@@ -334,17 +358,17 @@ impl Trace {
 
     /// True if the trace has no frames (never, by construction).
     pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
+        self.frames.ends.is_empty()
     }
 
     /// Mean frame length in bytes.
     pub fn mean_frame_len(&self) -> f64 {
-        self.total_bytes as f64 / self.frames.len() as f64
+        self.frames.bytes.len() as f64 / self.frames.len() as f64
     }
 
     /// Frame `i` (indices wrap, so the trace can be replayed cyclically).
     pub fn frame(&self, i: usize) -> &[u8] {
-        &self.frames[i % self.frames.len()]
+        self.frames.get(i % self.frames.len())
     }
 
     /// Iterates over `(arrival_time, frame)` replaying the trace
@@ -468,7 +492,7 @@ mod tests {
             profile: TrafficProfile::FixedSize(256),
             ..TraceConfig::default()
         });
-        assert!(t.frames.iter().all(|f| f.len() == 256));
+        assert!((0..t.len()).all(|i| t.frame(i).len() == 256));
         assert_eq!(t.mean_frame_len(), 256.0);
     }
 

@@ -1,26 +1,27 @@
 //! The original timestamp-LRU cache model, kept as a differential-testing
 //! reference.
 //!
-//! [`SetAssocCache`](crate::SetAssocCache) used to implement LRU with a
+//! [`SetAssocCache`](pm_mem::SetAssocCache) used to implement LRU with a
 //! per-way `stamps` array and a global `tick` counter; it now uses
 //! move-to-front recency order instead (positional LRU). The two are
 //! behaviorally identical — same hits, misses, and evictions for any
-//! access sequence — and the proptest suite in `tests/` drives both
+//! access sequence — and `properties.rs::mtf_cache` drives both
 //! lock-step over arbitrary access/way-range/invalidate/flush sequences
 //! to prove it. Keep this model byte-for-byte faithful to the original
-//! semantics; it exists so the fast path can never drift silently.
+//! semantics; it exists so the fast path can never drift silently. It
+//! lives in the test crate so that no production crate depends on it.
 //!
 //! The one deliberate difference from the historical code: `flush`
 //! resets `tick`, so a flushed cache is indistinguishable from a fresh
 //! one (the old code leaked the pre-flush tick value — harmless, since
 //! only *relative* stamp order matters, but untidy).
 
-use crate::cache::{CacheParams, FillOutcome};
+use pm_mem::cache::{CacheParams, FillOutcome};
 
 const EMPTY: u64 = u64::MAX;
 
 /// A set-associative cache with timestamp-based LRU replacement (the
-/// reference model; use [`SetAssocCache`](crate::SetAssocCache) in real
+/// reference model; use [`SetAssocCache`](pm_mem::SetAssocCache) in real
 /// code).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClassicSetAssocCache {

@@ -1,1 +1,9 @@
-//! No library code: the integration batteries live in `tests/tests/`.
+//! Shared code for the integration batteries in `tests/tests/`: the
+//! reference models the fast structures are driven against, kept out of
+//! every production crate's dependency graph.
+
+#![forbid(unsafe_code)]
+
+pub mod classic;
+
+pub use classic::ClassicSetAssocCache;

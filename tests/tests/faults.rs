@@ -1,15 +1,22 @@
 //! Fault-injection invariants at the experiment level: the
 //! packet-conservation ledger balances for every NF preset × metadata
 //! model × fault plan, faulted runs are bit-identical at any thread
-//! count, resource exhaustion degrades gracefully, and an empty plan is
-//! byte-invisible in the run artifact.
+//! count, resource exhaustion degrades gracefully, an empty plan is
+//! byte-invisible in the run artifact, and truncated frames reach the
+//! dataplane as exactly the trace's bytes.
 //!
 //! Plans are always set explicitly per builder — never via the
 //! process-wide default, which other tests in this binary would race on.
 
 use packetmill::{
-    ExperimentBuilder, FaultKind, FaultPlan, MetadataModel, Nf, OptLevel, SimTime, SweepSpec,
+    Dataplane, Engine, EngineConfig, ExperimentBuilder, FaultKind, FaultPlan, MetadataModel, Nf,
+    OptLevel, SimTime, SweepSpec, Trace, TraceConfig,
 };
+use pm_dpdk::RxDesc;
+use pm_frameworks::ProcessResult;
+use pm_mem::{AddressSpace, Cost, MemoryHierarchy};
+use std::cell::Cell;
+use std::rc::Rc;
 
 const PRESETS: [Nf; 5] = [
     Nf::Forwarder,
@@ -252,4 +259,81 @@ fn empty_plan_is_byte_invisible() {
         "empty plan changed the serialized artifact"
     );
     assert!(!r1.to_json().to_pretty().contains("faults"));
+}
+
+/// Data area of the engine's DMA buffers: 2 176 B with 128 B of
+/// headroom.
+const DATA_CAPACITY: usize = 2_048;
+
+/// A dataplane that checks every packet's bytes against the trace, then
+/// scribbles over the whole buffer it was handed.
+struct TraceChecker {
+    trace: Trace,
+    processed: Rc<Cell<u64>>,
+}
+
+impl Dataplane for TraceChecker {
+    fn label(&self) -> String {
+        "trace checker".into()
+    }
+
+    fn metadata_model(&self) -> MetadataModel {
+        MetadataModel::Copying
+    }
+
+    fn process(
+        &mut self,
+        _core: usize,
+        _mem: &mut MemoryHierarchy,
+        desc: &RxDesc,
+        data: &mut [u8],
+    ) -> ProcessResult {
+        let len = desc.len as usize;
+        assert_eq!(data.len(), DATA_CAPACITY, "seq {}", desc.seq);
+        assert_eq!(
+            data[..len],
+            self.trace.frame(desc.seq as usize)[..len],
+            "seq {}: bytes differ from the trace",
+            desc.seq
+        );
+        // Whatever this packet leaves behind must not reach the next one.
+        data.fill(0xA5);
+        self.processed.set(self.processed.get() + 1);
+        ProcessResult {
+            tx_len: Some(desc.len),
+            cost: Cost::compute(100),
+        }
+    }
+}
+
+/// The NIC moves no bytes, so the dataplane is handed a whole buffer
+/// data area that holds exactly the trace's `frame(seq)[..len]` —
+/// truncated frames included — and nothing a previous packet left in it.
+#[test]
+fn dataplane_sees_exactly_the_trace_bytes() {
+    let trace = Trace::synthesize(&TraceConfig {
+        packets: 1_024,
+        ..TraceConfig::default()
+    });
+    let processed = Rc::new(Cell::new(0));
+    let checker = TraceChecker {
+        trace: trace.clone(),
+        processed: Rc::clone(&processed),
+    };
+    let cfg = EngineConfig {
+        packets: 4_000,
+        warmup: 0,
+        faults: Some(FaultPlan::parse("trunc@..:rate=200000ppm").expect("valid spec")),
+        ..EngineConfig::default()
+    };
+    let mut space = AddressSpace::new();
+    let mut engine = Engine::new(cfg, vec![Box::new(checker)], vec![trace], &mut space);
+    engine.run();
+    let ledger = engine.ledger().expect("ran");
+    assert!(
+        ledger.truncated_delivered > 0,
+        "no truncated frame reached the dataplane: {ledger}"
+    );
+    let delivered = engine.queue_ledgers().expect("ran")[0].delivered;
+    assert_eq!(processed.get(), delivered, "every delivered frame checked");
 }

@@ -426,7 +426,8 @@ mod replay {
 
 mod mtf_cache {
     use super::*;
-    use pm_mem::{CacheParams, ClassicSetAssocCache, SetAssocCache};
+    use pm_integration_tests::ClassicSetAssocCache;
+    use pm_mem::{CacheParams, SetAssocCache};
 
     /// One scripted operation against both cache models.
     #[derive(Debug, Clone, Copy)]
