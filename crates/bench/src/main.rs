@@ -53,7 +53,8 @@ fn fig7_surfaces() -> Vec<(Option<&'static str>, &'static Figure)> {
 }
 
 fn main() {
-    let cli = packetmill::sweep::configure_from_args();
+    let cli = packetmill::sweep::configure_from_args(std::env::args().skip(1))
+        .unwrap_or_else(|e| usage(&e));
     let keys: Vec<String> = std::env::args()
         .skip(1)
         .take_while(|a| !a.starts_with("--"))

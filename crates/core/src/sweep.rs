@@ -187,82 +187,74 @@ pub struct SweepCli {
     pub flows: Option<u64>,
 }
 
-/// The value of the value flag `name` when `args[*i]` is that flag, in
-/// either spelling: `--x=v`, or `--x v` (which also steps `*i` over the
-/// value). Another `--flag` is never taken as the value.
-fn value_of<'a>(args: &'a [String], i: &mut usize, name: &str) -> Option<&'a str> {
-    let rest = args[*i].strip_prefix(name)?;
-    if let Some(v) = rest.strip_prefix('=') {
-        return Some(v);
-    }
-    if !rest.is_empty() {
-        return None; // a longer flag that merely starts with `name`
-    }
-    let v = args.get(*i + 1).filter(|v| !v.starts_with("--"))?;
-    *i += 1;
-    Some(v)
-}
-
 /// Parses `--threads N`, `--profile`, `--faults <spec>`,
 /// `--workload <spec>`, `--flows N`, `--cores N`,
 /// `--timeline[=window_us]`, `--trace <path>` and `--json <path>` from
-/// the process arguments, installs the thread, profile, fault, workload,
-/// timeline and trace defaults process-wide, and returns what is left
-/// for the binary itself. Unparsable counts are ignored. Call once from
-/// a benchmark binary's `main`.
+/// `args` (the process arguments after the program name; a value flag
+/// takes `--x v` or `--x=v`), installs the thread, profile, fault,
+/// workload, timeline and trace defaults process-wide, and returns what
+/// is left for the binary itself. Any other argument is the binary's own
+/// and is skipped. Call once from a benchmark binary's `main`.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on an unparsable `--faults`, `--workload` or `--timeline=`
-/// value (running a different experiment than the one asked for is
-/// worse than exiting).
-pub fn configure_from_args() -> SweepCli {
-    let args: Vec<String> = std::env::args().collect();
-    let positive = |v: &str| v.parse::<u64>().ok().filter(|&n| n > 0);
+/// A value flag without its value, a count that is not a
+/// [`pm_sim::spec::parse_count`] above zero, or an unparsable
+/// `--faults`, `--workload` or `--timeline=` value: running a different
+/// experiment than the one asked for is worse than exiting.
+pub fn configure_from_args(args: impl IntoIterator<Item = String>) -> Result<SweepCli, String> {
+    let mut args = args.into_iter().peekable();
     let mut cli = SweepCli::default();
-    let mut i = 1;
-    while i < args.len() {
-        if let Some(v) = value_of(&args, &mut i, "--threads") {
-            if let Some(n) = positive(v) {
-                set_default_threads(n as usize);
+    while let Some(arg) = args.next() {
+        let (flag, inline) = match arg.split_once('=') {
+            Some((f, v)) => (f.to_string(), Some(v.to_string())),
+            None => (arg, None),
+        };
+        let mut value = || {
+            inline
+                .clone()
+                .or_else(|| args.next_if(|v| !v.starts_with("--")))
+                .ok_or_else(|| format!("{flag} requires a value"))
+        };
+        let count = |v: String| {
+            pm_sim::spec::parse_count(&v)
+                .filter(|&n| n > 0)
+                .ok_or_else(|| format!("{flag}: expected a count above 0, got '{v}'"))
+        };
+        match flag.as_str() {
+            "--threads" => set_default_threads(count(value()?)? as usize),
+            "--cores" => cli.cores = Some(count(value()?)? as usize),
+            "--flows" => cli.flows = Some(count(value()?)?),
+            "--faults" => {
+                let plan =
+                    pm_sim::FaultPlan::parse(&value()?).map_err(|e| format!("--faults: {e}"))?;
+                set_default_faults(Some(plan));
             }
-        } else if let Some(v) = value_of(&args, &mut i, "--faults") {
-            let plan = pm_sim::FaultPlan::parse(v).unwrap_or_else(|e| panic!("--faults: {e}"));
-            set_default_faults(Some(plan));
-        } else if let Some(v) = value_of(&args, &mut i, "--workload") {
-            let spec =
-                pm_traffic::WorkloadSpec::parse(v).unwrap_or_else(|e| panic!("--workload: {e}"));
-            set_default_workload(Some(spec));
-        } else if let Some(v) = value_of(&args, &mut i, "--flows") {
-            cli.flows = positive(v).or(cli.flows);
-        } else if let Some(v) = value_of(&args, &mut i, "--cores") {
-            cli.cores = positive(v).map(|n| n as usize).or(cli.cores);
-        } else if let Some(v) = value_of(&args, &mut i, "--trace") {
-            set_default_trace(Some(PathBuf::from(v)));
-        } else if let Some(v) = value_of(&args, &mut i, "--json") {
-            cli.json = Some(PathBuf::from(v));
-        } else if args[i] == "--profile" {
-            set_default_profile(true);
-        } else if args[i] == "--timeline" {
-            set_default_timeline(Some(DEFAULT_TIMELINE_WINDOW_US));
-        } else if let Some(v) = args[i].strip_prefix("--timeline=") {
-            // `0` disables, `1` (or nothing) picks the default window,
+            "--workload" => {
+                let spec = pm_traffic::WorkloadSpec::parse(&value()?)
+                    .map_err(|e| format!("--workload: {e}"))?;
+                set_default_workload(Some(spec));
+            }
+            "--trace" => set_default_trace(Some(PathBuf::from(value()?))),
+            "--json" => cli.json = Some(PathBuf::from(value()?)),
+            "--profile" => set_default_profile(true),
+            // Bare, `=1` or `=` picks the default window, `=0` disables,
             // any other positive number is the window in µs.
-            set_default_timeline(match v {
-                "0" => None,
-                "" | "1" => Some(DEFAULT_TIMELINE_WINDOW_US),
-                w => Some(
+            "--timeline" => set_default_timeline(match inline.as_deref() {
+                None | Some("" | "1") => Some(DEFAULT_TIMELINE_WINDOW_US),
+                Some("0") => None,
+                Some(w) => Some(
                     w.parse::<f64>()
                         .ok()
                         .filter(|w| *w > 0.0)
-                        .unwrap_or_else(|| panic!("--timeline: invalid window '{v}' (µs, > 0)")),
+                        .ok_or_else(|| format!("--timeline: invalid window '{w}' (µs, > 0)"))?,
                 ),
-            });
+            }),
+            _ => {}
         }
-        i += 1;
     }
     cli.trace = default_trace();
-    cli
+    Ok(cli)
 }
 
 /// Wraps per-sweep groups (from [`SweepResults::to_json`]) into the
@@ -687,6 +679,53 @@ mod tests {
             .frequency_ghz(1.2 + 0.3 * i as f64)
             .packets(512)
             .seed(0xCAFE + i as u64)
+    }
+
+    fn cli(args: &[&str]) -> Result<SweepCli, String> {
+        configure_from_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn cli_reads_counts_and_paths_and_skips_the_binarys_own_arguments() {
+        let c = cli(&[
+            "fig7",
+            "--surface",
+            "n1",
+            "--cores",
+            "4",
+            "--flows=10k",
+            "--json",
+            "a.json",
+        ]);
+        let c = c.expect("valid command line");
+        assert_eq!(c.cores, Some(4));
+        assert_eq!(c.flows, Some(10_000));
+        assert_eq!(c.json, Some(PathBuf::from("a.json")));
+        assert_eq!(cli(&["--flows", "0x10"]).unwrap().flows, Some(16));
+    }
+
+    #[test]
+    fn cli_rejects_every_bad_form() {
+        for bad in [
+            &["--threads", "x"][..],
+            &["--threads=0"],
+            &["--threads"],
+            &["--cores", "-1"],
+            &["--cores", "--profile"],
+            &["--flows", "1.5"],
+            &["--json"],
+            &["--trace"],
+            &["--faults", "bitflip@..:rate=7"],
+            &["--workload=zipf=x"],
+            &["--timeline=abc"],
+            &["--timeline=-5"],
+        ] {
+            let e = cli(bad).expect_err(&format!("{bad:?} must be rejected"));
+            assert!(
+                e.starts_with(bad[0].split('=').next().unwrap()),
+                "{bad:?}: {e}"
+            );
+        }
     }
 
     #[test]

@@ -11,7 +11,10 @@
 use packetmill::{ExperimentBuilder, MetadataModel, Nf, OptLevel, SweepSpec, Table};
 
 fn main() {
-    packetmill::sweep::configure_from_args();
+    if let Err(e) = packetmill::sweep::configure_from_args(std::env::args().skip(1)) {
+        eprintln!("{e}");
+        std::process::exit(1);
+    }
 
     let mut spec = SweepSpec::new().progress(true);
     for cores in 1..=4usize {

@@ -12,7 +12,10 @@
 use packetmill::{ExperimentBuilder, MetadataModel, Nf, OptLevel, SweepSpec, Table};
 
 fn main() {
-    packetmill::sweep::configure_from_args();
+    if let Err(e) = packetmill::sweep::configure_from_args(std::env::args().skip(1)) {
+        eprintln!("{e}");
+        std::process::exit(1);
+    }
     const OFFERED: [f64; 5] = [20.0, 40.0, 60.0, 80.0, 100.0];
 
     let mut spec = SweepSpec::new().progress(true);

@@ -11,22 +11,7 @@
 //! correctness bug, not a tolerance question.
 
 use packetmill::sweep::{artifact_document, set_default_profile};
-
-/// Reports the first differing line instead of dumping two ~300-KiB
-/// strings through `assert_eq!`.
-fn assert_same(actual: &str, expected: &str, what: &str) {
-    if actual == expected {
-        return;
-    }
-    for (i, (a, e)) in actual.lines().zip(expected.lines()).enumerate() {
-        assert_eq!(a, e, "{what}: first divergence at line {}", i + 1);
-    }
-    panic!(
-        "{what}: lengths differ ({} vs {} bytes) with a common prefix",
-        actual.len(),
-        expected.len()
-    );
-}
+use pm_integration_tests::check_fixture;
 
 #[test]
 fn fig7_n1_artifact_matches_committed_fixture() {
@@ -34,18 +19,8 @@ fn fig7_n1_artifact_matches_committed_fixture() {
     let a = pm_bench::figures::fig7(1);
 
     let stdout = format!("== N = 1 ==\n\n{}\n", a.table);
-    assert_same(
-        &stdout,
-        include_str!("../golden/fig7-n1.txt"),
-        "stdout table",
-    );
-
     let json = artifact_document(vec![a.results.to_json("fig7-n1")]).to_pretty() + "\n";
-    assert_same(
-        &json,
-        include_str!("../golden/fig7-n1.json"),
-        "json artifact",
-    );
+    check_fixture("fig7-n1", Some(&stdout), Some(&json));
 }
 
 /// The fault plan baked into the faulted fig7 fixture: always-on wire
@@ -62,26 +37,7 @@ fn fig7_n1_faulted_artifact_matches_committed_fixture() {
 
     let stdout = format!("== N = 1 (faulted) ==\n\n{}\n", a.table);
     let json = artifact_document(vec![a.results.to_json("fig7-n1-faulted")]).to_pretty() + "\n";
-
-    // PM_WRITE_GOLDEN=1 regenerates the fixture instead of comparing.
-    if std::env::var("PM_WRITE_GOLDEN").is_ok_and(|v| v != "0") {
-        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/golden");
-        std::fs::write(format!("{dir}/fig7-n1-faulted.txt"), &stdout).unwrap();
-        std::fs::write(format!("{dir}/fig7-n1-faulted.json"), &json).unwrap();
-        eprintln!("wrote faulted fig7 fixtures to {dir}");
-        return;
-    }
-
-    assert_same(
-        &stdout,
-        include_str!("../golden/fig7-n1-faulted.txt"),
-        "stdout table",
-    );
-    assert_same(
-        &json,
-        include_str!("../golden/fig7-n1-faulted.json"),
-        "json artifact",
-    );
+    check_fixture("fig7-n1-faulted", Some(&stdout), Some(&json));
 }
 
 /// The multi-core scaling sweep, cores = 2 — PR 6 pinned only the stdout
@@ -93,20 +49,7 @@ fn fig_multicore_c2_profiled_artifact_matches_committed_fixture() {
     set_default_profile(true);
     let a = pm_bench::figures::fig_multicore(2);
     let json = artifact_document(vec![a.results.to_json("fig-multicore")]).to_pretty() + "\n";
-
-    // PM_WRITE_GOLDEN=1 regenerates the fixture instead of comparing.
-    if std::env::var("PM_WRITE_GOLDEN").is_ok_and(|v| v != "0") {
-        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/golden");
-        std::fs::write(format!("{dir}/fig-multicore-c2.json"), &json).unwrap();
-        eprintln!("wrote fig_multicore profiled fixture to {dir}");
-        return;
-    }
-
-    assert_same(
-        &json,
-        include_str!("../golden/fig-multicore-c2.json"),
-        "json artifact",
-    );
+    check_fixture("fig-multicore-c2", None, Some(&json));
 }
 
 /// The flight-recorder showcase: pins the per-window time series, the
@@ -120,26 +63,7 @@ fn fig_timeline_artifact_matches_committed_fixture() {
 
     let stdout = format!("{}\n", a.table);
     let json = artifact_document(vec![a.results.to_json("fig-timeline")]).to_pretty() + "\n";
-
-    // PM_WRITE_GOLDEN=1 regenerates the fixture instead of comparing.
-    if std::env::var("PM_WRITE_GOLDEN").is_ok_and(|v| v != "0") {
-        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/golden");
-        std::fs::write(format!("{dir}/fig-timeline.txt"), &stdout).unwrap();
-        std::fs::write(format!("{dir}/fig-timeline.json"), &json).unwrap();
-        eprintln!("wrote fig_timeline fixtures to {dir}");
-        return;
-    }
-
-    assert_same(
-        &stdout,
-        include_str!("../golden/fig-timeline.txt"),
-        "stdout table",
-    );
-    assert_same(
-        &json,
-        include_str!("../golden/fig-timeline.json"),
-        "json artifact",
-    );
+    check_fixture("fig-timeline", Some(&stdout), Some(&json));
 
     // The fixture really carries the claim: a dip window with zero
     // throughput during the flap and a recovery back to line rate.
@@ -161,26 +85,7 @@ fn fig_flowscale_artifact_matches_committed_fixture() {
 
     let stdout = format!("{}\n", a.table);
     let json = artifact_document(vec![a.results.to_json("fig-flowscale")]).to_pretty() + "\n";
-
-    // PM_WRITE_GOLDEN=1 regenerates the fixture instead of comparing.
-    if std::env::var("PM_WRITE_GOLDEN").is_ok_and(|v| v != "0") {
-        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/golden");
-        std::fs::write(format!("{dir}/fig-flowscale.txt"), &stdout).unwrap();
-        std::fs::write(format!("{dir}/fig-flowscale.json"), &json).unwrap();
-        eprintln!("wrote fig_flowscale fixtures to {dir}");
-        return;
-    }
-
-    assert_same(
-        &stdout,
-        include_str!("../golden/fig-flowscale.txt"),
-        "stdout table",
-    );
-    assert_same(
-        &json,
-        include_str!("../golden/fig-flowscale.json"),
-        "json artifact",
-    );
+    check_fixture("fig-flowscale", Some(&stdout), Some(&json));
 
     // The fixture carries the workload section: canonical spec, churn
     // accounting, and the per-table counters.
@@ -198,16 +103,6 @@ fn table1_artifact_matches_committed_fixture() {
     let a = pm_bench::figures::table1();
 
     let stdout = format!("{}\n", a.table);
-    assert_same(
-        &stdout,
-        include_str!("../golden/table1.txt"),
-        "stdout table",
-    );
-
     let json = artifact_document(vec![a.results.to_json("table1")]).to_pretty() + "\n";
-    assert_same(
-        &json,
-        include_str!("../golden/table1.json"),
-        "json artifact",
-    );
+    check_fixture("table1", Some(&stdout), Some(&json));
 }

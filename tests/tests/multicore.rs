@@ -10,25 +10,10 @@
 
 use packetmill::sweep::artifact_document;
 use packetmill::{ExperimentBuilder, Json, MetadataModel, Nf, OptLevel, SweepSpec};
+use pm_integration_tests::{assert_same, check_fixture};
 use pm_mem::AddressSpace;
 use pm_nic::{IndirectionTable, Nic, NicConfig};
 use pm_packet::builder::PacketBuilder;
-
-/// Reports the first differing line instead of dumping two large
-/// strings through `assert_eq!`.
-fn assert_same(actual: &str, expected: &str, what: &str) {
-    if actual == expected {
-        return;
-    }
-    for (i, (a, e)) in actual.lines().zip(expected.lines()).enumerate() {
-        assert_eq!(a, e, "{what}: first divergence at line {}", i + 1);
-    }
-    panic!(
-        "{what}: lengths differ ({} vs {} bytes) with a common prefix",
-        actual.len(),
-        expected.len()
-    );
-}
 
 /// A debug-friendly 4-core grid over three NFs.
 fn small_multicore_sweep() -> SweepSpec {
@@ -192,18 +177,5 @@ fn nic_steering_keeps_a_flow_on_one_queue() {
 fn fig_multicore_c2_matches_committed_fixture() {
     let a = pm_bench::figures::fig_multicore(2);
     let stdout = format!("{}\n", a.table);
-
-    // PM_WRITE_GOLDEN=1 regenerates the fixture instead of comparing.
-    if std::env::var("PM_WRITE_GOLDEN").is_ok_and(|v| v != "0") {
-        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/golden");
-        std::fs::write(format!("{dir}/fig-multicore-c2.txt"), &stdout).unwrap();
-        eprintln!("wrote fig_multicore fixture to {dir}");
-        return;
-    }
-
-    assert_same(
-        &stdout,
-        include_str!("../golden/fig-multicore-c2.txt"),
-        "stdout table",
-    );
+    check_fixture("fig-multicore-c2", Some(&stdout), None);
 }
