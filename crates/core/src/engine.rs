@@ -12,12 +12,12 @@ use pm_dpdk::{MetadataModel, MetadataSpec, Pmd, PmdConfig, RxDesc, TxSend};
 use pm_frameworks::Dataplane;
 use pm_mem::{AddressSpace, Cost, MemCounters, MemoryHierarchy, SCOPE_SCHEDULER};
 use pm_nic::{DmaMemory, Nic, NicConfig};
-use pm_sim::{round_to_u64, DropCause, FaultPlan, Frequency, Ledger, SimTime};
+use pm_sim::{DropCause, FaultPlan, Frequency, Ledger, SimTime, WireFault};
 use pm_telemetry::{
     LatencyHistogram, ProfileRecord, ProfileReport, TimelineRecorder, TimelineReport,
     TraceRecorder, TraceReport, TraceSpec,
 };
-use pm_traffic::Trace;
+use pm_traffic::{wire_gap, Trace};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -461,14 +461,23 @@ impl Engine {
                 if st.next_idx == warmup && self.measure_gen_start.is_none() {
                     self.measure_gen_start = Some(st.next_time);
                 }
-                let frame = self.traces[n].frame(st.next_idx);
-                let hash = st.frame_hashes[st.next_idx % st.frame_hashes.len()];
+                let trace = &self.traces[n];
+                let len = trace.frame_len(st.next_idx);
                 let seq = st.next_idx as u64;
                 let at = st.next_time;
-                let fault = plan.and_then(|p| p.wire_fault(n as u64, seq, at, frame.len()));
+                let fault = plan.and_then(|p| p.wire_fault(n as u64, seq, at, len));
+                let hash = match fault {
+                    // The device hashes the bytes that arrive; only a
+                    // truncated frame's differ from the memoized ones.
+                    Some(WireFault::Truncate { new_len }) => {
+                        let full = trace.copy_frame(st.next_idx, &mut self.scratch);
+                        st.dev.rss_hash(&self.scratch[..new_len.min(full)])
+                    }
+                    _ => st.frame_hashes[st.next_idx % st.frame_hashes.len()],
+                };
                 let delivered =
                     st.dev
-                        .rx_deliver_wire(frame, hash, at, seq, &mut self.mem, &st.dma, fault);
+                        .rx_deliver_wire(len, hash, at, seq, &mut self.mem, &st.dma, fault);
                 if let (Some(tl), Ok(q)) = (self.timeline.as_mut(), delivered) {
                     tl.on_rx(core_of(n * qpn + q, cores), at.as_ps(), 1);
                 }
@@ -481,10 +490,7 @@ impl Engine {
                 }
                 // Pacing always follows the frame as generated: faults
                 // change what arrives, never when the next frame does.
-                let wire_bits = (frame.len() as u64 + 20) * 8;
-                st.next_time += SimTime::from_ps(round_to_u64(
-                    wire_bits as f64 * 1000.0 / self.cfg.offered_gbps,
-                ));
+                st.next_time += wire_gap(len, self.cfg.offered_gbps);
                 st.next_idx += 1;
             }
         }
@@ -615,8 +621,9 @@ impl Engine {
         let dp = &mut self.dataplanes[pair];
         self.sends.clear();
         for desc in pkts {
-            let len = desc.len as usize;
-            self.scratch[..len].copy_from_slice(&self.traces[n].frame(desc.seq as usize)[..len]);
+            // The whole frame: a truncated one's delivered `len` is
+            // shorter, and the NF reads only that prefix.
+            self.traces[n].copy_frame(desc.seq as usize, &mut self.scratch);
             let sampled = self.trace.as_ref().is_some_and(|t| t.wants(nic, desc.seq));
             // Spans are laid out in virtual time from the charge the
             // burst has accumulated so far — reads only, no charges.

@@ -3,7 +3,8 @@
 //!
 //! The NIC moves no bytes. Delivering a frame charges its DMA write to
 //! the cache model and publishes a completion that names the frame by
-//! `seq`; the completion's bytes are the trace's `frame(seq)[..len]`.
+//! `seq`; the completion's bytes are the first `len` bytes of the
+//! trace's frame `seq`.
 
 use crate::dma::DmaMemory;
 use crate::link::LinkModel;
@@ -254,14 +255,15 @@ impl Nic {
         mem: &mut MemoryHierarchy,
         dma: &DmaMemory,
     ) -> Option<usize> {
-        self.deliver(frame, hash, now, seq, mem, dma).ok()
+        self.deliver(frame.len(), hash, now, seq, mem, dma).ok()
     }
 
     /// The delivery itself: the queue the frame landed on, or which
-    /// [`NicStats`] counter its loss moved.
+    /// [`NicStats`] counter its loss moved. Only the frame's length
+    /// matters: the device moves no bytes, it charges their DMA.
     fn deliver(
         &mut self,
-        frame: &[u8],
+        len: usize,
         hash: u32,
         now: SimTime,
         seq: u64,
@@ -281,17 +283,17 @@ impl Nic {
             return Err(DropCause::RxRing); // ring counted the drop
         };
         assert!(
-            frame.len() <= dma.data_capacity() as usize,
+            len <= dma.data_capacity() as usize,
             "packet larger than buffer"
         );
         // PCIe pacing.
-        let delivery = now.max(self.rx_pcie_free) + self.pcie.transfer_time(frame.len() as u64);
+        let delivery = now.max(self.rx_pcie_free) + self.pcie.transfer_time(len as u64);
         self.rx_pcie_free = delivery;
 
         let desc_addr = self.rx[q].push_completion(Completion {
             buf_id: buf.buf_id,
             data_addr: buf.data_addr,
-            len: frame.len() as u32,
+            len: len as u32,
             rss_hash: hash,
             arrival: delivery,
             gen: now,
@@ -300,10 +302,10 @@ impl Nic {
         });
         // One NIC event writes payload then completion descriptor: a
         // heterogeneous two-span DDIO charge set, payload lines first.
-        mem.dma_write_set(&[(buf.data_addr, frame.len() as u64), (desc_addr, DESC_BYTES)]);
+        mem.dma_write_set(&[(buf.data_addr, len as u64), (desc_addr, DESC_BYTES)]);
 
         self.stats.rx_packets += 1;
-        self.stats.rx_bytes += frame.len() as u64;
+        self.stats.rx_bytes += len as u64;
         self.rx_q_packets[q] += 1;
         Ok(q)
     }
@@ -314,12 +316,15 @@ impl Nic {
     /// counter that moved). Bit-flipped frames fail the FCS check and
     /// descriptor-drop episodes lose the frame outright — both are
     /// counted and consume **no** posted buffer (the device rejects them
-    /// before DMA). Truncated frames carry a valid FCS, so the shortened
-    /// bytes are re-hashed and delivered all the way into the NF.
+    /// before DMA). Truncated frames carry a valid FCS and are delivered
+    /// all the way into the NF, so `hash` is the RSS hash of the bytes
+    /// that arrive: for a `Truncate` fault, of the frame's first
+    /// `new_len` bytes ([`Self::rss_hash`]). The frame itself is only
+    /// its length `len`.
     #[allow(clippy::too_many_arguments)] // rx_deliver_hashed's params + the fault
     pub fn rx_deliver_wire(
         &mut self,
-        frame: &[u8],
+        len: usize,
         hash: u32,
         now: SimTime,
         seq: u64,
@@ -328,7 +333,7 @@ impl Nic {
         fault: Option<WireFault>,
     ) -> Result<usize, DropCause> {
         match fault {
-            None => self.deliver(frame, hash, now, seq, mem, dma),
+            None => self.deliver(len, hash, now, seq, mem, dma),
             Some(WireFault::BitFlip | WireFault::DescDrop) if self.link_resume(now).is_some() => {
                 self.stats.rx_link_down += 1;
                 Err(DropCause::LinkDown)
@@ -342,9 +347,7 @@ impl Nic {
                 Err(DropCause::Desc)
             }
             Some(WireFault::Truncate { new_len }) => {
-                let short = &frame[..new_len.min(frame.len())];
-                let hash = self.rss_hash(short);
-                let q = self.deliver(short, hash, now, seq, mem, dma)?;
+                let q = self.deliver(new_len.min(len), hash, now, seq, mem, dma)?;
                 self.stats.rx_truncated += 1;
                 Ok(q)
             }
@@ -572,7 +575,7 @@ mod tests {
         ] {
             assert_eq!(
                 r.nic
-                    .rx_deliver_wire(&frame, h, SimTime::ZERO, 0, &mut r.mem, &r.dma, Some(fault)),
+                    .rx_deliver_wire(128, h, SimTime::ZERO, 0, &mut r.mem, &r.dma, Some(fault)),
                 Err(cause)
             );
         }
@@ -590,11 +593,12 @@ mod tests {
         let mut r = rig(1);
         post(&mut r, 0, 0..4);
         let frame = PacketBuilder::udp().frame_len(128).build();
-        let h = r.nic.rss_hash(&frame);
+        // The caller hashes the bytes that arrive.
+        let h = r.nic.rss_hash(&frame[..17]);
         let q = r
             .nic
             .rx_deliver_wire(
-                &frame,
+                frame.len(),
                 h,
                 SimTime::ZERO,
                 0,
@@ -629,7 +633,7 @@ mod tests {
                 let h = r.nic.rss_hash(&frame);
                 let got = r
                     .nic
-                    .rx_deliver_wire(&frame, h, now, 0, &mut r.mem, &r.dma, fault);
+                    .rx_deliver_wire(frame.len(), h, now, 0, &mut r.mem, &r.dma, fault);
                 // A down link wins over every injected cause; FCS and
                 // descriptor rejects happen before a buffer is needed.
                 let want = match fault {

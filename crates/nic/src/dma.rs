@@ -4,8 +4,9 @@
 //! simulated addresses are what the cache model sees, the mempool in
 //! `pm-dpdk` hands buffer ids out, and the headroom offset models DPDK's
 //! `RTE_PKTMBUF_HEADROOM`. The pool holds no bytes. Packet bytes live
-//! once, in the trace: a completion's bytes are the trace's
-//! `frame(seq)[..len]`, which the engine hands to the dataplane.
+//! once, in the trace: a completion's bytes are the first `len` bytes of
+//! the trace's frame `seq`, which the engine copies out for the
+//! dataplane.
 
 use pm_mem::{AddressSpace, Region};
 

@@ -4,7 +4,7 @@
 //! carrying TCP, UDP, ICMP, or ARP — the packet kinds the paper's campus
 //! trace contains and its NFs (router, IDS, NAT) act on.
 
-use crate::checksum::{fold, pseudo_header_sum, sum_words};
+use crate::checksum::{fold, pseudo_header_sum, sum_fill, sum_words};
 use crate::ether::{EtherHeader, EtherType, ETHER_LEN};
 use crate::icmp::{IcmpHeader, IcmpType, ICMP_LEN};
 use crate::ipv4::{IpProto, Ipv4Header, IPV4_MIN_LEN};
@@ -181,12 +181,7 @@ impl PacketBuilder {
     ///
     /// Panics if `frame_len` is too small to hold the headers.
     pub fn frame_len(mut self, frame_len: usize) -> Self {
-        let headers = match self.kind {
-            Kind::Tcp => ETHER_LEN + IPV4_MIN_LEN + TCP_MIN_LEN,
-            Kind::Udp => ETHER_LEN + IPV4_MIN_LEN + UDP_LEN,
-            Kind::Icmp => ETHER_LEN + IPV4_MIN_LEN + ICMP_LEN,
-            Kind::Arp => ETHER_LEN + crate::arp::ARP_LEN,
-        };
+        let headers = self.header_len();
         assert!(
             frame_len >= headers,
             "frame_len {frame_len} < header bytes {headers}"
@@ -196,27 +191,63 @@ impl PacketBuilder {
         self
     }
 
+    /// Bytes of Ethernet, network and transport header.
+    fn header_len(&self) -> usize {
+        ETHER_LEN
+            + match self.kind {
+                Kind::Tcp => IPV4_MIN_LEN + TCP_MIN_LEN,
+                Kind::Udp => IPV4_MIN_LEN + UDP_LEN,
+                Kind::Icmp => IPV4_MIN_LEN + ICMP_LEN,
+                Kind::Arp => crate::arp::ARP_LEN,
+            }
+    }
+
     /// Builds the frame.
     pub fn build(&self) -> Vec<u8> {
-        let mut out = match self.kind {
-            Kind::Arp => self.build_arp(),
-            Kind::Tcp | Kind::Udp | Kind::Icmp => self.build_ip(),
-        };
-        if out.len() < self.min_frame {
-            out.resize(self.min_frame, 0);
-        }
+        let mut out = Vec::new();
+        let (fill, len) = self.build_head(&mut out);
+        out.resize(len, fill);
         out
     }
 
-    fn build_arp(&self) -> Vec<u8> {
-        let len = ETHER_LEN + crate::arp::ARP_LEN + self.payload_len;
-        let mut b = vec![0u8; len];
+    /// Appends the frame's head to `out` and returns `(fill, len)`: the
+    /// frame is the head followed by `fill` repeated up to `len` bytes in
+    /// all. The head is the headers, with the payload in the fill run,
+    /// so no payload byte is written and the L4 checksum sums the run in
+    /// closed form ([`sum_fill`]). A payload that min-frame padding
+    /// follows is not one run with it: it stays in the head, and the run
+    /// is the zero padding.
+    pub fn build_head(&self, out: &mut Vec<u8>) -> (u8, usize) {
+        // ARP's padding-to-length is zeros, not the payload byte.
+        let payload_byte = match self.kind {
+            Kind::Arp => 0,
+            _ => self.payload_byte,
+        };
+        let headers = self.header_len();
+        let unpadded = headers + self.payload_len;
+        let (head_len, fill, run) = if unpadded < self.min_frame {
+            (unpadded, 0, 0)
+        } else {
+            (headers, payload_byte, self.payload_len)
+        };
+        let start = out.len();
+        out.resize(start + headers, 0);
+        out.resize(start + head_len, payload_byte);
+        let head = &mut out[start..];
+        match self.kind {
+            Kind::Arp => self.write_arp(head),
+            Kind::Tcp | Kind::Udp | Kind::Icmp => self.write_ip(head, run),
+        }
+        (fill, unpadded.max(self.min_frame))
+    }
+
+    fn write_arp(&self, b: &mut [u8]) {
         EtherHeader {
             dst: MacAddr::BROADCAST,
             src: self.src_mac,
             ethertype: EtherType::ARP,
         }
-        .write(&mut b);
+        .write(b);
         ArpPacket {
             op: ArpOp::Request,
             sender_mac: self.src_mac,
@@ -225,10 +256,12 @@ impl PacketBuilder {
             target_ip: self.dst_ip,
         }
         .write(&mut b[ETHER_LEN..]);
-        b
     }
 
-    fn build_ip(&self) -> Vec<u8> {
+    /// Writes the headers to the front of `b` (which holds them plus any
+    /// payload kept in the head); `run` payload bytes of `payload_byte`
+    /// follow `b` in the frame.
+    fn write_ip(&self, b: &mut [u8], run: usize) {
         let (proto, tl_len) = match self.kind {
             Kind::Tcp => (IpProto::TCP, TCP_MIN_LEN),
             Kind::Udp => (IpProto::UDP, UDP_LEN),
@@ -237,13 +270,12 @@ impl PacketBuilder {
         };
         let transport_len = tl_len + self.payload_len;
         let total_len = IPV4_MIN_LEN + transport_len;
-        let mut b = vec![0u8; ETHER_LEN + total_len];
         EtherHeader {
             dst: self.dst_mac,
             src: self.src_mac,
             ethertype: EtherType::IPV4,
         }
-        .write(&mut b);
+        .write(b);
         Ipv4Header {
             header_len: IPV4_MIN_LEN,
             dscp_ecn: 0,
@@ -259,9 +291,10 @@ impl PacketBuilder {
         .write(&mut b[ETHER_LEN..]);
 
         let t = ETHER_LEN + IPV4_MIN_LEN;
-        for byte in &mut b[t + tl_len..] {
-            *byte = self.payload_byte;
-        }
+        let l4_sum = |b: &[u8], proto: u8| {
+            let acc = pseudo_header_sum(self.src_ip, self.dst_ip, proto, transport_len as u16);
+            !fold(sum_fill(self.payload_byte, run, sum_words(&b[t..], acc)))
+        };
         match self.kind {
             Kind::Tcp => {
                 TcpHeader {
@@ -275,9 +308,8 @@ impl PacketBuilder {
                     checksum: 0,
                 }
                 .write(&mut b[t..]);
-                let acc = pseudo_header_sum(self.src_ip, self.dst_ip, 6, transport_len as u16);
-                let c = !fold(sum_words(&b[t..t + transport_len], acc));
-                put16(&mut b, t + crate::tcp::CHECKSUM_OFFSET, c);
+                let c = l4_sum(b, 6);
+                put16(b, t + crate::tcp::CHECKSUM_OFFSET, c);
             }
             Kind::Udp => {
                 UdpHeader {
@@ -287,12 +319,11 @@ impl PacketBuilder {
                     checksum: 0,
                 }
                 .write(&mut b[t..]);
-                let acc = pseudo_header_sum(self.src_ip, self.dst_ip, 17, transport_len as u16);
-                let mut c = !fold(sum_words(&b[t..t + transport_len], acc));
+                let mut c = l4_sum(b, 17);
                 if c == 0 {
                     c = 0xffff; // RFC 768: zero means "no checksum"
                 }
-                put16(&mut b, t + 6, c);
+                put16(b, t + 6, c);
             }
             Kind::Icmp => {
                 IcmpHeader {
@@ -301,11 +332,10 @@ impl PacketBuilder {
                     checksum: 0,
                     rest: self.seq,
                 }
-                .write(&mut b[t..], transport_len);
+                .write(&mut b[t..], self.payload_byte, run);
             }
             Kind::Arp => unreachable!(),
         }
-        b
     }
 }
 

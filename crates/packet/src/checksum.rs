@@ -48,6 +48,17 @@ pub fn sum_words(data: &[u8], mut acc: u32) -> u32 {
     acc
 }
 
+/// Accumulates the sum of `n` bytes all equal to `byte` onto `acc`, in
+/// closed form: the same `u32` that [`sum_words`] returns for
+/// `&vec![byte; n]` (neither overflows below 2 000 bytes), without a
+/// byte in memory. The run must start at an even offset of the summed
+/// data, as a payload after a TCP/UDP/ICMP header does.
+pub fn sum_fill(byte: u8, n: usize, acc: u32) -> u32 {
+    let word = u32::from(byte) * 257;
+    let odd = if n % 2 == 1 { u32::from(byte) << 8 } else { 0 };
+    acc + (n / 2) as u32 * word + odd
+}
+
 /// Folds a 32-bit accumulator into 16 bits (ones-complement).
 pub fn fold(mut acc: u32) -> u16 {
     while acc > 0xffff {

@@ -1,6 +1,6 @@
 //! ICMP header parsing and validation.
 
-use crate::checksum::checksum_skipping;
+use crate::checksum::{checksum_skipping, fold, sum_fill, sum_words};
 use crate::{be16, put16, ParseError};
 
 /// ICMP header length (type/code/checksum + rest-of-header).
@@ -53,18 +53,22 @@ impl IcmpHeader {
     }
 
     /// Writes this header to the front of `b` and computes the checksum
-    /// over `b[..msg_len]` (header + payload).
+    /// over the message: all of `b` (the header and any payload held
+    /// there), then `fill_len` bytes of `fill` that follow it, summed in
+    /// closed form ([`sum_fill`]) so the run need not exist in memory.
     ///
     /// # Panics
     ///
-    /// Panics if `b` is shorter than `msg_len` or `msg_len < ICMP_LEN`.
-    pub fn write(&self, b: &mut [u8], msg_len: usize) {
-        assert!(msg_len >= ICMP_LEN);
+    /// Panics if `b` is shorter than the header, or a run follows an
+    /// odd-length `b` (it would not start on a 16-bit word).
+    pub fn write(&self, b: &mut [u8], fill: u8, fill_len: usize) {
+        assert!(b.len() >= ICMP_LEN);
+        assert!(fill_len == 0 || b.len().is_multiple_of(2), "fill run off a word");
         b[0] = self.icmp_type.0;
         b[1] = self.code;
         put16(b, 2, 0);
         crate::put32(b, 4, self.rest);
-        let c = crate::checksum::checksum(&b[..msg_len]);
+        let c = !fold(sum_fill(fill, fill_len, sum_words(b, 0)));
         put16(b, 2, c);
     }
 
@@ -102,11 +106,26 @@ mod tests {
             checksum: 0,
             rest: 0x0001_0002,
         }
-        .write(&mut b, 16);
+        .write(&mut b, 0, 0);
         let h = IcmpHeader::parse(&b).unwrap();
         assert_eq!(h.icmp_type, IcmpType::ECHO_REQUEST);
         assert_eq!(h.rest, 0x0001_0002);
         assert!(h.verify_checksum(&b, 16));
+    }
+
+    #[test]
+    fn fill_run_checksum_covers_the_run() {
+        let mut b = vec![0u8; 8];
+        IcmpHeader {
+            icmp_type: IcmpType::ECHO_REQUEST,
+            code: 0,
+            checksum: 0,
+            rest: 7,
+        }
+        .write(&mut b, 0x5A, 13);
+        b.resize(8 + 13, 0x5A);
+        let h = IcmpHeader::parse(&b).unwrap();
+        assert!(h.verify_checksum(&b, b.len()));
     }
 
     #[test]
@@ -118,7 +137,7 @@ mod tests {
             checksum: 0,
             rest: 0,
         }
-        .write(&mut b, 8);
+        .write(&mut b, 0, 0);
         b[4] ^= 0xff; // corrupt payload word
         let h = IcmpHeader::parse(&b).unwrap();
         assert!(!h.verify_checksum(&b, 8));

@@ -13,8 +13,10 @@
 //! * [`TrafficProfile::FixedSize`] — fixed-size frames for the packet-size
 //!   sweeps (Figs. 6 and 11).
 //!
-//! [`Trace::replay`] paces arrivals at an offered load, modelling the
-//! generator server of the paper's testbed. [`pcap`] loads standard
+//! A trace stores each frame as its headers plus a fill run and hands
+//! out whole frames with [`Trace::copy_frame`]; [`wire_gap`] spaces
+//! arrivals at an offered load, modelling the generator server of the
+//! paper's testbed. [`pcap`] loads standard
 //! `.pcap` captures for replaying *your own* traces through the
 //! simulated testbed, and saves synthesized ones for wireshark/tcpdump.
 
@@ -27,7 +29,7 @@ pub mod workload;
 pub mod zipf;
 
 pub use pcap::{read_pcap, write_pcap, PcapError};
-pub use synth::{cache_counts, CacheCounts, Trace, TraceConfig, TrafficProfile};
+pub use synth::{cache_counts, wire_gap, CacheCounts, Trace, TraceConfig, TrafficProfile};
 pub use workload::{
     AttackEvent, AttackKind, FramePlan, SizeModel, Workload, WorkloadSpec, WorkloadSpecError,
     WorkloadStats,

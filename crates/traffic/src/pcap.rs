@@ -166,7 +166,14 @@ impl Trace {
     /// 1-µs spacing — the timing is cosmetic; replay paces by offered
     /// load).
     pub fn to_pcap(&self, path: &Path) -> Result<(), PcapError> {
-        let frames: Vec<&[u8]> = (0..self.len()).map(|i| self.frame(i)).collect();
+        let frames: Vec<Vec<u8>> = (0..self.len())
+            .map(|i| {
+                let mut f = vec![0; self.frame_len(i)];
+                self.copy_frame(i, &mut f);
+                f
+            })
+            .collect();
+        let frames: Vec<&[u8]> = frames.iter().map(Vec::as_slice).collect();
         write_pcap(path, &frames, 1)
     }
 }

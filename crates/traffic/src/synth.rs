@@ -1,12 +1,12 @@
-//! Trace synthesis and paced replay.
+//! Trace synthesis and the wire pacing rule.
 
 use crate::workload::{FramePlan, Workload, WorkloadSpec, WorkloadStats};
 use crate::zipf::Zipf;
 use pm_nic::Toeplitz;
 use pm_packet::builder::PacketBuilder;
-use pm_sim::{SimTime, SplitMix64};
+use pm_sim::{round_to_u64, SimTime, SplitMix64};
 use std::cell::Cell;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// What kind of traffic to synthesize.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,13 +66,13 @@ enum FlowProto {
 /// A synthesized trace of complete Ethernet frames.
 ///
 /// The trace is the only place packet bytes live: the NIC model moves
-/// none, and the engine copies a packet's bytes out of [`Self::frame`]
-/// just before processing it. Frames are shared behind an [`Arc`], so
-/// cloning a trace (one clone per engine build) is O(1) rather than a
-/// deep copy of several megabytes of packet bytes. What is derived from
-/// the frames — the per-frame RSS hashes, the workload accounting — is
-/// shared the same way, so every run that replays a cached trace reads
-/// values computed once.
+/// none, and the engine copies a packet's bytes out with
+/// [`Self::copy_frame`] just before processing it. A frame is stored as
+/// its header bytes plus a fill run (see `Frames`). Frames are shared
+/// behind an [`Arc`], so cloning a trace (one clone per engine build) is
+/// O(1). What is derived from the frames — the per-frame RSS hashes, the
+/// workload accounting — is shared the same way, so every run that
+/// replays a cached trace reads values computed once.
 #[derive(Debug, Clone)]
 pub struct Trace {
     frames: Arc<Frames>,
@@ -86,32 +86,86 @@ pub struct Trace {
 
 type HashMemos = Vec<([u8; 40], Arc<[u32]>)>;
 
-/// A trace's frames back to back in one buffer, and where each ends.
+/// A trace's frames, each its head bytes followed by a run of one fill
+/// byte: the heads back to back in one buffer, and one index entry per
+/// frame. A synthesized frame's head is its headers and the run its
+/// constant payload, so the buffer holds ≈ 54 B per frame instead of
+/// ≈ 1 KB; a captured frame is all head, with an empty run.
 ///
 /// One allocation per trace, not one per frame: thousands of small
 /// blocks are what glibc trims and faults back in between a sweep's
-/// set-up passes once no large block is freed (DESIGN.md §10, "Packet
-/// bytes live once").
+/// set-up passes once no large block is freed (DESIGN.md §10, "Keep the
+/// trace one buffer").
 #[derive(Debug, Default)]
 struct Frames {
+    heads: Vec<u8>,
+    index: Vec<FrameEntry>,
+    /// Σ frame lengths.
+    total_len: usize,
+    /// Every frame written out in full, built by the first
+    /// [`Trace::frame`] call.
+    image: OnceLock<Image>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct FrameEntry {
+    /// One past the head's last byte in `Frames::heads`.
+    head_end: usize,
+    /// Frame length: the head plus the fill run.
+    len: u32,
+    fill: u8,
+}
+
+/// Whole frames back to back, and where each ends.
+#[derive(Debug)]
+struct Image {
     bytes: Vec<u8>,
-    /// One past the last byte of each frame.
     ends: Vec<usize>,
 }
 
+/// Head bytes reserved per frame: a TCP frame's headers are 54 B, so a
+/// synthesized trace's buffer is allocated once.
+const HEAD_RESERVE: usize = 64;
+
 impl Frames {
-    fn push(&mut self, frame: &[u8]) {
-        self.bytes.extend_from_slice(frame);
-        self.ends.push(self.bytes.len());
+    fn with_capacity(frames: usize, head_bytes: usize) -> Frames {
+        Frames {
+            heads: Vec::with_capacity(head_bytes),
+            index: Vec::with_capacity(frames),
+            ..Frames::default()
+        }
     }
 
-    fn get(&self, i: usize) -> &[u8] {
-        let start = i.checked_sub(1).map_or(0, |p| self.ends[p]);
-        &self.bytes[start..self.ends[i]]
+    /// Appends one frame: `build` appends its head to the buffer and
+    /// returns `(fill, len)`, as [`PacketBuilder::build_head`] does.
+    fn push(&mut self, build: impl FnOnce(&mut Vec<u8>) -> (u8, usize)) {
+        let start = self.heads.len();
+        let (fill, len) = build(&mut self.heads);
+        assert!(self.heads.len() - start <= len, "head longer than frame");
+        self.index.push(FrameEntry {
+            head_end: self.heads.len(),
+            len: u32::try_from(len).expect("frame under 4 GiB"),
+            fill,
+        });
+        self.total_len += len;
+    }
+
+    fn head(&self, i: usize) -> &[u8] {
+        let start = i.checked_sub(1).map_or(0, |p| self.index[p].head_end);
+        &self.heads[start..self.index[i].head_end]
+    }
+
+    fn copy(&self, i: usize, out: &mut [u8]) -> usize {
+        let head = self.head(i);
+        let FrameEntry { len, fill, .. } = self.index[i];
+        let len = len as usize;
+        out[..head.len()].copy_from_slice(head);
+        out[head.len()..len].fill(fill);
+        len
     }
 
     fn len(&self) -> usize {
-        self.ends.len()
+        self.index.len()
     }
 }
 
@@ -205,18 +259,17 @@ impl Trace {
             })
             .collect();
 
-        let mut frames = Frames::default();
+        let mut frames = Frames::with_capacity(cfg.packets, cfg.packets * HEAD_RESERVE);
         for seq in 0..cfg.packets {
             let flow = &flows[zipf.sample(&mut rng)];
-            let frame = match cfg.profile {
+            let builder = match cfg.profile {
                 TrafficProfile::FixedSize(size) => PacketBuilder::udp()
                     .src_ip(flow.src_ip)
                     .dst_ip(flow.dst_ip)
                     .src_port(flow.src_port)
                     .dst_port(flow.dst_port)
                     .seq(seq as u32)
-                    .frame_len(size)
-                    .build(),
+                    .frame_len(size),
                 TrafficProfile::CampusMix => {
                     // Occasional ARP keeps the router's ARP path warm
                     // (≈0.5% of packets).
@@ -224,7 +277,6 @@ impl Trace {
                         PacketBuilder::arp()
                             .src_ip(flow.src_ip)
                             .dst_ip([10, 0, 0, 254])
-                            .build()
                     } else {
                         let size = campus_frame_size(&mut rng);
                         let b = match flow.proto {
@@ -239,11 +291,10 @@ impl Trace {
                             .ttl(64)
                             .seq(seq as u32)
                             .frame_len(size)
-                            .build()
                     }
                 }
             };
-            frames.push(&frame);
+            frames.push(|out| builder.build_head(out));
         }
         Trace::new(frames, None)
     }
@@ -275,7 +326,7 @@ impl Trace {
     pub fn from_workload(w: &Workload) -> Trace {
         let n = w.frames();
         assert!(n > 0, "empty workload trace");
-        let mut frames = Frames::default();
+        let mut frames = Frames::with_capacity(n, n * HEAD_RESERVE);
         let mut stats = w.churn(n as u64);
         for seq in 0..n as u64 {
             let plan = w.plan(seq);
@@ -284,7 +335,7 @@ impl Trace {
                 FramePlan::Scan => stats.scan_frames += 1,
                 FramePlan::Normal { .. } => stats.normal_frames += 1,
             }
-            frames.push(&w.build_planned(seq, plan));
+            frames.push(|out| w.builder(seq, plan).build_head(out));
         }
         Trace::new(frames, Some(stats))
     }
@@ -325,8 +376,12 @@ impl Trace {
             return Arc::clone(h);
         }
         let toeplitz = Toeplitz::with_key(*rss_key);
+        let mut buf = vec![0u8; self.max_frame_len()];
         let hashes: Arc<[u32]> = (0..self.frames.len())
-            .map(|i| toeplitz.hash_frame(self.frames.get(i)))
+            .map(|i| {
+                let len = self.frames.copy(i, &mut buf);
+                toeplitz.hash_frame(&buf[..len])
+            })
             .collect();
         if memos.len() >= HASH_MEMO_CAP {
             memos.remove(0);
@@ -337,16 +392,20 @@ impl Trace {
     }
 
     /// Builds a trace directly from raw Ethernet frames (e.g. loaded
-    /// from a pcap capture).
+    /// from a pcap capture). Each frame is stored whole.
     ///
     /// # Panics
     ///
     /// Panics if `frames` is empty.
     pub fn from_frames(frames: Vec<Vec<u8>>) -> Trace {
         assert!(!frames.is_empty(), "empty trace");
-        let mut all = Frames::default();
+        let bytes = frames.iter().map(Vec::len).sum();
+        let mut all = Frames::with_capacity(frames.len(), bytes);
         for f in &frames {
-            all.push(f);
+            all.push(|out| {
+                out.extend_from_slice(f);
+                (0, f.len())
+            });
         }
         Trace::new(all, None)
     }
@@ -358,40 +417,66 @@ impl Trace {
 
     /// True if the trace has no frames (never, by construction).
     pub fn is_empty(&self) -> bool {
-        self.frames.ends.is_empty()
+        self.frames.index.is_empty()
     }
 
     /// Mean frame length in bytes.
     pub fn mean_frame_len(&self) -> f64 {
-        self.frames.bytes.len() as f64 / self.frames.len() as f64
+        self.frames.total_len as f64 / self.frames.len() as f64
     }
 
-    /// Frame `i` (indices wrap, so the trace can be replayed cyclically).
-    pub fn frame(&self, i: usize) -> &[u8] {
-        self.frames.get(i % self.frames.len())
+    /// Length of frame `i` in bytes (indices wrap, so the trace can be
+    /// replayed cyclically).
+    pub fn frame_len(&self, i: usize) -> usize {
+        self.frames.index[i % self.frames.len()].len as usize
     }
 
-    /// Iterates over `(arrival_time, frame)` replaying the trace
-    /// cyclically at `offered_gbps` for `total_packets` packets.
+    /// Writes frame `i` (indices wrap) to the front of `out` and returns
+    /// its length: one copy of the head and one fill.
     ///
-    /// Arrivals are spaced by each frame's wire time at the offered rate
-    /// (back-to-back at 100 Gbps means line rate, like the paper's
-    /// generator).
-    pub fn replay(
-        &self,
-        offered_gbps: f64,
-        total_packets: usize,
-    ) -> impl Iterator<Item = (SimTime, &[u8])> + '_ {
-        assert!(offered_gbps > 0.0, "offered load must be positive");
-        let mut now_ps: u64 = 0;
-        (0..total_packets).map(move |i| {
-            let f: &[u8] = self.frame(i);
-            let t = SimTime::from_ps(now_ps);
-            let wire_bits = (f.len() as u64 + 20) * 8;
-            now_ps += (wire_bits as f64 * 1000.0 / offered_gbps).round() as u64;
-            (t, f)
-        })
+    /// # Panics
+    ///
+    /// Panics if `out` is shorter than the frame.
+    pub fn copy_frame(&self, i: usize, out: &mut [u8]) -> usize {
+        self.frames.copy(i % self.frames.len(), out)
     }
+
+    /// The longest frame's length.
+    fn max_frame_len(&self) -> usize {
+        let max = self.frames.index.iter().map(|e| e.len).max();
+        max.unwrap_or(0) as usize
+    }
+
+    /// Frame `i` as one slice (indices wrap). A compatibility shim for
+    /// the frozen benchmark crate, which cannot take
+    /// [`Self::copy_frame`]: the first call writes every frame out in
+    /// full, once per trace, and keeps that image for the trace's
+    /// lifetime. Nothing in the simulator calls it; ROADMAP item 1
+    /// deletes it with the other benchmark shims.
+    pub fn frame(&self, i: usize) -> &[u8] {
+        let image = self.frames.image.get_or_init(|| {
+            let mut bytes = vec![0u8; self.frames.total_len];
+            let mut ends = Vec::with_capacity(self.frames.len());
+            let mut at = 0;
+            for f in 0..self.frames.len() {
+                at += self.frames.copy(f, &mut bytes[at..]);
+                ends.push(at);
+            }
+            Image { bytes, ends }
+        });
+        let i = i % image.ends.len();
+        let start = i.checked_sub(1).map_or(0, |p| image.ends[p]);
+        &image.bytes[start..image.ends[i]]
+    }
+}
+
+/// The time a frame of `len` bytes occupies the wire at `offered_gbps`:
+/// its bytes plus 20 B of preamble and inter-frame gap, rounded to the
+/// picosecond. Back-to-back frames at 100 Gbps are line rate, like the
+/// paper's generator; the engine spaces arrivals by exactly this.
+pub fn wire_gap(len: usize, offered_gbps: f64) -> SimTime {
+    let wire_bits = (len as u64 + 20) * 8;
+    SimTime::from_ps(round_to_u64(wire_bits as f64 * 1000.0 / offered_gbps))
 }
 
 /// Cache key for [`Trace::synthesize_cached`] and
@@ -540,17 +625,12 @@ mod tests {
 
     #[test]
     fn replay_paces_at_offered_rate() {
-        let t = Trace::synthesize(&TraceConfig {
-            packets: 1_000,
-            profile: TrafficProfile::FixedSize(1000),
-            ..TraceConfig::default()
-        });
-        let arrivals: Vec<SimTime> = t.replay(50.0, 1_000).map(|(t, _)| t).collect();
         // 1020 wire bytes at 50 Gbps = 163.2 ns between arrivals.
-        let gap = (arrivals[999] - arrivals[0]).as_ns() / 999.0;
-        assert!((162.0..165.0).contains(&gap), "gap {gap}");
-        // Monotone non-decreasing.
-        assert!(arrivals.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(wire_gap(1000, 50.0), SimTime::from_ps(163_200));
+        // Back to back at line rate: a 64-B frame's 84 wire bytes at 100 Gbps.
+        assert_eq!(wire_gap(64, 100.0), SimTime::from_ps(6_720));
+        // Rounded to the picosecond: 12 160 bits at 3 Gbps = 4 053 333.3 ps.
+        assert_eq!(wire_gap(1500, 3.0), SimTime::from_ps(4_053_333));
     }
 
     #[test]
@@ -560,9 +640,11 @@ mod tests {
             profile: TrafficProfile::FixedSize(128),
             ..TraceConfig::default()
         });
-        let n = t.replay(100.0, 35).count();
-        assert_eq!(n, 35);
-        assert_eq!(t.frame(3), t.frame(13), "wrapped frames identical");
+        let (mut a, mut b) = ([0u8; 128], [0u8; 128]);
+        assert_eq!(t.copy_frame(3, &mut a), 128);
+        assert_eq!(t.copy_frame(13, &mut b), 128);
+        assert_eq!(a, b, "wrapped frames identical");
+        assert_eq!(t.frame_len(35), t.frame_len(5));
     }
 
     #[test]

@@ -25,9 +25,11 @@
 //! conservation property pinned by `tests/tests/workloads.rs`.
 
 use crate::zipf::Zipf;
+use pm_packet::builder::PacketBuilder;
 use pm_sim::spec::{clauses, fmt_window, parse_count, parse_rate, Clause, Event, PPM};
 use pm_sim::SplitMix64;
 use std::fmt;
+use std::num::NonZeroU64;
 
 /// Parse-level cap on the flow population (a `Zipf` table costs 8 B per
 /// flow, so an unbounded spec would let a fuzzed string allocate
@@ -376,20 +378,17 @@ impl Workload {
         .next_u64()
     }
 
-    /// The churn phase of flow slot `s` (uniform in `[0, life)`).
-    fn phase(&self, slot: u64) -> u64 {
-        debug_assert!(self.spec.life > 0);
-        self.h(SALT_PHASE, slot, 0) % self.spec.life
+    /// The churn phase of flow slot `s` (uniform in `[0, life)`) for a
+    /// finite flow lifetime `life` (immortal flows have no phase).
+    fn phase(&self, slot: u64, life: NonZeroU64) -> u64 {
+        self.h(SALT_PHASE, slot, 0) % life
     }
 
     /// The generation living in `slot` at frame `seq`.
     pub fn generation(&self, slot: u64, seq: u64) -> u64 {
-        // `phase()` itself reduces modulo `life`, so the numerator must
-        // not be evaluated for immortal flows — `checked_div` can't
-        // express that.
-        match self.spec.life {
-            0 => 0,
-            life => (seq + self.phase(slot)) / life,
+        match NonZeroU64::new(self.spec.life) {
+            None => 0,
+            Some(life) => (seq + self.phase(slot, life)) / life,
         }
     }
 
@@ -459,13 +458,12 @@ impl Workload {
 
     /// Builds the complete Ethernet frame for sequence `seq`.
     pub fn build_frame(&self, seq: u64) -> Vec<u8> {
-        self.build_planned(seq, self.plan(seq))
+        self.builder(seq, self.plan(seq)).build()
     }
 
-    /// [`Self::build_frame`] for a caller that already holds
-    /// `self.plan(seq)`.
-    pub(crate) fn build_planned(&self, seq: u64, plan: FramePlan) -> Vec<u8> {
-        use pm_packet::builder::PacketBuilder;
+    /// The builder of frame `seq`, for a caller that already holds
+    /// `self.plan(seq)` (trace synthesis builds only its head).
+    pub(crate) fn builder(&self, seq: u64, plan: FramePlan) -> PacketBuilder {
         match plan {
             FramePlan::Syn => {
                 // Unique spoofed source per frame: every SYN is a brand-
@@ -479,7 +477,6 @@ impl Workload {
                     .dst_port(80)
                     .seq(seq as u32)
                     .frame_len(64)
-                    .build()
             }
             FramePlan::Scan => {
                 // One scanner walking the port space sequentially.
@@ -492,7 +489,6 @@ impl Workload {
                     .dst_port((seq % 65_536) as u16)
                     .seq(seq as u32)
                     .frame_len(64)
-                    .build()
             }
             FramePlan::Normal { slot, generation } => {
                 let f = self.flow(slot, generation);
@@ -508,7 +504,6 @@ impl Workload {
                     .ttl(64)
                     .seq(seq as u32)
                     .frame_len(self.frame_size(seq))
-                    .build()
             }
         }
     }
@@ -538,16 +533,16 @@ impl Workload {
         if n == 0 {
             return WorkloadStats::default();
         }
-        match self.spec.life {
-            0 => s.arrivals = self.spec.flows,
-            life => {
+        match NonZeroU64::new(self.spec.life) {
+            None => s.arrivals = self.spec.flows,
+            Some(life) => {
                 // Σ over slots of generation(slot, n − 1) − generation(slot, 0),
                 // i.e. of (n − 1 + phase) / life (generation 0 at frame 0,
                 // since phase < life), with the division taken once:
                 // n − 1 = q·life + r, and r + phase < 2·life.
                 let (q, r) = ((n - 1) / life, (n - 1) % life);
                 let rotations: u64 = (0..self.spec.flows)
-                    .map(|slot| q + u64::from(self.phase(slot) >= life - r))
+                    .map(|slot| q + u64::from(self.phase(slot, life) >= life.get() - r))
                     .sum();
                 s.arrivals = self.spec.flows + rotations;
                 s.expiries = rotations;

@@ -397,10 +397,13 @@ mod rings {
 mod replay {
     use super::*;
     use packetmill::{Trace, TraceConfig, TrafficProfile};
+    use pm_sim::SimTime;
+    use pm_traffic::wire_gap;
 
     proptest! {
-        /// Replay arrival times are strictly ordered and track the
-        /// offered rate within rounding, for any rate and packet count.
+        /// Arrivals spaced by `wire_gap` are strictly ordered and track
+        /// the offered rate within rounding, for any rate and packet
+        /// count, over a trace replayed cyclically.
         #[test]
         fn replay_paces_correctly(
             gbps in 1.0f64..400.0,
@@ -412,7 +415,13 @@ mod replay {
                 profile: TrafficProfile::FixedSize(size),
                 ..TraceConfig::default()
             });
-            let times: Vec<_> = t.replay(gbps, n).map(|(at, _)| at).collect();
+            let times: Vec<SimTime> = (0..n)
+                .scan(SimTime::ZERO, |at, i| {
+                    let now = *at;
+                    *at += wire_gap(t.frame_len(i), gbps);
+                    Some(now)
+                })
+                .collect();
             prop_assert!(times.windows(2).all(|w| w[0] < w[1]));
             let expect_ns = ((size + 20) * 8) as f64 / gbps;
             let gap = (times[n - 1] - times[0]).as_ns() / (n - 1) as f64;
@@ -420,6 +429,163 @@ mod replay {
                 (gap - expect_ns).abs() < 1.0,
                 "gap {gap:.2} vs expected {expect_ns:.2}"
             );
+        }
+    }
+}
+
+mod lossless {
+    use super::*;
+    use packetmill::{Trace, TraceConfig, TrafficProfile, Workload, WorkloadSpec};
+    use pm_packet::builder::PacketBuilder;
+    use pm_packet::checksum::{fold, pseudo_header_sum, sum_fill, sum_words};
+    use pm_packet::ether::{EtherHeader, EtherType, ETHER_LEN};
+    use pm_packet::icmp::IcmpHeader;
+    use pm_packet::ipv4::{IpProto, Ipv4Header};
+
+    /// Frame `i` of `t` through [`Trace::copy_frame`].
+    fn copied(t: &Trace, i: usize) -> Vec<u8> {
+        let mut f = vec![0; t.frame_len(i)];
+        assert_eq!(t.copy_frame(i, &mut f), f.len());
+        f
+    }
+
+    /// Checks an IPv4 frame's IPv4 and L4 checksums and returns the
+    /// range of its L4 payload.
+    fn verify_ip_frame(f: &[u8]) -> std::ops::Range<usize> {
+        let ip = Ipv4Header::parse(&f[ETHER_LEN..]).expect("IPv4 parses");
+        assert!(ip.verify_checksum(&f[ETHER_LEN..]), "IPv4 checksum");
+        let t = ETHER_LEN + ip.header_len;
+        let end = ETHER_LEN + ip.total_len as usize;
+        let seg = &f[t..end];
+        let (hdr, proto) = match ip.protocol {
+            IpProto::TCP => (20, 6),
+            IpProto::UDP => (8, 17),
+            IpProto::ICMP => {
+                let icmp = IcmpHeader::parse(seg).expect("ICMP parses");
+                assert!(icmp.verify_checksum(seg, seg.len()), "ICMP checksum");
+                return t + 8..end;
+            }
+            p => panic!("unexpected protocol {p:?}"),
+        };
+        let acc = pseudo_header_sum(ip.src, ip.dst, proto, seg.len() as u16);
+        assert_eq!(fold(sum_words(seg, acc)), 0xffff, "L4 checksum");
+        t + hdr..end
+    }
+
+    proptest! {
+        /// The closed-form fill sum is the byte-by-byte sum.
+        #[test]
+        fn sum_fill_is_sum_words(b in any::<u8>(), n in 0usize..2000, acc in 0u32..(1 << 24)) {
+            prop_assert_eq!(sum_fill(b, n, acc), sum_words(&vec![b; n], acc));
+        }
+
+        /// Every builder setting yields a frame that parses, verifies its
+        /// checksums and carries the payload byte in every payload byte
+        /// (zeros for ARP, whose padding-to-length is zero).
+        #[test]
+        fn built_frames_verify(
+            kind in 0u8..4,
+            payload_len in 0usize..1500,
+            payload_byte in any::<u8>(),
+            padding in any::<bool>(),
+        ) {
+            let b = match kind {
+                0 => PacketBuilder::tcp(),
+                1 => PacketBuilder::udp(),
+                2 => PacketBuilder::icmp(),
+                _ => PacketBuilder::arp(),
+            };
+            let b = b.payload_len(payload_len).payload_byte(payload_byte);
+            let b = if padding { b } else { b.no_padding() };
+            let f = b.build();
+            prop_assert!(!padding || f.len() >= 60, "padded to the minimum frame");
+            let eth = EtherHeader::parse(&f).expect("Ethernet parses");
+            let payload = if eth.ethertype == EtherType::ARP {
+                prop_assert_eq!(kind, 3);
+                42..42 + payload_len
+            } else {
+                verify_ip_frame(&f)
+            };
+            let expect = if kind == 3 { 0 } else { payload_byte };
+            prop_assert_eq!(payload.len(), payload_len);
+            prop_assert!(f[payload.clone()].iter().all(|&x| x == expect), "payload bytes");
+            prop_assert!(f[payload.end..].iter().all(|&x| x == 0), "zero padding");
+            // The head plus its fill run is the same frame.
+            let mut head = Vec::new();
+            let (fill, len) = b.build_head(&mut head);
+            head.resize(len, fill);
+            prop_assert_eq!(head, f);
+        }
+    }
+
+    /// Each frame of a synthesized trace, read back through
+    /// `copy_frame`, is what `PacketBuilder::build` makes from the
+    /// settings its headers show (the synthesizer numbers frames by
+    /// index): campus mixes with ARP frames padded to 60 B, and every
+    /// fixed size.
+    #[test]
+    fn synthesized_traces_copy_out_as_built() {
+        let profiles = [
+            TrafficProfile::CampusMix,
+            TrafficProfile::FixedSize(64),
+            TrafficProfile::FixedSize(576),
+            TrafficProfile::FixedSize(1500),
+        ];
+        let mut arp = 0;
+        for profile in profiles {
+            let t = Trace::synthesize(&TraceConfig {
+                packets: 3_000,
+                profile,
+                ..TraceConfig::default()
+            });
+            for i in 0..t.len() {
+                let f = copied(&t, i);
+                if EtherHeader::parse(&f).unwrap().ethertype == EtherType::ARP {
+                    let sender = [f[28], f[29], f[30], f[31]];
+                    let want = PacketBuilder::arp().src_ip(sender).dst_ip([10, 0, 0, 254]);
+                    assert_eq!(f, want.build(), "ARP frame {i}");
+                    assert_eq!(f.len(), 60);
+                    arp += 1;
+                    continue;
+                }
+                let ip = Ipv4Header::parse(&f[ETHER_LEN..]).unwrap();
+                let l4 = &f[ETHER_LEN + 20..];
+                let b = match ip.protocol {
+                    IpProto::TCP => PacketBuilder::tcp(),
+                    IpProto::UDP => PacketBuilder::udp(),
+                    _ => PacketBuilder::icmp(),
+                };
+                let want = b
+                    .src_ip(ip.src)
+                    .dst_ip(ip.dst)
+                    .src_port(u16::from_be_bytes([l4[0], l4[1]]))
+                    .dst_port(u16::from_be_bytes([l4[2], l4[3]]))
+                    .ttl(64)
+                    .seq(i as u32)
+                    .frame_len(f.len());
+                assert_eq!(f, want.build(), "{profile:?} frame {i}");
+            }
+        }
+        assert!(arp > 0, "the campus trace holds ARP frames");
+    }
+
+    /// Each frame of a workload trace, read back through `copy_frame`,
+    /// is `Workload::build_frame`'s, for campus and fixed sizes with
+    /// SYN-flood and port-scan frames mixed in.
+    #[test]
+    fn workload_traces_copy_out_as_built() {
+        for size in ["campus", "64", "576", "1500"] {
+            let spec = format!(
+                "seed=0x10551E55;flows=3000;zipf=1.1;life=700;frames=2500;size={size};\
+                 syn@300..900:rate=0.3;scan@..:rate=0.05"
+            );
+            let w = Workload::new(WorkloadSpec::parse(&spec).unwrap());
+            let t = Trace::from_workload(&w);
+            let stats = t.workload_stats().unwrap();
+            assert!(stats.syn_frames > 0 && stats.scan_frames > 0, "{spec}");
+            for i in 0..t.len() {
+                assert_eq!(copied(&t, i), w.build_frame(i as u64), "{spec}: frame {i}");
+            }
         }
     }
 }
