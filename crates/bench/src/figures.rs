@@ -9,12 +9,14 @@
 //! Each artifact declares its full experiment grid as a
 //! [`SweepSpec`] and executes it on the parallel sweep runner; the
 //! table rows are assembled from the in-input-order results, so the
-//! printed artifact is byte-identical at any `--threads` setting.
+//! printed artifact is byte-identical at any `--threads` setting. Every
+//! generator takes the parsed command line ([`Cli`]) and builds its
+//! sweep with [`SweepSpec::from_cli`], so the worker count and the run
+//! flags reach each run that does not set that knob itself.
 
 use packetmill::{
-    BessEngine, Dataplane, ExperimentBuilder, L2Fwd, Measurement, MempoolMode, MetaField,
-    MetadataModel, MetadataSpec, Nf, OptLevel, SweepCli, SweepReport, SweepResults, SweepSpec,
-    Table, TrafficProfile, VppEngine,
+    BessEngine, Cli, ExperimentBuilder, L2Fwd, MempoolMode, MetaField, MetadataModel, MetadataSpec,
+    Nf, OptLevel, SweepReport, SweepResults, SweepSpec, Table, TrafficProfile, VppEngine,
 };
 use std::io::IsTerminal;
 use std::path::Path;
@@ -104,7 +106,7 @@ pub fn write_trace(path: &Path, groups: &[(&str, &Artifact)]) -> std::io::Result
 /// The standard output tail of every benchmark binary: writes the
 /// `--json <path>` run-report document and the `--trace <path>` Chrome
 /// trace when the CLI asked for them.
-pub fn write_cli_outputs(cli: &SweepCli, groups: &[(&str, &Artifact)]) {
+pub fn write_cli_outputs(cli: &Cli, groups: &[(&str, &Artifact)]) {
     if let Some(path) = &cli.json {
         write_artifacts(path, groups).expect("write --json artifact");
         eprintln!("wrote {}", path.display());
@@ -117,8 +119,8 @@ pub fn write_cli_outputs(cli: &SweepCli, groups: &[(&str, &Artifact)]) {
 
 /// Per-run progress lines are for someone watching: on when stderr is
 /// a terminal, off when it is a pipe or a file.
-fn sweep() -> SweepSpec {
-    SweepSpec::new().progress(std::io::stderr().is_terminal())
+fn sweep(cli: &Cli) -> SweepSpec {
+    SweepSpec::from_cli(cli).progress(std::io::stderr().is_terminal())
 }
 
 /// Fixed-size sweeps drop most arrivals at small sizes; scale the run so
@@ -137,9 +139,9 @@ fn router(model: MetadataModel, opt: OptLevel, f: f64) -> ExperimentBuilder {
 
 /// Figure 1: 99th-percentile latency vs throughput for the router on one
 /// 2.3-GHz core, vanilla FastClick vs full PacketMill, offered-load sweep.
-pub fn fig1() -> Artifact {
+pub fn fig1(cli: &Cli) -> Artifact {
     const OFFERED: [f64; 10] = [10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0];
-    let mut s = sweep();
+    let mut s = sweep(cli);
     for offered in OFFERED {
         s.push(
             format!("fig1 {offered:.0}G vanilla"),
@@ -184,8 +186,8 @@ const VARIANTS: [(&str, OptLevel); 5] = [
 
 /// Figure 4: router throughput and median latency vs core frequency for
 /// the five source-optimization variants (Copying model).
-pub fn fig4() -> Artifact {
-    let mut s = sweep();
+pub fn fig4(cli: &Cli) -> Artifact {
+    let mut s = sweep(cli);
     for &f in &FREQS {
         for (name, opt) in VARIANTS {
             s.push(
@@ -221,8 +223,8 @@ pub fn fig4() -> Artifact {
 }
 
 /// Table 1: micro-architectural metrics at 3 GHz for the five variants.
-pub fn table1() -> Artifact {
-    let mut s = sweep();
+pub fn table1(cli: &Cli) -> Artifact {
+    let mut s = sweep(cli);
     for (name, opt) in VARIANTS {
         s.push(
             format!("table1 {name}"),
@@ -268,8 +270,8 @@ const MODELS: [MetadataModel; 3] = [
 
 /// Figure 5a: forwarder throughput vs frequency for the three metadata
 /// models (no source optimizations — isolating metadata management).
-pub fn fig5a() -> Artifact {
-    let mut s = sweep();
+pub fn fig5a(cli: &Cli) -> Artifact {
+    let mut s = sweep(cli);
     for &f in &FREQS {
         for model in MODELS {
             s.push(
@@ -294,8 +296,8 @@ pub fn fig5a() -> Artifact {
 
 /// Figure 5b: the same sweep with two 100-Gbps NICs polled by one core —
 /// total throughput exceeds 100 Gbps only under X-Change.
-pub fn fig5b() -> Artifact {
-    let mut s = sweep();
+pub fn fig5b(cli: &Cli) -> Artifact {
+    let mut s = sweep(cli);
     for &f in &FREQS {
         for model in MODELS {
             s.push(
@@ -329,8 +331,8 @@ pub const SIZES: [usize; 12] = [64, 128, 192, 320, 448, 576, 704, 832, 960, 1088
 
 /// Figure 6: router @2.3 GHz, Gbps and Mpps vs fixed packet size,
 /// vanilla vs PacketMill.
-pub fn fig6() -> Artifact {
-    let mut s = sweep();
+pub fn fig6(cli: &Cli) -> Artifact {
+    let mut s = sweep(cli);
     for &size in &SIZES {
         s.push(
             format!("fig6 {size}B vanilla"),
@@ -380,42 +382,26 @@ const FIG7_S: [u32; 5] = [1, 4, 8, 12, 16];
 /// plateau), which flattens its absolute numbers there; the N = 5
 /// surface is fully CPU/memory-bound and shows the paper's decay
 /// structure cleanly (see EXPERIMENTS.md).
-pub fn fig7(n: u32) -> Artifact {
-    fig7_with(n, None)
-}
-
-/// [`fig7`] with an explicit fault plan applied to every run of the
-/// sweep. Tests use this (rather than a process-wide default) so a
-/// faulted fixture can regenerate alongside unfaulted goldens in the
-/// same test process.
-pub fn fig7_with(n: u32, faults: Option<packetmill::FaultPlan>) -> Artifact {
-    let faulted = |b: ExperimentBuilder| match &faults {
-        Some(p) => b.fault_plan(p.clone()),
-        None => b,
-    };
-    let mut s = sweep();
+pub fn fig7(cli: &Cli, n: u32) -> Artifact {
+    let mut s = sweep(cli);
     for &w in &FIG7_W {
         for &sz in &FIG7_S {
             let nf = Nf::WorkPackage { w, s_mb: sz, n };
             s.push(
                 format!("fig7 N={n} W={w} S={sz} vanilla"),
-                faulted(
-                    ExperimentBuilder::new(nf.clone())
-                        .metadata_model(MetadataModel::Copying)
-                        .optimization(OptLevel::Vanilla)
-                        .frequency_ghz(2.3)
-                        .packets(PACKETS),
-                ),
+                ExperimentBuilder::new(nf.clone())
+                    .metadata_model(MetadataModel::Copying)
+                    .optimization(OptLevel::Vanilla)
+                    .frequency_ghz(2.3)
+                    .packets(PACKETS),
             );
             s.push(
                 format!("fig7 N={n} W={w} S={sz} packetmill"),
-                faulted(
-                    ExperimentBuilder::new(nf)
-                        .metadata_model(MetadataModel::XChange)
-                        .optimization(OptLevel::AllSource)
-                        .frequency_ghz(2.3)
-                        .packets(PACKETS),
-                ),
+                ExperimentBuilder::new(nf)
+                    .metadata_model(MetadataModel::XChange)
+                    .optimization(OptLevel::AllSource)
+                    .frequency_ghz(2.3)
+                    .packets(PACKETS),
             );
         }
     }
@@ -448,8 +434,8 @@ pub fn fig7_with(n: u32, faults: Option<packetmill::FaultPlan>) -> Artifact {
 }
 
 /// Figure 8: IDS+router throughput and median latency vs frequency.
-pub fn fig8() -> Artifact {
-    let mut s = sweep();
+pub fn fig8(cli: &Cli) -> Artifact {
+    let mut s = sweep(cli);
     for &f in &FREQS {
         s.push(
             format!("fig8 {f:.1}GHz vanilla"),
@@ -493,11 +479,11 @@ pub fn fig8() -> Artifact {
 
 /// Figure 9: zooming into the N=1, W=4 slice — throughput, LLC-load-miss
 /// percentage, and LLC loads vs memory footprint.
-pub fn fig9() -> Artifact {
+pub fn fig9(cli: &Cli) -> Artifact {
     let sizes_kb: [u64; 12] = [
         256, 512, 1024, 2048, 3072, 5120, 8192, 10240, 12288, 14336, 16384, 20480,
     ];
-    let mut s = sweep();
+    let mut s = sweep(cli);
     for &kb in &sizes_kb {
         let nf = Nf::WorkPackageKb {
             w: 4,
@@ -547,8 +533,8 @@ pub fn fig9() -> Artifact {
 }
 
 /// Figure 10: NAT throughput vs core count @2.3 GHz (RSS spreads flows).
-pub fn fig10() -> Artifact {
-    let mut s = sweep();
+pub fn fig10(cli: &Cli) -> Artifact {
+    let mut s = sweep(cli);
     for cores in 1..=4usize {
         s.push(
             format!("fig10 {cores}c vanilla"),
@@ -599,8 +585,8 @@ const MULTICORE_NFS: [(&str, Nf); 5] = [
 /// the LLC/DDIO path across cores; the engine asserts a per-queue
 /// conservation ledger for every multi-core run. The speedup column is
 /// relative to the same NF on one core; efficiency is speedup per core.
-pub fn fig_multicore(max_cores: usize) -> Artifact {
-    let mut s = sweep();
+pub fn fig_multicore(cli: &Cli, max_cores: usize) -> Artifact {
+    let mut s = sweep(cli);
     for (name, nf) in MULTICORE_NFS {
         for cores in 1..=max_cores {
             s.push(
@@ -680,7 +666,7 @@ pub fn flowscale_workload(flows: u64) -> packetmill::WorkloadSpec {
 /// claw back a measurable share of that cost at ≥1M flows. Runs are
 /// profiled so the artifact can report DTLB misses; occupancy and
 /// eviction columns come from the per-table counters in the run report.
-pub fn fig_flowscale(max_flows: u64) -> Artifact {
+pub fn fig_flowscale(cli: &Cli, max_flows: u64) -> Artifact {
     let ladder: Vec<u64> = FLOW_LADDER
         .iter()
         .copied()
@@ -694,7 +680,7 @@ pub fn fig_flowscale(max_flows: u64) -> Artifact {
         ("router", Nf::RouterScale),
     ];
     const PAGES: [(&str, bool); 2] = [("4k", false), ("huge", true)];
-    let mut s = sweep();
+    let mut s = sweep(cli);
     for &flows in &ladder {
         for (name, nf) in stateful {
             for (pages, huge) in PAGES {
@@ -771,13 +757,15 @@ pub const TIMELINE_WINDOW_US: f64 = 50.0;
 /// one core under [`TIMELINE_FAULT_SPEC`] — the link-flap throughput dip
 /// and its recovery window are the artifact's claim; the second is a
 /// clean 4-core run whose per-window `tx min/core` vs `tx max/core`
-/// spread shows RSS imbalance. Recording is forced on via the builder
-/// (not the process-wide `--timeline` default), so the artifact and its
-/// golden fixture do not depend on CLI state.
-pub fn fig_timeline() -> Artifact {
+/// spread shows RSS imbalance. Recording is set on each builder, so
+/// `--timeline` does not change these runs and `--trace` only names
+/// where their traces go; the faulted run's own plan wins over
+/// `--faults`, which reaches only the 4-core run. Like every figure,
+/// the runs take `--profile` and `--workload` from `cli`.
+pub fn fig_timeline(cli: &Cli) -> Artifact {
     let plan = packetmill::FaultPlan::parse(TIMELINE_FAULT_SPEC).expect("valid fault spec");
     let recorded = |b: ExperimentBuilder| b.timeline_us(TIMELINE_WINDOW_US).packet_trace(true);
-    let mut s = sweep();
+    let mut s = sweep(cli);
     s.push(
         "fig_timeline router 1c faulted".to_string(),
         recorded(router(MetadataModel::XChange, OptLevel::AllSource, 2.3)).fault_plan(plan),
@@ -880,26 +868,20 @@ pub fn fig_timeline() -> Artifact {
     Artifact::new(t, results)
 }
 
-/// A comparator job for the Fig. 11 framework comparison: the forwarder
-/// experiment run over an arbitrary dataplane instead of FastClick.
-fn comparator_job(
-    size: usize,
-    packets: usize,
-    dp: fn() -> Box<dyn Dataplane>,
-) -> impl FnOnce() -> Result<Measurement, packetmill::ExperimentError> + Send + 'static {
-    move || {
-        ExperimentBuilder::new(Nf::Forwarder)
-            .frequency_ghz(1.2)
-            .traffic(TrafficProfile::FixedSize(size))
-            .packets(packets)
-            .run_with_dataplane(dp)
-    }
+/// The Fig. 11 comparator experiment: the forwarder on one 1.2-GHz
+/// core at a fixed frame size, for a non-FastClick dataplane to run
+/// ([`SweepSpec::push_dataplane`]).
+fn comparator(size: usize) -> ExperimentBuilder {
+    ExperimentBuilder::new(Nf::Forwarder)
+        .frequency_ghz(1.2)
+        .traffic(TrafficProfile::FixedSize(size))
+        .packets(packets_for_size(size))
 }
 
 /// Figure 11a: FastClick vs `l2fwd` vs PacketMill vs `l2fwd-xchg`,
 /// fixed-size sweep on one 1.2-GHz core.
-pub fn fig11a() -> Artifact {
-    let mut s = sweep();
+pub fn fig11a(cli: &Cli) -> Artifact {
+    let mut s = sweep(cli);
     for &size in &SIZES {
         s.push(
             format!("fig11a {size}B fastclick"),
@@ -918,13 +900,13 @@ pub fn fig11a() -> Artifact {
                 .traffic(TrafficProfile::FixedSize(size))
                 .packets(PACKETS),
         );
-        s.push_job(
-            format!("fig11a {size}B l2fwd"),
-            comparator_job(size, packets_for_size(size), || Box::new(L2Fwd::plain())),
-        );
-        s.push_job(
+        s.push_dataplane(format!("fig11a {size}B l2fwd"), comparator(size), || {
+            Box::new(L2Fwd::plain())
+        });
+        s.push_dataplane(
             format!("fig11a {size}B l2fwd-xchg"),
-            comparator_job(size, packets_for_size(size), || Box::new(L2Fwd::xchg())),
+            comparator(size),
+            || Box::new(L2Fwd::xchg()),
         );
     }
     let results = s.run();
@@ -951,7 +933,7 @@ pub fn fig11a() -> Artifact {
 
 /// Figure 11b: VPP vs FastClick (Copying) vs FastClick-Light (Overlaying)
 /// vs BESS vs PacketMill, fixed-size sweep on one 1.2-GHz core.
-pub fn fig11b() -> Artifact {
+pub fn fig11b(cli: &Cli) -> Artifact {
     let fc = |size: usize, model: MetadataModel, opt: OptLevel| {
         ExperimentBuilder::new(Nf::Forwarder)
             .metadata_model(model)
@@ -960,12 +942,11 @@ pub fn fig11b() -> Artifact {
             .traffic(TrafficProfile::FixedSize(size))
             .packets(packets_for_size(size))
     };
-    let mut s = sweep();
+    let mut s = sweep(cli);
     for &size in &SIZES {
-        s.push_job(
-            format!("fig11b {size}B vpp"),
-            comparator_job(size, packets_for_size(size), || Box::new(VppEngine)),
-        );
+        s.push_dataplane(format!("fig11b {size}B vpp"), comparator(size), || {
+            Box::new(VppEngine)
+        });
         s.push(
             format!("fig11b {size}B fastclick"),
             fc(size, MetadataModel::Copying, OptLevel::Vanilla),
@@ -974,10 +955,9 @@ pub fn fig11b() -> Artifact {
             format!("fig11b {size}B fastclick-light"),
             fc(size, MetadataModel::Overlaying, OptLevel::Vanilla),
         );
-        s.push_job(
-            format!("fig11b {size}B bess"),
-            comparator_job(size, packets_for_size(size), || Box::new(BessEngine)),
-        );
+        s.push_dataplane(format!("fig11b {size}B bess"), comparator(size), || {
+            Box::new(BessEngine)
+        });
         s.push(
             format!("fig11b {size}B packetmill"),
             fc(size, MetadataModel::XChange, OptLevel::AllSource),
@@ -1009,14 +989,14 @@ pub fn fig11b() -> Artifact {
 
 /// §4.1: "Reordering contributes to one third of the improvements" of
 /// LTO. Compare vanilla vs vanilla+reorder vs all-source on the router.
-fn reorder_contribution() -> Artifact {
+fn reorder_contribution(cli: &Cli) -> Artifact {
     let variants = [
         ("vanilla", OptLevel::Vanilla),
         ("vanilla + reorder", OptLevel::Reorder),
         ("all source opts", OptLevel::AllSource),
         ("all + reorder (Full)", OptLevel::Full),
     ];
-    let mut s = sweep();
+    let mut s = sweep(cli);
     for (name, opt) in variants {
         s.push(
             format!("reorder {name}"),
@@ -1038,9 +1018,9 @@ fn reorder_contribution() -> Artifact {
 
 /// The testbed sets `IIO LLC WAYS` to widen DDIO. Sweep the DMA way
 /// partition and watch the router's miss rate and throughput.
-fn ddio_ways() -> Artifact {
+fn ddio_ways(cli: &Cli) -> Artifact {
     let ways_sweep = [1usize, 2, 4, 6, 8];
-    let mut s = sweep();
+    let mut s = sweep(cli);
     for ways in ways_sweep {
         s.push(
             format!("ddio {ways} ways"),
@@ -1061,9 +1041,9 @@ fn ddio_ways() -> Artifact {
 }
 
 /// BURST is a constant the paper embeds; sweep it.
-fn burst_size() -> Artifact {
+fn burst_size(cli: &Cli) -> Artifact {
     let bursts = [4usize, 8, 16, 32, 64];
-    let mut s = sweep();
+    let mut s = sweep(cli);
     for burst in bursts {
         s.push(
             format!("burst {burst} vanilla"),
@@ -1090,12 +1070,12 @@ fn burst_size() -> Artifact {
 /// FIFO pool rings maximize reuse distance; a LIFO (per-core cache hit
 /// path) keeps buffers warm — quantifying the pool-cycling cost the
 /// paper attributes to the Copying model.
-fn pool_mode() -> Artifact {
+fn pool_mode(cli: &Cli) -> Artifact {
     let modes = [
         ("fifo (ring)", MempoolMode::Fifo),
         ("lifo (stack)", MempoolMode::Lifo),
     ];
-    let mut s = sweep();
+    let mut s = sweep(cli);
     for (name, mode) in modes {
         s.push(
             format!("pool {name}"),
@@ -1117,7 +1097,7 @@ fn pool_mode() -> Artifact {
 
 /// X-Change lets the NF declare exactly the fields it needs; sweep the
 /// spec width from the two-field minimum to the full mbuf set.
-fn xchange_spec_width() -> Artifact {
+fn xchange_spec_width(cli: &Cli) -> Artifact {
     let specs = [
         ("minimal (l2fwd-xchg)", MetadataSpec::minimal()),
         ("routing", MetadataSpec::routing()),
@@ -1126,7 +1106,7 @@ fn xchange_spec_width() -> Artifact {
             MetadataSpec::custom(MetaField::RX_FULL.to_vec()),
         ),
     ];
-    let mut s = sweep();
+    let mut s = sweep(cli);
     for (name, spec) in &specs {
         s.push(
             format!("spec {name}"),
@@ -1154,9 +1134,9 @@ fn xchange_spec_width() -> Artifact {
 
 /// The RX descriptor ring bounds the standing queue, trading drops for
 /// tail latency (the knee depth of Fig. 1).
-fn ring_size_latency() -> Artifact {
+fn ring_size_latency(cli: &Cli) -> Artifact {
     let rings = [256usize, 1024, 4096];
-    let mut s = sweep();
+    let mut s = sweep(cli);
     for ring in rings {
         s.push(
             format!("rx ring {ring}"),
@@ -1184,10 +1164,11 @@ pub struct Figure {
     /// The heading [`run_all`] and `pm-bench ablations` print above the
     /// table.
     pub title: &'static str,
-    /// The generator. Of the command line it reads only the two
-    /// ceilings, `--cores` (`fig-multicore`) and `--flows`
-    /// (`fig-flowscale`); everything else acts process-wide.
-    pub run: fn(&SweepCli) -> Artifact,
+    /// The generator. Every figure runs its sweep under the command
+    /// line's worker count and [`packetmill::RunDefaults`]; besides
+    /// those it reads only the two ceilings, `--cores` (`fig-multicore`)
+    /// and `--flows` (`fig-flowscale`).
+    pub run: fn(&Cli) -> Artifact,
 }
 
 /// Every artifact of the evaluation, in presentation order.
@@ -1195,82 +1176,82 @@ pub static FIGURES: [Figure; 16] = [
     Figure {
         key: "fig1",
         title: "Figure 1 — p99 latency vs throughput (router, 1 core @2.3 GHz)",
-        run: |_| fig1(),
+        run: fig1,
     },
     Figure {
         key: "fig4",
         title: "Figure 4 — source-code optimizations vs frequency (router)",
-        run: |_| fig4(),
+        run: fig4,
     },
     Figure {
         key: "table1",
         title: "Table 1 — micro-architectural metrics @3 GHz (router)",
-        run: |_| table1(),
+        run: table1,
     },
     Figure {
         key: "fig5a",
         title: "Figure 5a — metadata models vs frequency (forwarder, 1 NIC)",
-        run: |_| fig5a(),
+        run: fig5a,
     },
     Figure {
         key: "fig5b",
         title: "Figure 5b — metadata models, two NICs, one core",
-        run: |_| fig5b(),
+        run: fig5b,
     },
     Figure {
         key: "fig6",
         title: "Figure 6 — packet-size sweep (router @2.3 GHz)",
-        run: |_| fig6(),
+        run: fig6,
     },
     Figure {
         key: "fig7-n1",
         title: "Figure 7a — WorkPackage improvement surface (N=1)",
-        run: |_| fig7(1),
+        run: |cli| fig7(cli, 1),
     },
     Figure {
         key: "fig7-n5",
         title: "Figure 7b — WorkPackage improvement surface (N=5)",
-        run: |_| fig7(5),
+        run: |cli| fig7(cli, 5),
     },
     Figure {
         key: "fig8",
         title: "Figure 8 — IDS+router vs frequency",
-        run: |_| fig8(),
+        run: fig8,
     },
     Figure {
         key: "fig9",
         title: "Figure 9 — memory-footprint slice (N=1, W=4)",
-        run: |_| fig9(),
+        run: fig9,
     },
     Figure {
         key: "fig10",
         title: "Figure 10 — multicore NAT @2.3 GHz",
-        run: |_| fig10(),
+        run: fig10,
     },
     Figure {
         key: "fig-multicore",
         title: "Multi-core scaling — five NFs, PacketMill config @2.3 GHz",
-        run: |cli| fig_multicore(cli.cores.unwrap_or(8)),
+        run: |cli| fig_multicore(cli, cli.cores.unwrap_or(8)),
     },
     Figure {
         key: "fig-timeline",
         title: "Flight recorder — link-flap dip/recovery + 4-core imbalance",
-        run: |_| fig_timeline(),
+        run: fig_timeline,
     },
     Figure {
         key: "fig-flowscale",
         title: "Flow-scale sweep — stateful NFs, 1k..=100k flows, 4-KiB vs hugepage tables",
-        run: |cli| fig_flowscale(cli.flows.unwrap_or(10_000_000)),
+        run: |cli| fig_flowscale(cli, cli.flows.unwrap_or(10_000_000)),
     },
     Figure {
         key: "fig11a",
         title: "Figure 11a — FastClick vs l2fwd vs PacketMill vs l2fwd-xchg @1.2 GHz",
-        run: |_| fig11a(),
+        run: fig11a,
     },
     Figure {
         key: "fig11b",
         title: "Figure 11b — framework comparison @1.2 GHz",
-        run: |_| fig11b(),
+        run: fig11b,
     },
 ];
 
@@ -1280,45 +1261,46 @@ pub static ABLATIONS: [Figure; 6] = [
     Figure {
         key: "reorder",
         title: "Ablation: struct reordering (router @3 GHz, Copying)",
-        run: |_| reorder_contribution(),
+        run: reorder_contribution,
     },
     Figure {
         key: "ddio-ways",
         title: "Ablation: DDIO way partition (PacketMill router @2.3 GHz)",
-        run: |_| ddio_ways(),
+        run: ddio_ways,
     },
     Figure {
         key: "burst",
         title: "Ablation: RX/TX burst size (router @2.3 GHz)",
-        run: |_| burst_size(),
+        run: burst_size,
     },
     Figure {
         key: "pool-mode",
         title: "Ablation: mempool recycling order (vanilla router @2.3 GHz)",
-        run: |_| pool_mode(),
+        run: pool_mode,
     },
     Figure {
         key: "xchg-spec",
         title: "Ablation: X-Change metadata-spec width (forwarder @1.2 GHz)",
-        run: |_| xchange_spec_width(),
+        run: xchange_spec_width,
     },
     Figure {
         key: "rx-ring",
         title: "Ablation: RX ring depth under overload (vanilla router @2.3 GHz)",
-        run: |_| ring_size_latency(),
+        run: ring_size_latency,
     },
 ];
 
 /// Runs every artifact, prints paper-style output (tables on stdout,
 /// sweep telemetry on stderr), and returns the artifacts keyed by group
-/// name for `--json` emission. The two scalable sweeps stop at 4 cores
+/// name for `--json` emission. Every sweep runs under `cli`'s worker
+/// count and run defaults, but the two scalable sweeps stop at 4 cores
 /// and 100k flows here, whatever the command line says, so regenerating
 /// everything stays a matter of minutes.
-pub fn run_all() -> Vec<(&'static str, Artifact)> {
-    let ceilings = SweepCli {
+pub fn run_all(cli: &Cli) -> Vec<(&'static str, Artifact)> {
+    let ceilings = Cli {
         cores: Some(4),
         flows: Some(100_000),
-        ..SweepCli::default()
+        ..cli.clone()
     };
     let mut out = Vec::new();
     for f in &FIGURES {

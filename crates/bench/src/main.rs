@@ -2,8 +2,9 @@
 //! runner: `cargo run --release -p pm-bench -- <key>… | all
 //! [--threads N] [--profile] [--json <path>] [--trace <path>]
 //! [--faults <spec>] [--workload <spec>] [--timeline[=window_us]]`.
-//! Keys come first, flags after; no key prints the list. Tables go to
-//! stdout, sweep telemetry to stderr.
+//! Keys come first, flags after; no key prints the list, and so does an
+//! unknown flag or a bad value, exiting 2 before anything runs. Tables
+//! go to stdout, sweep telemetry to stderr.
 //!
 //! `fig7` runs both surfaces under `== N = … ==` headings
 //! (`--surface n1|n5|both` picks) and `ablations` the six ablation
@@ -14,6 +15,7 @@
 //! with `--trace <path>` its sampled packet lifecycles open in
 //! `ui.perfetto.dev`.
 
+use packetmill::Cli;
 use pm_bench::figures::{self, Artifact, Figure, ABLATIONS, FIGURES};
 
 fn usage(problem: &str) -> ! {
@@ -35,14 +37,10 @@ fn find(key: &str) -> &'static Figure {
 }
 
 /// The Figure 7 surfaces `--surface` selects, each under its heading.
-fn fig7_surfaces() -> Vec<(Option<&'static str>, &'static Figure)> {
-    let surface = std::env::args()
-        .skip_while(|a| a != "--surface")
-        .nth(1)
-        .unwrap_or_else(|| "both".to_string());
+fn fig7_surfaces(surface: Option<&str>) -> Vec<(Option<&'static str>, &'static Figure)> {
     let n1 = (Some("N = 1"), find("fig7-n1"));
     let n5 = (Some("N = 5"), find("fig7-n5"));
-    match surface.as_str() {
+    match surface.unwrap_or("both") {
         "n1" => vec![n1],
         "n5" => vec![n5],
         "both" => vec![n1, n5],
@@ -53,21 +51,16 @@ fn fig7_surfaces() -> Vec<(Option<&'static str>, &'static Figure)> {
 }
 
 fn main() {
-    let cli = packetmill::sweep::configure_from_args(std::env::args().skip(1))
-        .unwrap_or_else(|e| usage(&e));
-    let keys: Vec<String> = std::env::args()
-        .skip(1)
-        .take_while(|a| !a.starts_with("--"))
-        .collect();
-    let groups: Vec<(&str, Artifact)> = if keys == ["all"] {
-        figures::run_all()
+    let cli = Cli::parse(std::env::args().skip(1)).unwrap_or_else(|e| usage(&e));
+    let groups: Vec<(&str, Artifact)> = if cli.keys == ["all"] {
+        figures::run_all(&cli)
     } else {
         // Resolve every key before running anything: a typo should not
         // cost a sweep.
         let mut plan = Vec::new();
-        for key in &keys {
+        for key in &cli.keys {
             if key == "fig7" {
-                plan.extend(fig7_surfaces());
+                plan.extend(fig7_surfaces(cli.surface.as_deref()));
             } else if key == "ablations" {
                 plan.extend(ABLATIONS.iter().map(|f| (Some(f.title), f)));
             } else {

@@ -6,6 +6,7 @@
 use crate::click_dataplane::ClickDataplane;
 use crate::engine::{Engine, EngineConfig, Measurement};
 use crate::report::RunReport;
+use crate::sweep::RunDefaults;
 use pm_click::{ConfigError, ConfigGraph, Graph, GraphRuntime};
 use pm_compile::MillIr;
 use pm_dpdk::{MetadataModel, MetadataSpec};
@@ -292,21 +293,21 @@ impl ExperimentBuilder {
     }
 
     /// Enables (or disables) per-element profiling for this run,
-    /// overriding the process default ([`crate::sweep::default_profile`],
-    /// set by `--profile`).
+    /// overriding the sweep's default ([`RunDefaults::profile`], set by
+    /// `--profile`).
     pub fn profile(mut self, on: bool) -> Self {
         self.profile = Some(on);
         self
     }
 
     /// Whether this run collects a per-element profile: the explicit
-    /// [`Self::profile`] override, else the process default.
+    /// [`Self::profile`] setting, else off.
     pub fn profile_effective(&self) -> bool {
-        self.profile.unwrap_or_else(crate::sweep::default_profile)
+        self.profile.unwrap_or(false)
     }
 
     /// Injects a deterministic [`FaultPlan`] into this run, overriding
-    /// the process default ([`crate::sweep::default_faults`], set by
+    /// the sweep's default ([`RunDefaults::faults`], set by
     /// `--faults <spec>`). An empty plan is equivalent to no plan at
     /// all.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
@@ -314,46 +315,40 @@ impl ExperimentBuilder {
         self
     }
 
-    /// The fault plan this run injects: the explicit [`Self::fault_plan`]
-    /// override, else the process default — normalized so an empty plan
+    /// The fault plan this run injects, normalized so an empty plan
     /// reads as `None` (the zero-cost baseline).
     pub fn fault_plan_effective(&self) -> Option<FaultPlan> {
-        self.faults
-            .clone()
-            .or_else(crate::sweep::default_faults)
-            .filter(|p| !p.is_empty())
+        self.faults.clone().filter(|p| !p.is_empty())
     }
 
     /// Records a flight-recorder timeline with the given virtual-time
-    /// window (µs) for this run, overriding the process default
-    /// ([`crate::sweep::default_timeline`], set by `--timeline`).
+    /// window (µs) for this run, overriding the sweep's default
+    /// ([`RunDefaults::timeline_us`], set by `--timeline`).
     pub fn timeline_us(mut self, window_us: f64) -> Self {
         self.timeline_us = Some(window_us);
         self
     }
 
-    /// The timeline window this run records (µs), if any: the explicit
-    /// [`Self::timeline_us`] override, else the process default.
+    /// The timeline window this run records (µs), if any.
     pub fn timeline_us_effective(&self) -> Option<f64> {
-        self.timeline_us.or_else(crate::sweep::default_timeline)
+        self.timeline_us
     }
 
     /// Enables (or disables) sampled per-packet lifecycle tracing for
-    /// this run, overriding the process default (on whenever a
-    /// `--trace <path>` destination is configured). The
-    /// sample set is a pure function of the run seed and packet
-    /// identity, so traces are thread-count independent.
+    /// this run, overriding the sweep's default
+    /// ([`RunDefaults::packet_trace`], on whenever a `--trace <path>`
+    /// destination is given). The sample set is a pure function of the
+    /// run seed and packet identity, so traces are thread-count
+    /// independent.
     pub fn packet_trace(mut self, on: bool) -> Self {
         self.packet_trace = Some(on);
         self
     }
 
     /// Whether this run records lifecycle traces: the explicit
-    /// [`Self::packet_trace`] override, else on when a process-wide
-    /// trace destination is set.
+    /// [`Self::packet_trace`] setting, else off.
     pub fn packet_trace_effective(&self) -> bool {
-        self.packet_trace
-            .unwrap_or_else(|| crate::sweep::default_trace().is_some())
+        self.packet_trace.unwrap_or(false)
     }
 
     /// Resolves every access program through the reference per-call walk
@@ -367,20 +362,28 @@ impl ExperimentBuilder {
 
     /// Drives the run from a deterministic flow-population workload
     /// (Zipf popularity, seeded churn, attack mixes) instead of the
-    /// stock trace profiles, overriding the process default
-    /// ([`crate::sweep::default_workload`], set by
-    /// `--workload <spec>`). An explicit [`Self::trace`] wins over both.
+    /// stock trace profiles, overriding the sweep's default
+    /// ([`RunDefaults::workload`], set by `--workload <spec>`). An
+    /// explicit [`Self::trace`] wins over both.
     pub fn workload(mut self, spec: WorkloadSpec) -> Self {
         self.workload = Some(spec);
         self
     }
 
-    /// The workload this run replays, if any: the explicit
-    /// [`Self::workload`] override, else the process default.
+    /// The workload this run replays, if any.
     pub fn workload_effective(&self) -> Option<WorkloadSpec> {
-        self.workload
-            .clone()
-            .or_else(crate::sweep::default_workload)
+        self.workload.clone()
+    }
+
+    /// Fills every run setting this builder leaves unset from a sweep's
+    /// `defaults`; a setting the builder sets explicitly wins.
+    pub(crate) fn or_defaults(mut self, d: &RunDefaults) -> Self {
+        self.profile = self.profile.or(Some(d.profile));
+        self.faults = self.faults.or_else(|| d.faults.clone());
+        self.workload = self.workload.or_else(|| d.workload.clone());
+        self.timeline_us = self.timeline_us.or(d.timeline_us);
+        self.packet_trace = self.packet_trace.or(Some(d.packet_trace));
+        self
     }
 
     /// Backs element-owned tables (NAT bindings, conntrack, FIB nodes)

@@ -45,7 +45,7 @@ pub use click_dataplane::ClickDataplane;
 pub use engine::{Engine, EngineConfig, Measurement, QueueLedger};
 pub use experiment::{ExperimentBuilder, ExperimentError, Nf, OptLevel};
 pub use report::{FaultReport, RunReport};
-pub use sweep::{RunOutcome, SweepCli, SweepReport, SweepResults, SweepSpec};
+pub use sweep::{Cli, RunDefaults, RunOutcome, SweepReport, SweepResults, SweepSpec};
 
 // Re-exports so examples and tests need only this crate.
 pub use pm_click::TableStats;

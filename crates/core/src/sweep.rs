@@ -8,253 +8,211 @@
 //! serial — and therefore bit-identical — as before.
 //!
 //! [`SweepSpec`] collects labelled runs (an [`ExperimentBuilder`] per
-//! run, each carrying its own explicit seed, or an arbitrary job closure
-//! for non-FastClick dataplanes) and executes them on a pool of
+//! run, each carrying its own explicit seed, optionally with a
+//! non-FastClick dataplane factory) and executes them on a pool of
 //! work-stealing `std::thread` workers. Results are returned **in input
 //! order** regardless of thread count or completion order, so output
 //! built from a sweep is byte-identical at `threads = 1` and
 //! `threads = N`.
 //!
-//! The worker count comes from, in priority order: an explicit
-//! [`SweepSpec::run_with_threads`] argument, [`set_default_threads`]
-//! (set by the `--threads` CLI flag via [`configure_from_args`]), and
-//! finally [`std::thread::available_parallelism`].
-//!
-//! Every process-wide default below resolves the same way: the
-//! builder's own setter, else the `set_default_*` value (set by the CLI
-//! flag), else off. Nothing here reads the environment, so what a test
-//! or a reference run simulates never depends on ambient variables.
+//! A benchmark binary parses its command line once, with [`Cli::parse`],
+//! and hands the value to [`SweepSpec::from_cli`]. The sweep carries the
+//! worker count (`--threads`, else
+//! [`std::thread::available_parallelism`]) and the [`RunDefaults`]
+//! (`--profile`, `--faults`, `--workload`, `--timeline`, `--trace`).
+//! Each run setting resolves the same way: the builder's own setter,
+//! else the sweep's `RunDefaults`, else off. Nothing here is
+//! process-wide and nothing reads the environment, so two sweeps in one
+//! process never see each other's settings, and what a test or a
+//! reference run simulates never depends on ambient variables.
 
 use crate::engine::Measurement;
 use crate::experiment::{ExperimentBuilder, ExperimentError};
 use crate::report::{measurement_to_json, RunReport, SCHEMA};
+use pm_frameworks::Dataplane;
 use pm_telemetry::{Json, Table};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
 type Job =
     Box<dyn FnOnce() -> Result<(Measurement, Option<RunReport>), ExperimentError> + Send + 'static>;
 
-/// Process-wide default worker count override (0 = unset).
-static DEFAULT_THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// Process-wide default for per-element profiling.
-static DEFAULT_PROFILE: AtomicBool = AtomicBool::new(false);
-
-/// Process-wide default fault plan (`--faults <spec>`).
-static DEFAULT_FAULTS: Mutex<Option<pm_sim::FaultPlan>> = Mutex::new(None);
-
-/// Process-wide default workload (`--workload <spec>`).
-static DEFAULT_WORKLOAD: Mutex<Option<pm_traffic::WorkloadSpec>> = Mutex::new(None);
-
-/// Process-wide default flight-recorder timeline window: 0 = off, else
-/// the `f64::to_bits` of the window in µs (a positive window never
-/// encodes to 0).
-static DEFAULT_TIMELINE: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide default lifecycle-trace destination (`--trace <path>`).
-static DEFAULT_TRACE: Mutex<Option<PathBuf>> = Mutex::new(None);
-
 /// The timeline window a bare `--timeline` selects, in µs.
 pub const DEFAULT_TIMELINE_WINDOW_US: f64 = 100.0;
 
-/// Sets the process-wide timeline default for runs that don't set
-/// [`ExperimentBuilder::timeline_us`] explicitly (the `--timeline` CLI
-/// flag). `None` turns recording off.
-///
-/// # Panics
-///
-/// Panics on a non-positive window.
-pub fn set_default_timeline(window_us: Option<f64>) {
-    let v = match window_us {
-        None => 0,
-        Some(w) => {
-            assert!(w > 0.0, "timeline window must be positive, got {w}");
-            w.to_bits()
-        }
-    };
-    DEFAULT_TIMELINE.store(v, Ordering::Relaxed);
-}
-
-/// The timeline default, in µs: [`set_default_timeline`] (set by
-/// `--timeline[=window_us]`), else off.
-pub fn default_timeline() -> Option<f64> {
-    match DEFAULT_TIMELINE.load(Ordering::Relaxed) {
-        0 => None,
-        bits => Some(f64::from_bits(bits)),
-    }
-}
-
-/// Sets the process-wide trace destination (the `--trace <path>` CLI
-/// flag). Setting a path also turns lifecycle tracing on for runs that
-/// don't set [`ExperimentBuilder::packet_trace`] explicitly. `None`
-/// clears it.
-pub fn set_default_trace(path: Option<PathBuf>) {
-    *DEFAULT_TRACE.lock().expect("trace default poisoned") = path;
-}
-
-/// The trace-destination default: [`set_default_trace`] (set by
-/// `--trace`), else none.
-pub fn default_trace() -> Option<PathBuf> {
-    DEFAULT_TRACE
-        .lock()
-        .expect("trace default poisoned")
-        .clone()
-}
-
-/// Sets the process-wide fault plan for runs that don't set
-/// [`ExperimentBuilder::fault_plan`] explicitly (the `--faults` CLI
-/// flag). `None` clears it (runs unfaulted).
-pub fn set_default_faults(plan: Option<pm_sim::FaultPlan>) {
-    *DEFAULT_FAULTS.lock().expect("fault default poisoned") = plan;
-}
-
-/// The fault-plan default: [`set_default_faults`] (set by `--faults`),
-/// else none.
-pub fn default_faults() -> Option<pm_sim::FaultPlan> {
-    DEFAULT_FAULTS
-        .lock()
-        .expect("fault default poisoned")
-        .clone()
-}
-
-/// Sets the process-wide workload for runs that don't set
-/// [`ExperimentBuilder::workload`] explicitly (the `--workload` CLI
-/// flag). `None` clears it (runs replay the stock trace profiles).
-pub fn set_default_workload(spec: Option<pm_traffic::WorkloadSpec>) {
-    *DEFAULT_WORKLOAD.lock().expect("workload default poisoned") = spec;
-}
-
-/// The workload default: [`set_default_workload`] (set by
-/// `--workload`), else none.
-pub fn default_workload() -> Option<pm_traffic::WorkloadSpec> {
-    DEFAULT_WORKLOAD
-        .lock()
-        .expect("workload default poisoned")
-        .clone()
-}
-
-/// Sets the process-wide profiling default for runs that don't set
-/// [`ExperimentBuilder::profile`] explicitly.
-pub fn set_default_profile(on: bool) {
-    DEFAULT_PROFILE.store(on, Ordering::Relaxed);
-}
-
-/// The profiling default: [`set_default_profile`] (set by the
-/// `--profile` CLI flag), else off.
-pub fn default_profile() -> bool {
-    DEFAULT_PROFILE.load(Ordering::Relaxed)
-}
-
-/// Overrides the default worker count for subsequent sweeps. `0` clears
-/// the override.
-pub fn set_default_threads(n: usize) {
-    DEFAULT_THREADS.store(n, Ordering::Relaxed);
-}
-
-/// The worker count a sweep uses when none is given explicitly:
-/// [`set_default_threads`], else
-/// [`std::thread::available_parallelism`].
-pub fn default_threads() -> usize {
-    match DEFAULT_THREADS.load(Ordering::Relaxed) {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        forced => forced,
-    }
-}
-
-/// What a benchmark binary's command line asks of the binary itself;
-/// the per-run flags (`--threads`, `--profile`, `--faults`,
-/// `--workload`, `--timeline`) live in the process defaults instead,
-/// where every sweep and builder reads them.
+/// The run settings a command line turns on for every run of a sweep.
+/// A run whose builder sets one of them explicitly keeps its own value;
+/// [`RunDefaults::default`] is all off.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct SweepCli {
+pub struct RunDefaults {
+    /// Per-element profiling (`--profile`).
+    pub profile: bool,
+    /// The fault plan injected into every run (`--faults <spec>`).
+    pub faults: Option<pm_sim::FaultPlan>,
+    /// The flow-population workload every run replays
+    /// (`--workload <spec>`).
+    pub workload: Option<pm_traffic::WorkloadSpec>,
+    /// The flight-recorder timeline window in µs
+    /// (`--timeline[=window_us]`).
+    pub timeline_us: Option<f64>,
+    /// Sampled per-packet lifecycle tracing, on whenever a
+    /// `--trace <path>` destination is given.
+    pub packet_trace: bool,
+}
+
+/// A benchmark binary's command line, parsed once by [`Cli::parse`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Cli {
+    /// The positional arguments before the first flag (`pm-bench`'s
+    /// figure keys).
+    pub keys: Vec<String>,
+    /// Host worker count (`--threads N`); `None` uses every core.
+    pub threads: Option<usize>,
     /// Where to write the JSON run-report artifact (`--json <path>`).
     pub json: Option<PathBuf>,
+    /// Where to write the Chrome lifecycle trace (`--trace <path>`).
+    pub trace: Option<PathBuf>,
     /// Simulated core count requested on the command line
     /// (`--cores N`). `None` leaves each figure's default in place.
     /// Note this is *simulated* cores inside one experiment, unlike
     /// `--threads`, which is host workers across experiments.
     pub cores: Option<usize>,
-    /// Lifecycle-trace destination (`--trace <path>`); also enables
-    /// trace recording when set.
-    pub trace: Option<PathBuf>,
     /// Flow/route-scale ceiling requested on the command line
     /// (`--flows N`). `None` leaves each figure's default in place.
     pub flows: Option<u64>,
+    /// The Figure 7 surface (`--surface n1|n5|both`), checked by the
+    /// binary that runs it.
+    pub surface: Option<String>,
+    /// The run settings every sweep built from this command line
+    /// applies ([`SweepSpec::from_cli`]).
+    pub defaults: RunDefaults,
 }
 
-/// Parses `--threads N`, `--profile`, `--faults <spec>`,
-/// `--workload <spec>`, `--flows N`, `--cores N`,
-/// `--timeline[=window_us]`, `--trace <path>` and `--json <path>` from
-/// `args` (the process arguments after the program name; a value flag
-/// takes `--x v` or `--x=v`), installs the thread, profile, fault,
-/// workload, timeline and trace defaults process-wide, and returns what
-/// is left for the binary itself. Any other argument is the binary's own
-/// and is skipped. Call once from a benchmark binary's `main`.
-///
-/// # Errors
-///
-/// A value flag without its value, a count that is not a
-/// [`pm_sim::spec::parse_count`] above zero, or an unparsable
-/// `--faults`, `--workload` or `--timeline=` value: running a different
-/// experiment than the one asked for is worse than exiting.
-pub fn configure_from_args(args: impl IntoIterator<Item = String>) -> Result<SweepCli, String> {
-    let mut args = args.into_iter().peekable();
-    let mut cli = SweepCli::default();
-    while let Some(arg) = args.next() {
-        let (flag, inline) = match arg.split_once('=') {
-            Some((f, v)) => (f.to_string(), Some(v.to_string())),
-            None => (arg, None),
-        };
-        let mut value = || {
-            inline
-                .clone()
-                .or_else(|| args.next_if(|v| !v.starts_with("--")))
-                .ok_or_else(|| format!("{flag} requires a value"))
-        };
-        let count = |v: String| {
-            pm_sim::spec::parse_count(&v)
-                .filter(|&n| n > 0)
-                .ok_or_else(|| format!("{flag}: expected a count above 0, got '{v}'"))
-        };
-        match flag.as_str() {
-            "--threads" => set_default_threads(count(value()?)? as usize),
-            "--cores" => cli.cores = Some(count(value()?)? as usize),
-            "--flows" => cli.flows = Some(count(value()?)?),
-            "--faults" => {
-                let plan =
-                    pm_sim::FaultPlan::parse(&value()?).map_err(|e| format!("--faults: {e}"))?;
-                set_default_faults(Some(plan));
+impl Cli {
+    /// Parses `args` (the process arguments after the program name):
+    /// the positional keys, then `--threads N`, `--profile`,
+    /// `--faults <spec>`, `--workload <spec>`, `--flows N`, `--cores N`,
+    /// `--surface <name>`, `--timeline[=window_us]`, `--trace <path>` and
+    /// `--json <path>`. A value flag takes `--x v` or `--x=v`. Installs
+    /// nothing: the returned value is the whole of what the command line
+    /// asks for.
+    ///
+    /// # Errors
+    ///
+    /// An unknown flag, a positional argument after a flag, a value on
+    /// `--profile`, a value flag without its value, a count that is not a
+    /// [`pm_sim::spec::parse_count`] above zero, or an unparsable
+    /// `--faults`, `--workload` or `--timeline=` value: running a
+    /// different experiment than the one asked for is worse than exiting.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
+        let mut args = args.into_iter().peekable();
+        let mut cli = Cli::default();
+        let mut flagged = false;
+        while let Some(arg) = args.next() {
+            if !arg.starts_with("--") {
+                if flagged {
+                    return Err(format!("{arg}: positional arguments go before the flags"));
+                }
+                cli.keys.push(arg);
+                continue;
             }
-            "--workload" => {
-                let spec = pm_traffic::WorkloadSpec::parse(&value()?)
-                    .map_err(|e| format!("--workload: {e}"))?;
-                set_default_workload(Some(spec));
+            flagged = true;
+            let (flag, inline) = match arg.split_once('=') {
+                Some((f, v)) => (f.to_string(), Some(v.to_string())),
+                None => (arg, None),
+            };
+            let mut value = || {
+                inline
+                    .clone()
+                    .or_else(|| args.next_if(|v| !v.starts_with("--")))
+                    .ok_or_else(|| format!("{flag} requires a value"))
+            };
+            let count = |v: String| {
+                pm_sim::spec::parse_count(&v)
+                    .filter(|&n| n > 0)
+                    .ok_or_else(|| format!("{flag}: expected a count above 0, got '{v}'"))
+            };
+            let d = &mut cli.defaults;
+            match flag.as_str() {
+                "--threads" => cli.threads = Some(count(value()?)? as usize),
+                "--cores" => cli.cores = Some(count(value()?)? as usize),
+                "--flows" => cli.flows = Some(count(value()?)?),
+                "--surface" => cli.surface = Some(value()?),
+                "--faults" => {
+                    let plan = pm_sim::FaultPlan::parse(&value()?)
+                        .map_err(|e| format!("--faults: {e}"))?;
+                    d.faults = Some(plan);
+                }
+                "--workload" => {
+                    let spec = pm_traffic::WorkloadSpec::parse(&value()?)
+                        .map_err(|e| format!("--workload: {e}"))?;
+                    d.workload = Some(spec);
+                }
+                "--trace" => {
+                    cli.trace = Some(PathBuf::from(value()?));
+                    d.packet_trace = true;
+                }
+                "--json" => cli.json = Some(PathBuf::from(value()?)),
+                "--profile" if inline.is_none() => d.profile = true,
+                "--profile" => return Err("--profile takes no value".to_string()),
+                // Bare, `=1` or `=` picks the default window, `=0` disables,
+                // any other positive number is the window in µs.
+                "--timeline" => {
+                    d.timeline_us = match inline.as_deref() {
+                        None | Some("" | "1") => Some(DEFAULT_TIMELINE_WINDOW_US),
+                        Some("0") => None,
+                        Some(w) => {
+                            Some(w.parse::<f64>().ok().filter(|w| *w > 0.0).ok_or_else(|| {
+                                format!("--timeline: invalid window '{w}' (µs, > 0)")
+                            })?)
+                        }
+                    }
+                }
+                _ => return Err(format!("{flag}: unknown flag")),
             }
-            "--trace" => set_default_trace(Some(PathBuf::from(value()?))),
-            "--json" => cli.json = Some(PathBuf::from(value()?)),
-            "--profile" => set_default_profile(true),
-            // Bare, `=1` or `=` picks the default window, `=0` disables,
-            // any other positive number is the window in µs.
-            "--timeline" => set_default_timeline(match inline.as_deref() {
-                None | Some("" | "1") => Some(DEFAULT_TIMELINE_WINDOW_US),
-                Some("0") => None,
-                Some(w) => Some(
-                    w.parse::<f64>()
-                        .ok()
-                        .filter(|w| *w > 0.0)
-                        .ok_or_else(|| format!("--timeline: invalid window '{w}' (µs, > 0)"))?,
-                ),
-            }),
-            _ => {}
         }
+        Ok(cli)
     }
-    cli.trace = default_trace();
-    Ok(cli)
+}
+
+/// What each of the five stateless shims below panics with when handed
+/// anything but the off value. They exist only because the frozen
+/// `benchmark/` crate pins the run defaults it never sets; ROADMAP item 1
+/// (unfreezing `benchmark/`) deletes them.
+const DEFAULTS_GONE: &str = "process-wide defaults are gone; set it on the builder or the `Cli`";
+
+/// Stateless benchmark shim: accepts `false`, panics otherwise.
+/// ROADMAP item 1 deletes it.
+pub fn set_default_profile(on: bool) {
+    assert!(!on, "{DEFAULTS_GONE}");
+}
+
+/// Stateless benchmark shim: accepts `None`, panics otherwise.
+/// ROADMAP item 1 deletes it.
+pub fn set_default_faults(plan: Option<pm_sim::FaultPlan>) {
+    assert!(plan.is_none(), "{DEFAULTS_GONE}");
+}
+
+/// Stateless benchmark shim: accepts `None`, panics otherwise.
+/// ROADMAP item 1 deletes it.
+pub fn set_default_workload(spec: Option<pm_traffic::WorkloadSpec>) {
+    assert!(spec.is_none(), "{DEFAULTS_GONE}");
+}
+
+/// Stateless benchmark shim: accepts `None`, panics otherwise.
+/// ROADMAP item 1 deletes it.
+pub fn set_default_timeline(window_us: Option<f64>) {
+    assert!(window_us.is_none(), "{DEFAULTS_GONE}");
+}
+
+/// Stateless benchmark shim: accepts `None`, panics otherwise.
+/// ROADMAP item 1 deletes it.
+pub fn set_default_trace(path: Option<PathBuf>) {
+    assert!(path.is_none(), "{DEFAULTS_GONE}");
 }
 
 /// Wraps per-sweep groups (from [`SweepResults::to_json`]) into the
@@ -267,11 +225,14 @@ pub fn artifact_document(groups: Vec<Json>) -> Json {
     ])
 }
 
-/// A declarative list of labelled experiment runs.
+/// A declarative list of labelled experiment runs, with the worker
+/// count and the run defaults they execute under.
 #[derive(Default)]
 pub struct SweepSpec {
     runs: Vec<(String, Job)>,
     progress: bool,
+    threads: Option<usize>,
+    defaults: RunDefaults,
 }
 
 impl fmt::Debug for SweepSpec {
@@ -279,14 +240,26 @@ impl fmt::Debug for SweepSpec {
         f.debug_struct("SweepSpec")
             .field("runs", &self.runs.len())
             .field("progress", &self.progress)
+            .field("threads", &self.threads)
+            .field("defaults", &self.defaults)
             .finish()
     }
 }
 
 impl SweepSpec {
-    /// An empty sweep.
+    /// An empty sweep: every run setting off unless its builder sets it,
+    /// run on every core.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty sweep under `cli`'s worker count and [`RunDefaults`].
+    pub fn from_cli(cli: &Cli) -> Self {
+        SweepSpec {
+            threads: cli.threads,
+            defaults: cli.defaults.clone(),
+            ..Self::default()
+        }
     }
 
     /// Enables or disables per-run progress lines on stderr.
@@ -298,8 +271,11 @@ impl SweepSpec {
 
     /// Appends one experiment. The builder carries every parameter of
     /// the run, including its explicit RNG seed, so the run's result
-    /// does not depend on where or when a worker picks it up.
+    /// does not depend on where or when a worker picks it up. Run
+    /// settings the builder leaves unset come from the sweep's
+    /// [`RunDefaults`].
     pub fn push(&mut self, label: impl Into<String>, builder: ExperimentBuilder) -> &mut Self {
+        let builder = builder.or_defaults(&self.defaults);
         self.runs.push((
             label.into(),
             Box::new(move || builder.run_with_report().map(|(m, r)| (m, Some(r)))),
@@ -307,17 +283,25 @@ impl SweepSpec {
         self
     }
 
-    /// Appends an arbitrary job (e.g. [`ExperimentBuilder::run_with_dataplane`]
-    /// for the Fig. 11 framework comparators). The job must be
-    /// self-contained: it is executed at most once, on any worker. Jobs
-    /// produce no [`RunReport`]; their artifact carries the measurement
-    /// only.
-    pub fn push_job<F>(&mut self, label: impl Into<String>, job: F) -> &mut Self
+    /// Appends one experiment run over a non-FastClick dataplane (the
+    /// Fig. 11 framework comparators; see
+    /// [`ExperimentBuilder::run_with_dataplane`]), with the same
+    /// defaulting as [`Self::push`]. Such runs produce no [`RunReport`];
+    /// their artifact carries the measurement only.
+    pub fn push_dataplane<F>(
+        &mut self,
+        label: impl Into<String>,
+        builder: ExperimentBuilder,
+        factory: F,
+    ) -> &mut Self
     where
-        F: FnOnce() -> Result<Measurement, ExperimentError> + Send + 'static,
+        F: Fn() -> Box<dyn Dataplane> + Send + 'static,
     {
-        self.runs
-            .push((label.into(), Box::new(move || job().map(|m| (m, None)))));
+        let builder = builder.or_defaults(&self.defaults);
+        self.runs.push((
+            label.into(),
+            Box::new(move || builder.run_with_dataplane(factory).map(|m| (m, None))),
+        ));
         self
     }
 
@@ -331,9 +315,12 @@ impl SweepSpec {
         self.runs.is_empty()
     }
 
-    /// Executes the sweep with [`default_threads`] workers.
+    /// Executes the sweep on its `--threads` worker count, else on
+    /// [`std::thread::available_parallelism`] workers.
     pub fn run(self) -> SweepResults {
-        let threads = default_threads();
+        let threads = self
+            .threads
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
         self.run_with_threads(threads)
     }
 
@@ -681,14 +668,15 @@ mod tests {
             .seed(0xCAFE + i as u64)
     }
 
-    fn cli(args: &[&str]) -> Result<SweepCli, String> {
-        configure_from_args(args.iter().map(|a| a.to_string()))
+    fn cli(args: &[&str]) -> Result<Cli, String> {
+        Cli::parse(args.iter().map(|a| a.to_string()))
     }
 
     #[test]
     fn cli_reads_counts_and_paths_and_skips_the_binarys_own_arguments() {
         let c = cli(&[
             "fig7",
+            "table1",
             "--surface",
             "n1",
             "--cores",
@@ -696,12 +684,34 @@ mod tests {
             "--flows=10k",
             "--json",
             "a.json",
+            "--threads=2",
+            "--profile",
+            "--timeline=25",
+            "--trace",
+            "t.json",
         ]);
         let c = c.expect("valid command line");
+        assert_eq!(c.keys, ["fig7", "table1"]);
+        assert_eq!(c.surface.as_deref(), Some("n1"));
         assert_eq!(c.cores, Some(4));
         assert_eq!(c.flows, Some(10_000));
+        assert_eq!(c.threads, Some(2));
         assert_eq!(c.json, Some(PathBuf::from("a.json")));
+        assert_eq!(c.trace, Some(PathBuf::from("t.json")));
+        let d = &c.defaults;
+        assert!(d.profile && d.packet_trace);
+        assert_eq!(d.timeline_us, Some(25.0));
+        assert_eq!((d.faults.as_ref(), d.workload.as_ref()), (None, None));
         assert_eq!(cli(&["--flows", "0x10"]).unwrap().flows, Some(16));
+        assert_eq!(
+            cli(&["--surface=n5"]).unwrap().surface.as_deref(),
+            Some("n5")
+        );
+        assert_eq!(
+            cli(&["--timeline"]).unwrap().defaults.timeline_us,
+            Some(DEFAULT_TIMELINE_WINDOW_US)
+        );
+        assert_eq!(cli(&[]).unwrap(), Cli::default());
     }
 
     #[test]
@@ -710,6 +720,10 @@ mod tests {
             &["--threads", "x"][..],
             &["--threads=0"],
             &["--threads"],
+            &["--thread", "2"],
+            &["--profle"],
+            &["--profile=0"],
+            &["--surface"],
             &["--cores", "-1"],
             &["--cores", "--profile"],
             &["--flows", "1.5"],
@@ -726,6 +740,23 @@ mod tests {
                 "{bad:?}: {e}"
             );
         }
+        // A value the parser does not take is not skipped either.
+        let e = cli(&["fig4", "--timeline", "25"]).expect_err("stray value");
+        assert!(e.starts_with("25:"), "{e}");
+    }
+
+    #[test]
+    fn a_sweep_fills_only_what_its_builders_leave_unset() {
+        let c = cli(&["--profile", "--faults", "seed=1;drop@..:rate=2000ppm"]).unwrap();
+        let builder = mini_builder(0).fault_plan(pm_sim::FaultPlan::default());
+        let filled = builder.clone().or_defaults(&c.defaults);
+        assert!(filled.profile_effective(), "unset: the sweep's default");
+        assert!(filled.fault_plan_effective().is_none(), "set: its own plan");
+        assert!(!builder.profile_effective(), "a bare builder is all off");
+        assert!(!mini_builder(0)
+            .profile(false)
+            .or_defaults(&c.defaults)
+            .profile_effective());
     }
 
     #[test]

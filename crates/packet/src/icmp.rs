@@ -63,7 +63,10 @@ impl IcmpHeader {
     /// odd-length `b` (it would not start on a 16-bit word).
     pub fn write(&self, b: &mut [u8], fill: u8, fill_len: usize) {
         assert!(b.len() >= ICMP_LEN);
-        assert!(fill_len == 0 || b.len().is_multiple_of(2), "fill run off a word");
+        assert!(
+            fill_len == 0 || b.len().is_multiple_of(2),
+            "fill run off a word"
+        );
         b[0] = self.icmp_type.0;
         b[1] = self.code;
         put16(b, 2, 0);

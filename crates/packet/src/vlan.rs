@@ -90,7 +90,7 @@ pub fn encap_in_place(frame: &mut [u8], len: usize, tag: VlanTag) -> Result<usiz
     put16(frame, 12, EtherType::VLAN.0);
     put16(frame, 14, tag.tci());
     // The shifted bytes start with the original EtherType at 16 already.
-    debug_assert_eq!(be16(frame, 16), inner_type);
+    assert_eq!(be16(frame, 16), inner_type);
     Ok(len + VLAN_TAG_LEN)
 }
 

@@ -104,8 +104,17 @@ impl TimelineRecorder {
 
     /// Reports the cumulative drop counters (one per label, in label
     /// order) at a checkpoint.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is exactly one counter per drop label: a
+    /// short slice would silently leave series unobserved.
     pub fn observe_drops(&mut self, now_ps: u64, cumulative: &[u64]) {
-        debug_assert_eq!(cumulative.len(), self.drops.len());
+        assert_eq!(
+            cumulative.len(),
+            self.drops.len(),
+            "one cumulative drop counter per label"
+        );
         let now_ns = now_ps as f64 / 1e3;
         for ((s, cum), &v) in self
             .drops
@@ -387,6 +396,12 @@ mod tests {
         // p50 recorded only where departures happened.
         assert!(t.cores[1].p50_us[0].is_none());
         assert!(t.cores[1].p50_us[1].is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "one cumulative drop counter per label")]
+    fn drop_counters_must_cover_every_label() {
+        recorder().observe_drops(50 * US, &[1]);
     }
 
     #[test]

@@ -8,15 +8,15 @@
 //!
 //! Run with: `cargo run --release --example nat_multicore [-- --threads N]`
 
-use packetmill::{ExperimentBuilder, MetadataModel, Nf, OptLevel, SweepSpec, Table};
+use packetmill::{Cli, ExperimentBuilder, MetadataModel, Nf, OptLevel, SweepSpec, Table};
 
 fn main() {
-    if let Err(e) = packetmill::sweep::configure_from_args(std::env::args().skip(1)) {
+    let cli = Cli::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(1);
-    }
+    });
 
-    let mut spec = SweepSpec::new().progress(true);
+    let mut spec = SweepSpec::from_cli(&cli).progress(true);
     for cores in 1..=4usize {
         spec.push(
             format!("{cores}c vanilla"),

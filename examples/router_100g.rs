@@ -9,16 +9,16 @@
 //!
 //! Run with: `cargo run --release --example router_100g [-- --threads N]`
 
-use packetmill::{ExperimentBuilder, MetadataModel, Nf, OptLevel, SweepSpec, Table};
+use packetmill::{Cli, ExperimentBuilder, MetadataModel, Nf, OptLevel, SweepSpec, Table};
 
 fn main() {
-    if let Err(e) = packetmill::sweep::configure_from_args(std::env::args().skip(1)) {
+    let cli = Cli::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(1);
-    }
+    });
     const OFFERED: [f64; 5] = [20.0, 40.0, 60.0, 80.0, 100.0];
 
-    let mut spec = SweepSpec::new().progress(true);
+    let mut spec = SweepSpec::from_cli(&cli).progress(true);
     for offered in OFFERED {
         spec.push(
             format!("{offered:.0}G vanilla"),

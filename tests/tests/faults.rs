@@ -5,8 +5,7 @@
 //! byte-invisible in the run artifact, and truncated frames reach the
 //! dataplane as exactly the trace's bytes.
 //!
-//! Plans are always set explicitly per builder — never via the
-//! process-wide default, which other tests in this binary would race on.
+//! Plans are always set explicitly per builder.
 
 use packetmill::{
     Dataplane, Engine, EngineConfig, ExperimentBuilder, FaultKind, FaultPlan, MetadataModel, Nf,

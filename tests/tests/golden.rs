@@ -10,13 +10,24 @@
 //! is required to be semantically invisible, so any diff here is a
 //! correctness bug, not a tolerance question.
 
-use packetmill::sweep::{artifact_document, set_default_profile};
+use packetmill::sweep::artifact_document;
+use packetmill::{Cli, RunDefaults};
 use pm_integration_tests::check_fixture;
+
+/// The command line every fixture was captured with: `--profile`.
+fn profiled() -> Cli {
+    Cli {
+        defaults: RunDefaults {
+            profile: true,
+            ..RunDefaults::default()
+        },
+        ..Cli::default()
+    }
+}
 
 #[test]
 fn fig7_n1_artifact_matches_committed_fixture() {
-    set_default_profile(true);
-    let a = pm_bench::figures::fig7(1);
+    let a = pm_bench::figures::fig7(&profiled(), 1);
 
     let stdout = format!("== N = 1 ==\n\n{}\n", a.table);
     let json = artifact_document(vec![a.results.to_json("fig7-n1")]).to_pretty() + "\n";
@@ -31,9 +42,9 @@ const FAULT_SPEC: &str = "seed=0xF417;bitflip@..:rate=5000ppm;trunc@..:rate=5000
 
 #[test]
 fn fig7_n1_faulted_artifact_matches_committed_fixture() {
-    set_default_profile(true);
-    let plan = packetmill::FaultPlan::parse(FAULT_SPEC).expect("valid fault spec");
-    let a = pm_bench::figures::fig7_with(1, Some(plan));
+    let mut cli = profiled();
+    cli.defaults.faults = Some(packetmill::FaultPlan::parse(FAULT_SPEC).expect("valid fault spec"));
+    let a = pm_bench::figures::fig7(&cli, 1);
 
     let stdout = format!("== N = 1 (faulted) ==\n\n{}\n", a.table);
     let json = artifact_document(vec![a.results.to_json("fig7-n1-faulted")]).to_pretty() + "\n";
@@ -46,8 +57,7 @@ fn fig7_n1_faulted_artifact_matches_committed_fixture() {
 /// LLC/DDIO path is also locked byte-for-byte.
 #[test]
 fn fig_multicore_c2_profiled_artifact_matches_committed_fixture() {
-    set_default_profile(true);
-    let a = pm_bench::figures::fig_multicore(2);
+    let a = pm_bench::figures::fig_multicore(&profiled(), 2);
     let json = artifact_document(vec![a.results.to_json("fig-multicore")]).to_pretty() + "\n";
     check_fixture("fig-multicore-c2", None, Some(&json));
 }
@@ -58,8 +68,7 @@ fn fig_multicore_c2_profiled_artifact_matches_committed_fixture() {
 /// bucketing, sampling hashes, or span attribution shows up here.
 #[test]
 fn fig_timeline_artifact_matches_committed_fixture() {
-    set_default_profile(true);
-    let a = pm_bench::figures::fig_timeline();
+    let a = pm_bench::figures::fig_timeline(&profiled());
 
     let stdout = format!("{}\n", a.table);
     let json = artifact_document(vec![a.results.to_json("fig-timeline")]).to_pretty() + "\n";
@@ -80,8 +89,7 @@ fn fig_timeline_artifact_matches_committed_fixture() {
 /// cuckoo/trie/conntrack charging shows up here.
 #[test]
 fn fig_flowscale_artifact_matches_committed_fixture() {
-    set_default_profile(true);
-    let a = pm_bench::figures::fig_flowscale(10_000);
+    let a = pm_bench::figures::fig_flowscale(&profiled(), 10_000);
 
     let stdout = format!("{}\n", a.table);
     let json = artifact_document(vec![a.results.to_json("fig-flowscale")]).to_pretty() + "\n";
@@ -99,8 +107,7 @@ fn fig_flowscale_artifact_matches_committed_fixture() {
 
 #[test]
 fn table1_artifact_matches_committed_fixture() {
-    set_default_profile(true);
-    let a = pm_bench::figures::table1();
+    let a = pm_bench::figures::table1(&profiled());
 
     let stdout = format!("{}\n", a.table);
     let json = artifact_document(vec![a.results.to_json("table1")]).to_pretty() + "\n";

@@ -175,7 +175,7 @@ fn nic_steering_keeps_a_flow_on_one_queue() {
 
 #[test]
 fn fig_multicore_c2_matches_committed_fixture() {
-    let a = pm_bench::figures::fig_multicore(2);
+    let a = pm_bench::figures::fig_multicore(&packetmill::Cli::default(), 2);
     let stdout = format!("{}\n", a.table);
     check_fixture("fig-multicore-c2", Some(&stdout), None);
 }

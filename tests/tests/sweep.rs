@@ -1,7 +1,9 @@
 //! The parallel sweep runner's contract: bit-identical results at any
 //! thread count, input-order collection, and panic isolation.
 
-use packetmill::{ExperimentBuilder, Measurement, MetadataModel, Nf, OptLevel, SweepSpec};
+use packetmill::{
+    Dataplane, ExperimentBuilder, Measurement, MetadataModel, Nf, OptLevel, SweepSpec,
+};
 
 /// A 12-configuration mini-sweep spanning NFs, metadata models, and
 /// optimization levels — small enough to run three times in a test,
@@ -12,8 +14,7 @@ fn mini_sweep() -> SweepSpec {
 }
 
 /// Same grid, optionally with per-element profiling (set explicitly on
-/// every builder — never via the process-wide default, which other
-/// tests in this binary would race on).
+/// every builder).
 fn mini_sweep_with(profile: bool) -> SweepSpec {
     let nfs = [Nf::Forwarder, Nf::Router, Nf::Nat];
     let variants = [
@@ -79,7 +80,11 @@ fn panicking_experiment_is_reported_without_poisoning_the_sweep() {
         "healthy-before",
         ExperimentBuilder::new(Nf::Forwarder).packets(2_000),
     );
-    spec.push_job("deliberate-panic", || panic!("injected failure for test"));
+    spec.push_dataplane(
+        "deliberate-panic",
+        ExperimentBuilder::new(Nf::Forwarder).packets(2_000),
+        || -> Box<dyn Dataplane> { panic!("injected failure for test") },
+    );
     spec.push(
         "healthy-after",
         ExperimentBuilder::new(Nf::Router).packets(2_000),

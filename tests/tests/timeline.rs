@@ -4,9 +4,7 @@
 //! thread count, the windowed series reconcile with the conservation
 //! ledger, and the Chrome-trace export is deterministic and well formed.
 //!
-//! Recording is always enabled explicitly per builder — never via the
-//! process-wide `--timeline`/`--trace` defaults, which other tests in
-//! this binary would race on.
+//! Recording is always enabled explicitly per builder.
 
 use packetmill::{
     chrome_trace, ExperimentBuilder, FaultKind, FaultPlan, Json, MetadataModel, Nf, OptLevel,
