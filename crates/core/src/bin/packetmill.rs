@@ -17,7 +17,7 @@ packetmill — run an NF through the PacketMill optimizer + simulated testbed
 USAGE:
     packetmill [OPTIONS]
 
-OPTIONS:
+OPTIONS (a value flag takes `--flag value` or `--flag=value`):
     --nf <NAME>          forwarder | router | ids-router | nat | firewall [default: router]
     --config <FILE>      run a Click configuration file instead of a preset
     --model <MODEL>      copying | overlaying | xchange          [default: copying]
@@ -36,6 +36,7 @@ OPTIONS:
     -h, --help           print this help
 ";
 
+#[derive(Debug, PartialEq)]
 struct Options {
     nf: Nf,
     model: MetadataModel,
@@ -70,14 +71,26 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String>
         handlers: false,
     };
     let mut args = args.into_iter();
-    while let Some(flag) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .ok_or_else(|| format!("{name} requires a value"))
+    while let Some(arg) = args.next() {
+        let (flag, inline) = match arg.split_once('=') {
+            Some((f, v)) => (f.to_string(), Some(v.to_string())),
+            None => (arg, None),
+        };
+        if inline.is_some()
+            && matches!(flag.as_str(), "--show-log" | "--handlers" | "-h" | "--help")
+        {
+            return Err(format!("{flag} takes no value"));
+        }
+        let mut value = || {
+            inline
+                .clone()
+                .or_else(|| args.next())
+                .filter(|v| !v.is_empty())
+                .ok_or_else(|| format!("{flag} requires a value"))
         };
         match flag.as_str() {
             "--nf" => {
-                o.nf = match value("--nf")?.as_str() {
+                o.nf = match value()?.as_str() {
                     "forwarder" => Nf::Forwarder,
                     "router" => Nf::Router,
                     "ids-router" => Nf::IdsRouter,
@@ -87,13 +100,13 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String>
                 }
             }
             "--config" => {
-                let path = value("--config")?;
+                let path = value()?;
                 let text = std::fs::read_to_string(&path)
                     .map_err(|e| format!("cannot read {path}: {e}"))?;
                 o.nf = Nf::Custom(text);
             }
             "--model" => {
-                o.model = match value("--model")?.as_str() {
+                o.model = match value()?.as_str() {
                     "copying" => MetadataModel::Copying,
                     "overlaying" => MetadataModel::Overlaying,
                     "xchange" | "x-change" => MetadataModel::XChange,
@@ -101,7 +114,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String>
                 }
             }
             "--opt" => {
-                o.opt = match value("--opt")?.as_str() {
+                o.opt = match value()?.as_str() {
                     "vanilla" => OptLevel::Vanilla,
                     "devirtualize" => OptLevel::Devirtualize,
                     "constants" => OptLevel::ConstantEmbed,
@@ -111,14 +124,14 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String>
                     other => return Err(format!("unknown opt level {other:?}")),
                 }
             }
-            "--freq" => o.freq = num(&value("--freq")?)?,
-            "--cores" => o.cores = at_least_one("--cores", &value("--cores")?)?,
-            "--nics" => o.nics = at_least_one("--nics", &value("--nics")?)?,
-            "--offered" => o.offered = num(&value("--offered")?)?,
-            "--packets" => o.packets = int(&value("--packets")?)?,
-            "--size" => o.size = Some(int(&value("--size")?)?),
-            "--pcap" => o.pcap = Some(value("--pcap")?),
-            "--seed" => o.seed = int(&value("--seed")?)?,
+            "--freq" => o.freq = num(&value()?)?,
+            "--cores" => o.cores = at_least_one("--cores", &value()?)?,
+            "--nics" => o.nics = at_least_one("--nics", &value()?)?,
+            "--offered" => o.offered = num(&value()?)?,
+            "--packets" => o.packets = int(&value()?)?,
+            "--size" => o.size = Some(int(&value()?)?),
+            "--pcap" => o.pcap = Some(value()?),
+            "--seed" => o.seed = int(&value()?)?,
             "--show-log" => o.show_log = true,
             "--handlers" => o.handlers = true,
             "-h" | "--help" => {
@@ -294,6 +307,68 @@ mod tests {
         // Through `f64` this seed would have run as 2^53.
         let o = parse(&["--seed", "9007199254740993"]).expect("valid seed");
         assert_eq!(o.seed, (1 << 53) + 1);
+    }
+
+    #[test]
+    fn both_value_forms_parse_to_the_same_options() {
+        let spaced = parse(&[
+            "--nf",
+            "nat",
+            "--model",
+            "xchange",
+            "--opt",
+            "full",
+            "--freq",
+            "3.0",
+            "--cores",
+            "2",
+            "--nics",
+            "2",
+            "--offered",
+            "80",
+            "--packets",
+            "4k",
+            "--size",
+            "64",
+            "--pcap",
+            "a.pcap",
+            "--seed",
+            "0x10",
+            "--show-log",
+            "--handlers",
+        ])
+        .expect("valid flags");
+        let inline = parse(&[
+            "--nf=nat",
+            "--model=xchange",
+            "--opt=full",
+            "--freq=3.0",
+            "--cores=2",
+            "--nics=2",
+            "--offered=80",
+            "--packets=4k",
+            "--size=64",
+            "--pcap=a.pcap",
+            "--seed=0x10",
+            "--show-log",
+            "--handlers",
+        ])
+        .expect("valid flags");
+        assert_eq!(spaced, inline);
+        assert_eq!((inline.cores, inline.seed), (2, 16));
+    }
+
+    #[test]
+    fn empty_or_unexpected_inline_values_are_errors() {
+        for (bad, error) in [
+            (&["--cores="][..], "--cores requires a value"),
+            (&["--pcap="], "--pcap requires a value"),
+            (&["--nf="], "--nf requires a value"),
+            (&["--show-log=1"], "--show-log takes no value"),
+            (&["--handlers="], "--handlers takes no value"),
+        ] {
+            assert_eq!(parse(bad).err().as_deref(), Some(error), "{bad:?}");
+        }
     }
 
     #[test]

@@ -104,7 +104,8 @@ impl Cli {
     /// # Errors
     ///
     /// An unknown flag, a positional argument after a flag, a value on
-    /// `--profile`, a value flag without its value, a count that is not a
+    /// `--profile`, a value flag without its value or with an empty one
+    /// (`--json=`), a count that is not a
     /// [`pm_sim::spec::parse_count`] above zero, or an unparsable
     /// `--faults`, `--workload` or `--timeline=` value: running a
     /// different experiment than the one asked for is worse than exiting.
@@ -129,6 +130,7 @@ impl Cli {
                 inline
                     .clone()
                     .or_else(|| args.next_if(|v| !v.starts_with("--")))
+                    .filter(|v| !v.is_empty())
                     .ok_or_else(|| format!("{flag} requires a value"))
             };
             let count = |v: String| {
@@ -176,6 +178,50 @@ impl Cli {
             }
         }
         Ok(cli)
+    }
+
+    /// Returns `self` if the command line asks for nothing outside
+    /// `honoured`, the flags the calling program acts on (`"--threads"`,
+    /// `"--faults"`, …; `"keys"` for positional arguments). Chain it
+    /// after [`Cli::parse`].
+    ///
+    /// # Errors
+    ///
+    /// The first flag given but not honoured: a flag the program would
+    /// drop silently is a usage error, like an unknown one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `honoured` names a flag [`Cli::parse`] does not know.
+    pub fn only(self, honoured: &[&str]) -> Result<Cli, String> {
+        let d = &self.defaults;
+        let given = [
+            ("keys", !self.keys.is_empty()),
+            ("--threads", self.threads.is_some()),
+            ("--json", self.json.is_some()),
+            ("--trace", self.trace.is_some()),
+            ("--cores", self.cores.is_some()),
+            ("--flows", self.flows.is_some()),
+            ("--surface", self.surface.is_some()),
+            ("--profile", d.profile),
+            ("--faults", d.faults.is_some()),
+            ("--workload", d.workload.is_some()),
+            ("--timeline", d.timeline_us.is_some()),
+        ];
+        for h in honoured {
+            assert!(given.iter().any(|(f, _)| f == h), "{h}: not a Cli flag");
+        }
+        match given
+            .into_iter()
+            .find(|(flag, on)| *on && !honoured.contains(flag))
+        {
+            None => Ok(self),
+            Some(("keys", _)) => Err(format!(
+                "{}: this program takes no positional arguments",
+                self.keys[0]
+            )),
+            Some((flag, _)) => Err(format!("{flag}: not supported by this program")),
+        }
     }
 }
 
@@ -728,7 +774,10 @@ mod tests {
             &["--cores", "--profile"],
             &["--flows", "1.5"],
             &["--json"],
+            &["--json="],
             &["--trace"],
+            &["--trace="],
+            &["--surface="],
             &["--faults", "bitflip@..:rate=7"],
             &["--workload=zipf=x"],
             &["--timeline=abc"],

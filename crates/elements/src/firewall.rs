@@ -7,7 +7,7 @@
 //! region charged per rule scanned, so bigger rulesets genuinely cost
 //! more — useful for rule-count sweeps.
 
-use crate::cuckoo::CuckooHash;
+use crate::cuckoo::{array, CuckooHash, Packed};
 use crate::nat::FlowKey;
 use crate::trie::parse_cidr;
 use pm_click::{Action, Args, ConfigError, Ctx, Element, Pkt, TableStats};
@@ -128,6 +128,19 @@ pub fn parse_rule(text: &str) -> Result<Rule, ConfigError> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ConnEntry {
     last: SimTime,
+}
+
+impl Packed for ConnEntry {
+    type Bytes = [u8; 8];
+    const SIZE: usize = 8;
+    fn pack(&self) -> [u8; 8] {
+        self.last.as_ps().to_le_bytes()
+    }
+    fn unpack(b: &[u8]) -> Self {
+        ConnEntry {
+            last: SimTime::from_ps(u64::from_le_bytes(array(b))),
+        }
+    }
 }
 
 /// The firewall element: first-match semantics, default deny.
@@ -253,9 +266,7 @@ impl Element for IpFilter {
                 };
                 let ct_region = self.conntrack_region.expect("setup() ran");
                 self.lookups += 1;
-                let mut found_bucket = 0usize;
-                let hit = ct.lookup_visit(&key, |b| {
-                    found_bucket = b;
+                let hit = ct.find_visit(&key, |b| {
                     ctx.cost += ctx.mem.access(
                         ctx.core,
                         ct_region.base + (b as u64) * 64,
@@ -266,26 +277,26 @@ impl Element for IpFilter {
                 ctx.compute(48); // key assembly + two hashes + compares
                 let arrival = pkt.desc.arrival;
                 match (hit, self.idle) {
-                    (Some(e), Some(idle)) if arrival > e.last && arrival - e.last > idle => {
+                    (Some((at, e)), Some(idle)) if arrival > e.last && arrival - e.last > idle => {
                         // Stale entry: expire it and fall through to
                         // the rule scan for a fresh verdict.
-                        ct.remove(&key);
+                        ct.remove_at(at);
                         ctx.cost += ctx.mem.access(
                             ctx.core,
-                            ct_region.base + (found_bucket as u64) * 64,
+                            ct_region.base + (at.bucket as u64) * 64,
                             64,
                             AccessKind::Store,
                         );
                         ctx.compute(30);
                         self.expiries += 1;
                     }
-                    (Some(_), _) => {
+                    (Some((at, _)), _) => {
                         self.hits += 1;
                         if self.idle.is_some() {
-                            ct.update(&key, |v| v.last = arrival);
+                            ct.set(at, ConnEntry { last: arrival });
                             ctx.cost += ctx.mem.access(
                                 ctx.core,
-                                ct_region.base + (found_bucket as u64) * 64,
+                                ct_region.base + (at.bucket as u64) * 64,
                                 64,
                                 AccessKind::Store,
                             );
@@ -412,6 +423,17 @@ mod tests {
             annos: Annos::default(),
         };
         el.process(&mut ctx, &mut pkt)
+    }
+
+    #[test]
+    fn conn_entry_packs_round_trip() {
+        for ps in [0, 1, 0x0123_4567_89ab_cdef, u64::MAX] {
+            let e = ConnEntry {
+                last: SimTime::from_ps(ps),
+            };
+            assert_eq!(e.pack().len(), ConnEntry::SIZE);
+            assert_eq!(ConnEntry::unpack(&e.pack()), e);
+        }
     }
 
     #[test]

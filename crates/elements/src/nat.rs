@@ -7,7 +7,7 @@
 //! resulting in more lookups and higher memory usage"). Both the IPv4
 //! header checksum and the TCP/UDP checksum are patched incrementally.
 
-use crate::cuckoo::{CuckooHash, InsertOutcome};
+use crate::cuckoo::{array, CuckooHash, InsertOutcome, Packed};
 use pm_click::{Action, Args, ConfigError, Ctx, Element, Pkt, TableStats};
 use pm_mem::{AccessKind, AddressSpace, Region};
 use pm_packet::checksum::{update16, update32};
@@ -30,6 +30,29 @@ pub struct FlowKey {
     pub proto: u8,
 }
 
+impl Packed for FlowKey {
+    type Bytes = [u8; 13];
+    const SIZE: usize = 13;
+    fn pack(&self) -> [u8; 13] {
+        let mut b = [0; 13];
+        b[..4].copy_from_slice(&self.src.to_le_bytes());
+        b[4..8].copy_from_slice(&self.dst.to_le_bytes());
+        b[8..10].copy_from_slice(&self.sport.to_le_bytes());
+        b[10..12].copy_from_slice(&self.dport.to_le_bytes());
+        b[12] = self.proto;
+        b
+    }
+    fn unpack(b: &[u8]) -> Self {
+        FlowKey {
+            src: u32::from_le_bytes(array(b)),
+            dst: u32::from_le_bytes(array(&b[4..])),
+            sport: u16::from_le_bytes(array(&b[8..])),
+            dport: u16::from_le_bytes(array(&b[10..])),
+            proto: b[12],
+        }
+    }
+}
+
 /// One NAT binding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Binding {
@@ -38,6 +61,23 @@ pub struct Binding {
     /// Arrival time of the flow's most recent packet (only refreshed
     /// when an idle timeout is configured).
     pub last: SimTime,
+}
+
+impl Packed for Binding {
+    type Bytes = [u8; 10];
+    const SIZE: usize = 10;
+    fn pack(&self) -> [u8; 10] {
+        let mut b = [0; 10];
+        b[..2].copy_from_slice(&self.ext_port.to_le_bytes());
+        b[2..].copy_from_slice(&self.last.as_ps().to_le_bytes());
+        b
+    }
+    fn unpack(b: &[u8]) -> Self {
+        Binding {
+            ext_port: u16::from_le_bytes(array(b)),
+            last: SimTime::from_ps(u64::from_le_bytes(array(&b[2..]))),
+        }
+    }
 }
 
 /// Default flow-table bucket count (× 4 slots = capacity).
@@ -55,8 +95,10 @@ const DEFAULT_BUCKETS: usize = 16384;
 #[derive(Debug)]
 pub struct IpRewriter {
     ext_ip: [u8; 4],
-    table: CuckooHash<FlowKey, Binding>,
-    table_region: Option<Region>,
+    /// Flow-table bucket count (`BUCKETS`).
+    buckets: usize,
+    /// The flow table and its simulated region, built by `setup`.
+    table: Option<(CuckooHash<FlowKey, Binding>, Region)>,
     next_port: u16,
     /// Idle timeout; `None` disables expiry entirely.
     idle: Option<SimTime>,
@@ -79,8 +121,8 @@ impl Default for IpRewriter {
     fn default() -> Self {
         IpRewriter {
             ext_ip: [192, 0, 2, 1],
-            table: CuckooHash::new(DEFAULT_BUCKETS),
-            table_region: None,
+            buckets: DEFAULT_BUCKETS,
+            table: None,
             next_port: 10_000,
             idle: None,
             evict: false,
@@ -127,11 +169,10 @@ impl Element for IpRewriter {
             self.ext_ip = ip.to_be_bytes();
         }
         if let Some(v) = args.get("BUCKETS") {
-            let n: usize = v.parse().map_err(|_| ConfigError::Element {
+            self.buckets = v.parse().map_err(|_| ConfigError::Element {
                 element: String::new(),
                 message: format!("bad BUCKETS {v:?}"),
             })?;
-            self.table = CuckooHash::new(n);
         }
         if let Some(v) = args.get("IDLE_US") {
             let us: f64 = v.parse().map_err(|_| ConfigError::Element {
@@ -147,8 +188,10 @@ impl Element for IpRewriter {
     }
 
     fn setup(&mut self, space: &mut AddressSpace) {
+        let table = CuckooHash::new(self.buckets);
         // One cache line per bucket, like rte_hash.
-        self.table_region = Some(space.alloc_pages(self.table.bucket_count() as u64 * 64));
+        let region = space.alloc_pages(table.bucket_count() as u64 * 64);
+        self.table = Some((table, region));
     }
 
     fn param_loads(&self) -> u32 {
@@ -156,7 +199,8 @@ impl Element for IpRewriter {
     }
 
     fn process(&mut self, ctx: &mut Ctx<'_>, pkt: &mut Pkt<'_>) -> Action {
-        let region = self.table_region.expect("setup() ran before process()");
+        let (table, region) = self.table.as_mut().expect("setup() ran before process()");
+        let region = *region;
         if pkt.len < ETHER_LEN + 20 + 8 {
             self.drops += 1;
             return Action::Drop;
@@ -192,23 +236,19 @@ impl Element for IpRewriter {
         };
 
         // Flow-table lookup, charging every probed bucket line. The
-        // bucket where the key lands is remembered so expiry/refresh
-        // stores hit the same cache line.
+        // slot where the key lands is kept so expiry/refresh stores hit
+        // the same cache line.
         self.lookups += 1;
-        let mut found_bucket = 0usize;
-        let hit = self.table.lookup_visit(&key, |b| {
-            found_bucket = b;
-            Self::charge_probe(ctx, region, b);
-        });
+        let hit = table.find_visit(&key, |b| Self::charge_probe(ctx, region, b));
         ctx.compute(48); // key assembly + two hashes + compares
 
         let arrival = pkt.desc.arrival;
         let hit = match (hit, self.idle) {
-            (Some(b), Some(idle)) if arrival > b.last && arrival - b.last > idle => {
+            (Some((at, b)), Some(idle)) if arrival > b.last && arrival - b.last > idle => {
                 // Idle flow: tear down the stale binding and fall
                 // through to the new-flow path for a fresh port.
-                self.table.remove(&key);
-                Self::charge_store(ctx, region, found_bucket);
+                table.remove_at(at);
+                Self::charge_store(ctx, region, at.bucket);
                 ctx.compute(30);
                 self.expiries += 1;
                 None
@@ -217,12 +257,12 @@ impl Element for IpRewriter {
         };
 
         let binding = match hit {
-            Some(mut b) => {
+            Some((at, mut b)) => {
                 self.hits += 1;
                 if self.idle.is_some() {
                     b.last = arrival;
-                    self.table.update(&key, |v| v.last = arrival);
-                    Self::charge_store(ctx, region, found_bucket);
+                    table.set(at, b);
+                    Self::charge_store(ctx, region, at.bucket);
                 }
                 b
             }
@@ -233,7 +273,7 @@ impl Element for IpRewriter {
                     last: arrival,
                 };
                 self.next_port = self.next_port.wrapping_add(1).max(10_000);
-                let outcome = self.table.insert_visit(key, b, |bk| {
+                let outcome = table.insert_visit(key, b, |bk| {
                     Self::charge_store(ctx, region, bk);
                 });
                 ctx.compute(85);
@@ -282,23 +322,24 @@ impl Element for IpRewriter {
     }
 
     fn table_stats(&self) -> Option<TableStats> {
+        let (table, _) = self.table.as_ref()?;
         Some(TableStats {
             name: String::new(),
             kind: "cuckoo",
-            capacity: self.table.capacity() as u64,
-            occupancy: self.table.len() as u64,
+            capacity: table.capacity() as u64,
+            occupancy: table.len() as u64,
             lookups: self.lookups,
             hits: self.hits,
             insertions: self.flows,
             expiries: self.expiries,
-            evictions: self.table.evictions(),
-            displacements: self.table.displacements(),
-            max_chain: self.table.max_chain(),
+            evictions: table.evictions(),
+            displacements: table.displacements(),
+            max_chain: table.max_chain(),
         })
     }
 
     fn table_regions(&self) -> Vec<Region> {
-        self.table_region.into_iter().collect()
+        self.table.iter().map(|&(_, region)| region).collect()
     }
 }
 

@@ -6,15 +6,19 @@
 //! run on the parallel sweep runner — parallelism across experiments,
 //! never inside one, so each simulated run stays deterministic.
 //!
-//! Run with: `cargo run --release --example nat_multicore [-- --threads N]`
+//! Run with: `cargo run --release --example nat_multicore [-- --threads N]
+//! [--faults <spec>] [--workload <spec>]`; any other flag is a usage
+//! error (exit 1).
 
 use packetmill::{Cli, ExperimentBuilder, MetadataModel, Nf, OptLevel, SweepSpec, Table};
 
 fn main() {
-    let cli = Cli::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(1);
-    });
+    let cli = Cli::parse(std::env::args().skip(1))
+        .and_then(|cli| cli.only(&["--threads", "--faults", "--workload"]))
+        .unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(1);
+        });
 
     let mut spec = SweepSpec::from_cli(&cli).progress(true);
     for cores in 1..=4usize {

@@ -7,15 +7,19 @@
 //! they run on the parallel sweep runner: one run per core, results
 //! collected in input order (identical to a serial sweep).
 //!
-//! Run with: `cargo run --release --example router_100g [-- --threads N]`
+//! Run with: `cargo run --release --example router_100g [-- --threads N]
+//! [--faults <spec>] [--workload <spec>]`; any other flag is a usage
+//! error (exit 1).
 
 use packetmill::{Cli, ExperimentBuilder, MetadataModel, Nf, OptLevel, SweepSpec, Table};
 
 fn main() {
-    let cli = Cli::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(1);
-    });
+    let cli = Cli::parse(std::env::args().skip(1))
+        .and_then(|cli| cli.only(&["--threads", "--faults", "--workload"]))
+        .unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(1);
+        });
     const OFFERED: [f64; 5] = [20.0, 40.0, 60.0, 80.0, 100.0];
 
     let mut spec = SweepSpec::from_cli(&cli).progress(true);

@@ -6,8 +6,10 @@
 #![forbid(unsafe_code)]
 
 pub mod classic;
+pub mod classic_cuckoo;
 
 pub use classic::ClassicSetAssocCache;
+pub use classic_cuckoo::ClassicCuckoo;
 
 /// Reports the first differing line instead of dumping two large
 /// strings through `assert_eq!`.

@@ -1,13 +1,18 @@
 //! Host footprint: the heap a run needs does not grow with its queue
-//! count, and a trace holds headers, not payload. The DMA pool is
-//! geometry only and packet bytes live once, in the cached trace, as
-//! each frame's headers plus a fill run, so a multi-core run holds no
-//! per-queue byte image and no frame's constant payload.
+//! count, a trace holds headers, not payload, and a flow table holds
+//! packed bytes in zeroed pages. The DMA pool is geometry only and
+//! packet bytes live once, in the cached trace, as each frame's headers
+//! plus a fill run, so a multi-core run holds no per-queue byte image
+//! and no frame's constant payload.
 //!
 //! A binary of its own because it installs a counting global allocator,
 //! which counts whatever else the binary runs.
 
 use packetmill::{ExperimentBuilder, MetadataModel, Nf, OptLevel, Trace, TraceConfig};
+use pm_click::{Args, Element};
+use pm_elements::configs::buckets_for;
+use pm_elements::nat::IpRewriter;
+use pm_mem::AddressSpace;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Mutex;
@@ -18,6 +23,8 @@ struct Counting;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+/// Bytes ever requested through `alloc_zeroed`.
+static ZEROED: AtomicUsize = AtomicUsize::new(0);
 
 fn grew(bytes: usize) {
     let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
@@ -41,6 +48,7 @@ unsafe impl GlobalAlloc for Counting {
         let p = unsafe { System.alloc_zeroed(layout) };
         if !p.is_null() {
             grew(layout.size());
+            ZEROED.fetch_add(layout.size(), Relaxed);
         }
         p
     }
@@ -108,4 +116,28 @@ fn trace_holds_headers_not_payload() {
     let per_frame = LIVE.load(Relaxed).saturating_sub(before) / frames;
     assert!(trace.mean_frame_len() > 900.0);
     assert!(per_frame <= 96, "{per_frame} B of live heap per frame");
+}
+
+/// The NAT flow table sized for a million flows (`Nf::NatScale`'s
+/// `buckets_for(1_000_000)`, 2^19 buckets) holds at most 96 B of live
+/// heap per bucket — 93 B packed, where the `Option`-slot table before
+/// it held 160 B — and asks for all of it through `alloc_zeroed`, so
+/// buckets no flow touches stay unmapped zero pages.
+#[test]
+fn million_flow_nat_table_is_packed_and_zeroed() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let buckets = buckets_for(1_000_000) as usize;
+    let (live, zeroed) = (LIVE.load(Relaxed), ZEROED.load(Relaxed));
+    let mut nat = IpRewriter::default();
+    nat.configure(&Args::parse(&format!("BUCKETS {buckets}")))
+        .expect("a valid IPRewriter configuration");
+    nat.setup(&mut AddressSpace::new());
+    let per_bucket = LIVE.load(Relaxed).saturating_sub(live) / buckets;
+    let zeroed = ZEROED.load(Relaxed) - zeroed;
+    assert!(per_bucket <= 96, "{per_bucket} B of live heap per bucket");
+    assert!(
+        zeroed >= buckets * 93,
+        "{zeroed} B through alloc_zeroed for {buckets} buckets"
+    );
+    drop(nat);
 }

@@ -100,6 +100,197 @@ mod cuckoo {
     }
 }
 
+/// The packed cuckoo table against the original `Option`-slot table it
+/// replaced ([`ClassicCuckoo`]): lock-step, every step must agree on
+/// the outcome, the probed buckets in order, and the counters.
+mod cuckoo_lockstep {
+    use super::*;
+    use pm_elements::cuckoo::{CuckooHash, Packed};
+    use pm_elements::nat::{Binding, FlowKey};
+    use pm_integration_tests::ClassicCuckoo;
+    use pm_sim::SimTime;
+    use std::fmt::Debug;
+    use std::hash::Hash;
+
+    /// Distinct keys a run draws from: enough to overfill every table
+    /// size below, so full-table eviction walks are common.
+    const KEYS: u16 = 256;
+
+    #[derive(Debug, Clone)]
+    enum Step {
+        Insert(u16, u32),
+        Update(u16, u32),
+        Remove(u16),
+        Lookup(u16),
+    }
+
+    /// Three inserts to each update and remove, and two lookups, so the
+    /// tables fill up.
+    fn step_strategy() -> impl Strategy<Value = Step> {
+        (0u8..7, 0..KEYS, any::<u32>()).prop_map(|(kind, k, v)| match kind {
+            0..=2 => Step::Insert(k, v),
+            3 => Step::Update(k, v),
+            4 => Step::Remove(k),
+            _ => Step::Lookup(k),
+        })
+    }
+
+    fn flow_key(k: u16) -> FlowKey {
+        FlowKey {
+            src: 0x0a00_0000 | u32::from(k),
+            dst: 0xc0a8_0001 ^ u32::from(k).wrapping_mul(0x9E37),
+            sport: k,
+            dport: k.rotate_left(5),
+            proto: if k & 1 == 0 { 6 } else { 17 },
+        }
+    }
+
+    fn binding(v: u32) -> Binding {
+        Binding {
+            ext_port: v as u16,
+            last: SimTime::from_ps(u64::from(v) << 20 | 7),
+        }
+    }
+
+    /// Drives both tables through `steps`, then looks up every key;
+    /// returns the evictions the walk caused.
+    fn lockstep<K, V>(
+        buckets: usize,
+        steps: &[Step],
+        key: impl Fn(u16) -> K,
+        value: impl Fn(u32) -> V,
+    ) -> Result<u64, proptest::TestCaseError>
+    where
+        K: Packed + Hash + Eq + Debug,
+        V: Packed + PartialEq + Debug,
+    {
+        let mut fast: CuckooHash<K, V> = CuckooHash::new(buckets);
+        let mut classic: ClassicCuckoo<K, V> = ClassicCuckoo::new(buckets);
+        prop_assert_eq!(fast.bucket_count(), classic.bucket_count());
+        let lookup = |fast: &CuckooHash<K, V>, classic: &ClassicCuckoo<K, V>, k: u16| {
+            let (mut pf, mut pc) = (Vec::new(), Vec::new());
+            let hit = fast.lookup_visit(&key(k), |b| pf.push(b));
+            prop_assert_eq!(
+                hit,
+                classic.lookup_visit(&key(k), |b| pc.push(b)),
+                "key {}",
+                k
+            );
+            prop_assert_eq!(pf, pc, "lookup probes, key {}", k);
+            Ok(())
+        };
+        for step in steps {
+            match *step {
+                Step::Insert(k, v) => {
+                    let (mut pf, mut pc) = (Vec::new(), Vec::new());
+                    let outcome = fast.insert_visit(key(k), value(v), |b| pf.push(b));
+                    let expected = classic.insert_visit(key(k), value(v), |b| pc.push(b));
+                    prop_assert_eq!(outcome, expected, "{:?}", step);
+                    prop_assert_eq!(pf, pc, "insert probes, {:?}", step);
+                }
+                // An in-place update: a find and a set on the packed
+                // table, `update` on the classic one.
+                Step::Update(k, v) => {
+                    let (mut pf, mut pc) = (Vec::new(), Vec::new());
+                    let found = fast.find_visit(&key(k), |b| pf.push(b));
+                    if let Some((at, _)) = found {
+                        fast.set(at, value(v));
+                    }
+                    let expected = classic.lookup_visit(&key(k), |b| pc.push(b));
+                    prop_assert_eq!(found.is_some(), classic.update(&key(k), |x| *x = value(v)));
+                    prop_assert_eq!(found.map(|(_, old)| old), expected);
+                    prop_assert_eq!(pf, pc, "update probes, {:?}", step);
+                }
+                Step::Remove(k) => prop_assert_eq!(fast.remove(&key(k)), classic.remove(&key(k))),
+                Step::Lookup(k) => lookup(&fast, &classic, k)?,
+            }
+            prop_assert_eq!(
+                (
+                    fast.len(),
+                    fast.displacements(),
+                    fast.max_chain(),
+                    fast.evictions()
+                ),
+                (
+                    classic.len(),
+                    classic.displacements(),
+                    classic.max_chain(),
+                    classic.evictions()
+                ),
+                "counters after {:?}",
+                step
+            );
+        }
+        (0..KEYS).try_for_each(|k| lookup(&fast, &classic, k))?;
+        Ok(fast.evictions())
+    }
+
+    /// Every key into a 2-bucket (8-slot) table: nearly every insert
+    /// walks the full kick budget and evicts.
+    #[test]
+    fn full_table_eviction_walks_match_classic() {
+        let steps: Vec<Step> = (0..KEYS).map(|k| Step::Insert(k, u32::from(k))).collect();
+        let evictions = lockstep(2, &steps, flow_key, binding).expect("lock-step");
+        assert!(evictions > 200, "{evictions} evictions");
+    }
+
+    /// `unpack(pack(v)) == v` (which also makes `pack` injective, as the
+    /// table's byte-wise key compare needs) and the encoding is `SIZE`
+    /// bytes wide.
+    fn round_trips<T: Packed + PartialEq + Debug>(v: T) -> Result<(), proptest::TestCaseError> {
+        let bytes = v.pack();
+        prop_assert_eq!(bytes.as_ref().len(), T::SIZE);
+        prop_assert_eq!(T::unpack(bytes.as_ref()), v);
+        Ok(())
+    }
+
+    proptest! {
+        /// Integer keys and values, 2 to 32 buckets (8 to 128 slots).
+        #[test]
+        fn int_table_matches_classic(
+            buckets in 1usize..=32,
+            steps in proptest::collection::vec(step_strategy(), 1..400),
+        ) {
+            lockstep(buckets, &steps, u16::from, u32::from)?;
+        }
+
+        /// The NAT's own key and value types.
+        #[test]
+        fn flow_table_matches_classic(
+            buckets in 1usize..=32,
+            steps in proptest::collection::vec(step_strategy(), 1..400),
+        ) {
+            lockstep(buckets, &steps, flow_key, binding)?;
+        }
+
+        /// 64-bit keys and values, the shape `tablescale.rs` runs at 1M.
+        #[test]
+        fn u64_table_matches_classic(
+            buckets in 1usize..=32,
+            steps in proptest::collection::vec(step_strategy(), 1..400),
+        ) {
+            lockstep(buckets, &steps, |k| u64::from(k) << 40 | 3, |v| u64::from(v) * 3)?;
+        }
+
+        /// Every `Packed` impl outside `pm-elements`' private types.
+        #[test]
+        fn packed_encodings_round_trip(
+            (a, b, c) in (any::<u16>(), any::<u32>(), any::<u64>()),
+            ((src, dst), (sport, dport, proto)) in (
+                (any::<u32>(), any::<u32>()),
+                (any::<u16>(), any::<u16>(), any::<u8>()),
+            ),
+            (ext_port, ps) in (any::<u16>(), any::<u64>()),
+        ) {
+            round_trips(a)?;
+            round_trips(b)?;
+            round_trips(c)?;
+            round_trips(FlowKey { src, dst, sport, dport, proto })?;
+            round_trips(Binding { ext_port, last: SimTime::from_ps(ps) })?;
+        }
+    }
+}
+
 mod checksum {
     use super::*;
     use pm_packet::checksum::{checksum, update16, update32};

@@ -1,8 +1,9 @@
 //! The parallel sweep runner's contract: bit-identical results at any
-//! thread count, input-order collection, and panic isolation.
+//! thread count, input-order collection, and panic isolation; and the
+//! command-line check a program runs on the flags it honours.
 
 use packetmill::{
-    Dataplane, ExperimentBuilder, Measurement, MetadataModel, Nf, OptLevel, SweepSpec,
+    Cli, Dataplane, ExperimentBuilder, Measurement, MetadataModel, Nf, OptLevel, SweepSpec,
 };
 
 /// A 12-configuration mini-sweep spanning NFs, metadata models, and
@@ -248,4 +249,56 @@ fn reused_inputs_do_not_change_run_reports() {
         }
         assert!(results.report().reuse_line().contains("FIBs"));
     }
+}
+
+/// What the examples honour: the worker count and the two run settings
+/// that change what they print.
+const EXAMPLE_FLAGS: [&str; 3] = ["--threads", "--faults", "--workload"];
+
+fn parsed(args: &[&str]) -> Cli {
+    Cli::parse(args.iter().map(|a| a.to_string())).expect("a valid command line")
+}
+
+#[test]
+fn cli_only_passes_honoured_flags_through() {
+    let cli = parsed(&[
+        "--threads=2",
+        "--faults",
+        "seed=1;drop@..:rate=2000ppm",
+        "--workload",
+        "flows=1k",
+        "--timeline=0",
+    ]);
+    assert_eq!(cli.clone().only(&EXAMPLE_FLAGS), Ok(cli));
+    assert_eq!(parsed(&[]).only(&[]), Ok(Cli::default()));
+}
+
+#[test]
+fn cli_only_names_the_first_flag_a_program_would_drop() {
+    for (args, flag) in [
+        (&["fig7"][..], "fig7"),
+        (&["--json", "ex.json"], "--json"),
+        (&["--threads", "2", "--json=ex.json"], "--json"),
+        (&["--trace", "t.json"], "--trace"),
+        (&["--cores", "2"], "--cores"),
+        (&["--flows=1M"], "--flows"),
+        (&["--surface", "n1"], "--surface"),
+        (&["--profile"], "--profile"),
+        (&["--timeline"], "--timeline"),
+    ] {
+        let e = parsed(args)
+            .only(&EXAMPLE_FLAGS)
+            .expect_err(&format!("{args:?} must be a usage error"));
+        assert!(e.starts_with(flag), "{args:?}: {e}");
+    }
+    // Honouring a flag lets it through.
+    assert!(parsed(&["fig7", "--json=a.json"])
+        .only(&["keys", "--json"])
+        .is_ok());
+}
+
+#[test]
+#[should_panic(expected = "--thread: not a Cli flag")]
+fn cli_only_rejects_a_misspelt_honoured_flag() {
+    let _ = parsed(&[]).only(&["--thread"]);
 }
