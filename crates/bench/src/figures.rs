@@ -103,18 +103,49 @@ pub fn write_trace(path: &Path, groups: &[(&str, &Artifact)]) -> std::io::Result
     std::fs::write(path, packetmill::chrome_trace(&runs).to_pretty() + "\n")
 }
 
+/// Checks, before anything runs, that the directory each `--json` /
+/// `--trace` path names exists, so a typo fails at once instead of after
+/// the whole sweep.
+///
+/// # Errors
+///
+/// The first flag whose directory is missing, with its path.
+pub fn check_cli_outputs(cli: &Cli) -> Result<(), String> {
+    for (flag, path) in [("--json", &cli.json), ("--trace", &cli.trace)] {
+        let Some(path) = path else { continue };
+        let dir = match path.parent() {
+            Some(d) if !d.as_os_str().is_empty() => d,
+            _ => Path::new("."),
+        };
+        if !dir.is_dir() {
+            return Err(format!(
+                "{flag} {}: no directory {}",
+                path.display(),
+                dir.display()
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// The standard output tail of every benchmark binary: writes the
 /// `--json <path>` run-report document and the `--trace <path>` Chrome
 /// trace when the CLI asked for them.
-pub fn write_cli_outputs(cli: &Cli, groups: &[(&str, &Artifact)]) {
+///
+/// # Errors
+///
+/// The first write that fails, as `write <flag> <path>: <error>`.
+pub fn write_cli_outputs(cli: &Cli, groups: &[(&str, &Artifact)]) -> Result<(), String> {
     if let Some(path) = &cli.json {
-        write_artifacts(path, groups).expect("write --json artifact");
+        write_artifacts(path, groups)
+            .map_err(|e| format!("write --json {}: {e}", path.display()))?;
         eprintln!("wrote {}", path.display());
     }
     if let Some(path) = &cli.trace {
-        write_trace(path, groups).expect("write --trace file");
+        write_trace(path, groups).map_err(|e| format!("write --trace {}: {e}", path.display()))?;
         eprintln!("wrote {}", path.display());
     }
+    Ok(())
 }
 
 /// Per-run progress lines are for someone watching: on when stderr is
@@ -1240,7 +1271,7 @@ pub static FIGURES: [Figure; 16] = [
     },
     Figure {
         key: "fig-flowscale",
-        title: "Flow-scale sweep — stateful NFs, 1k..=100k flows, 4-KiB vs hugepage tables",
+        title: "Flow-scale sweep — stateful NFs, 1k..=10M flows (--flows caps, 100k under all), 4-KiB vs hugepage tables",
         run: |cli| fig_flowscale(cli, cli.flows.unwrap_or(10_000_000)),
     },
     Figure {

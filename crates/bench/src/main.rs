@@ -3,8 +3,10 @@
 //! [--threads N] [--profile] [--json <path>] [--trace <path>]
 //! [--faults <spec>] [--workload <spec>] [--timeline[=window_us]]`.
 //! Keys come first, flags after; no key prints the list, and so does an
-//! unknown flag or a bad value, exiting 2 before anything runs. Tables
-//! go to stdout, sweep telemetry to stderr.
+//! unknown flag, a bad value or a `--json`/`--trace` path in a missing
+//! directory, exiting 2 before anything runs. A write that still fails
+//! after the sweep exits 1. Tables go to stdout, sweep telemetry to
+//! stderr.
 //!
 //! `fig7` runs both surfaces under `== N = … ==` headings
 //! (`--surface n1|n5|both` picks) and `ablations` the six ablation
@@ -52,6 +54,7 @@ fn fig7_surfaces(surface: Option<&str>) -> Vec<(Option<&'static str>, &'static F
 
 fn main() {
     let cli = Cli::parse(std::env::args().skip(1)).unwrap_or_else(|e| usage(&e));
+    figures::check_cli_outputs(&cli).unwrap_or_else(|e| usage(&e));
     let groups: Vec<(&str, Artifact)> = if cli.keys == ["all"] {
         figures::run_all(&cli)
     } else {
@@ -82,5 +85,8 @@ fn main() {
             .collect()
     };
     let refs: Vec<(&str, &Artifact)> = groups.iter().map(|(n, a)| (*n, a)).collect();
-    figures::write_cli_outputs(&cli, &refs);
+    if let Err(e) = figures::write_cli_outputs(&cli, &refs) {
+        eprintln!("pm-bench: {e}");
+        std::process::exit(1);
+    }
 }

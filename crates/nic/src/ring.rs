@@ -125,7 +125,19 @@ impl RxRing {
     /// address of the completion descriptor slot (for the DMA write).
     /// The same address is recorded in the completion for the driver's
     /// read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ring has no room for it: a completion fills the
+    /// buffer [`Self::take_posted`] consumed, so posted buffers plus
+    /// completions never exceed the ring size.
     pub fn push_completion(&mut self, mut c: Completion) -> u64 {
+        assert!(
+            self.posted.len() + self.completions.len() < self.size,
+            "RxRing: posted + completions would exceed the ring size {} \
+             (a completion must fill a taken posted buffer)",
+            self.size
+        );
         let slot = self.next_cq_slot % self.size as u64;
         self.next_cq_slot += 1;
         let addr = self.desc_region.base + slot * DESC_BYTES;
@@ -144,12 +156,19 @@ impl RxRing {
 
     /// Driver side: address of the completion descriptor the PMD will
     /// poll next (read even when empty — that's the poll loop).
+    ///
+    /// # Panics
+    ///
+    /// Panics if more completions are pending than were ever pushed,
+    /// which [`Self::push_completion`] and the reaps rule out.
     pub fn poll_addr(&self) -> u64 {
-        let slot = self
+        // Each pending completion took the next CQ slot, so the oldest
+        // sits `completions.len()` slots behind the producer.
+        let oldest = self
             .next_cq_slot
-            .saturating_sub(self.completions.len() as u64)
-            % self.size as u64;
-        self.desc_region.base + slot * DESC_BYTES
+            .checked_sub(self.completions.len() as u64)
+            .expect("RxRing: pending completions never exceed the CQ slots written");
+        self.desc_region.base + (oldest % self.size as u64) * DESC_BYTES
     }
 
     /// Driver side: reaps up to `max` completions.
@@ -435,6 +454,51 @@ mod tests {
         assert!(t.push(mk(1)).is_some());
         assert!(t.push(mk(2)).is_none());
         assert_eq!(t.drops_full, 1);
+    }
+
+    #[test]
+    fn poll_addr_follows_the_oldest_completion() {
+        let mut r = rx();
+        for i in 0..10 {
+            r.post(PostedBuffer {
+                buf_id: i,
+                data_addr: 0,
+            });
+            r.take_posted();
+            r.push_completion(completion(u64::from(i)));
+            r.reap(usize::from(i % 2 == 1));
+        }
+        // Ten pushed, five reaped: the oldest pending one took slot 5.
+        assert_eq!(r.poll_addr(), r.regions().0.base + 5 * DESC_BYTES);
+    }
+
+    #[test]
+    #[should_panic(expected = "never exceed the CQ slots written")]
+    fn poll_addr_checks_the_cq_producer() {
+        let mut r = rx();
+        r.post(PostedBuffer {
+            buf_id: 0,
+            data_addr: 0,
+        });
+        r.take_posted();
+        r.push_completion(completion(0));
+        r.next_cq_slot = 0; // a producer index behind its own completions
+        let _ = r.poll_addr();
+    }
+
+    #[test]
+    #[should_panic(expected = "would exceed the ring size 8")]
+    fn completion_without_a_taken_buffer_panics() {
+        let mut r = rx();
+        for i in 0..8 {
+            assert!(r.post(PostedBuffer {
+                buf_id: i,
+                data_addr: 0,
+            }));
+        }
+        // Every descriptor is posted; a completion with no buffer taken
+        // would make nine.
+        r.push_completion(completion(0));
     }
 
     #[test]

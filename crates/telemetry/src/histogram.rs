@@ -3,8 +3,12 @@
 //! An HDR-histogram-style structure: values are bucketed with a fixed
 //! number of significant bits, giving a bounded relative error (< 1/64
 //! with the default 6 sub-bucket bits) over an arbitrary dynamic range.
-//! Recording is O(1) and allocation-free after construction, which matters
-//! because the simulator records one latency sample per forwarded packet.
+//! Recording is O(1) and the simulator records one latency sample per
+//! forwarded packet, so the bucket array holds only the span between the
+//! lowest and highest bucket counted so far: a histogram whose values
+//! sit within a few powers of two holds a few hundred buckets, not the
+//! 3 776 (30 KiB) that all of `u64` needs, and allocates only when a
+//! value lands outside that span.
 
 /// A log-bucketed histogram of `u64` values (we use nanoseconds).
 ///
@@ -26,6 +30,11 @@
 pub struct LatencyHistogram {
     /// Number of low-order "sub-bucket" bits kept at full precision.
     sub_bits: u32,
+    /// Bucket index of `buckets[0]`.
+    lo: usize,
+    /// Counts for bucket indices `lo..lo + buckets.len()`; every bucket
+    /// outside that span is zero, and the span is empty until the first
+    /// value is recorded.
     buckets: Vec<u64>,
     count: u64,
     sum: u128,
@@ -42,6 +51,7 @@ impl LatencyHistogram {
     }
 
     /// Creates an empty histogram keeping `sub_bits` significant bits.
+    /// It allocates nothing until the first value is recorded.
     ///
     /// # Panics
     ///
@@ -51,13 +61,10 @@ impl LatencyHistogram {
             (1..=16).contains(&sub_bits),
             "sub_bits must be in 1..=16, got {sub_bits}"
         );
-        // One linear region of 2^(sub_bits+1) slots, then one region of
-        // 2^sub_bits slots per power of two above that: 64 regions covers u64.
-        let regions = 64 - sub_bits;
-        let slots = (1usize << (sub_bits + 1)) + (regions as usize - 1) * (1usize << sub_bits);
         LatencyHistogram {
             sub_bits,
-            buckets: vec![0; slots],
+            lo: 0,
+            buckets: Vec::new(),
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -65,6 +72,9 @@ impl LatencyHistogram {
         }
     }
 
+    /// The bucket index of `value`: one linear region of 2^(sub_bits+1)
+    /// exact slots, then one region of 2^sub_bits slots per power of two
+    /// above that (64 − sub_bits regions cover `u64`).
     fn index_of(&self, value: u64) -> usize {
         let sb = self.sub_bits;
         let v = value;
@@ -98,11 +108,53 @@ impl LatencyHistogram {
         }
     }
 
+    /// The position of bucket `index` in `buckets`, widening the span to
+    /// cover it first if it lies outside.
+    #[inline]
+    fn slot(&mut self, index: usize) -> usize {
+        // Below `lo` the subtraction wraps past every valid position, so
+        // one compare tells inside from outside.
+        let at = index.wrapping_sub(self.lo);
+        if at < self.buckets.len() {
+            at
+        } else {
+            self.widen(index, index + 1);
+            index - self.lo
+        }
+    }
+
+    /// Widens the span to cover bucket indices `lo..hi` as well, to
+    /// exactly the union. Only a value outside every span counted so far
+    /// calls it. It grows the vector through `realloc` rather than into
+    /// a fresh one, so a span that keeps widening (latencies climbing as
+    /// a queue builds) extends in place where the allocator can and
+    /// leaves no trail of freed smaller copies in the heap.
+    #[cold]
+    #[inline(never)]
+    fn widen(&mut self, lo: usize, hi: usize) {
+        if self.buckets.is_empty() {
+            self.lo = lo;
+        }
+        let end = self.lo + self.buckets.len();
+        if hi > end {
+            self.buckets.reserve_exact(hi - end);
+            self.buckets.resize(hi - self.lo, 0);
+        }
+        if lo < self.lo {
+            let (len, shift) = (self.buckets.len(), self.lo - lo);
+            self.buckets.reserve_exact(shift);
+            self.buckets.resize(len + shift, 0);
+            self.buckets.copy_within(0..len, shift);
+            self.buckets[..shift].fill(0);
+            self.lo = lo;
+        }
+    }
+
     /// Records one value.
     #[inline]
     pub fn record(&mut self, value: u64) {
-        let idx = self.index_of(value);
-        self.buckets[idx] += 1;
+        let at = self.slot(self.index_of(value));
+        self.buckets[at] += 1;
         self.count += 1;
         self.sum += value as u128;
         if value < self.min {
@@ -118,8 +170,8 @@ impl LatencyHistogram {
         if n == 0 {
             return;
         }
-        let idx = self.index_of(value);
-        self.buckets[idx] += n;
+        let at = self.slot(self.index_of(value));
+        self.buckets[at] += n;
         self.count += n;
         self.sum += value as u128 * n as u128;
         if value < self.min {
@@ -173,7 +225,7 @@ impl LatencyHistogram {
         for (i, &c) in self.buckets.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return self.value_of(i).min(self.max);
+                return self.value_of(self.lo + i).min(self.max);
             }
         }
         self.max
@@ -204,14 +256,19 @@ impl LatencyHistogram {
     /// min, and max remain exact.
     pub fn merge(&mut self, other: &LatencyHistogram) {
         if self.sub_bits == other.sub_bits {
-            for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-                *a += b;
+            if !other.buckets.is_empty() {
+                self.widen(other.lo, other.lo + other.buckets.len());
+                let from = other.lo - self.lo;
+                for (a, b) in self.buckets[from..].iter_mut().zip(&other.buckets) {
+                    *a += b;
+                }
             }
         } else {
             for (i, &c) in other.buckets.iter().enumerate() {
                 if c > 0 {
-                    let idx = self.index_of(other.value_of(i).min(other.max));
-                    self.buckets[idx] += c;
+                    let v = other.value_of(other.lo + i).min(other.max);
+                    let at = self.slot(self.index_of(v));
+                    self.buckets[at] += c;
                 }
             }
         }
@@ -221,9 +278,10 @@ impl LatencyHistogram {
         self.max = self.max.max(other.max);
     }
 
-    /// Resets the histogram to empty.
+    /// Resets the histogram to empty, releasing its buckets.
     pub fn clear(&mut self) {
-        self.buckets.iter_mut().for_each(|b| *b = 0);
+        self.lo = 0;
+        self.buckets = Vec::new();
         self.count = 0;
         self.sum = 0;
         self.min = u64::MAX;
@@ -310,6 +368,25 @@ mod tests {
         assert_eq!(a.count(), 2);
         assert_eq!(a.min(), 10);
         assert_eq!(a.max(), 1_000_000);
+    }
+
+    #[test]
+    fn span_holds_only_counted_buckets() {
+        let mut h = LatencyHistogram::new();
+        assert_eq!(h.buckets.capacity(), 0, "new() allocates nothing");
+        h.record(10_000);
+        h.record(1_000_000);
+        let (lo, hi) = (h.index_of(10_000), h.index_of(1_000_000));
+        assert_eq!((h.lo, h.buckets.len()), (lo, hi - lo + 1));
+        // Growing downward shifts the counted buckets up.
+        h.record(5);
+        assert_eq!((h.lo, h.buckets.len()), (5, hi - 5 + 1));
+        assert_eq!(h.buckets[lo - 5], 1);
+        assert_eq!(h.percentile(50.0), h.value_of(lo));
+        h.clear();
+        assert_eq!(h.buckets.capacity(), 0, "clear() releases the span");
+        h.record(7);
+        assert_eq!((h.lo, h.buckets.len(), h.max()), (7, 1, 7));
     }
 
     #[test]

@@ -7,9 +7,11 @@
 
 pub mod classic;
 pub mod classic_cuckoo;
+pub mod classic_histogram;
 
 pub use classic::ClassicSetAssocCache;
 pub use classic_cuckoo::ClassicCuckoo;
+pub use classic_histogram::ClassicHistogram;
 
 /// Reports the first differing line instead of dumping two large
 /// strings through `assert_eq!`.

@@ -1,6 +1,7 @@
 //! Host footprint: the heap a run needs does not grow with its queue
-//! count, a trace holds headers, not payload, and a flow table holds
-//! packed bytes in zeroed pages. The DMA pool is geometry only and
+//! count, a trace holds headers, not payload, a flow table holds
+//! packed bytes in zeroed pages, and a timeline's latency histograms
+//! hold only the buckets they counted. The DMA pool is geometry only and
 //! packet bytes live once, in the cached trace, as each frame's headers
 //! plus a fill run, so a multi-core run holds no per-queue byte image
 //! and no frame's constant payload.
@@ -13,6 +14,8 @@ use pm_click::{Args, Element};
 use pm_elements::configs::buckets_for;
 use pm_elements::nat::IpRewriter;
 use pm_mem::AddressSpace;
+use pm_sim::SplitMix64;
+use pm_telemetry::TimelineRecorder;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Mutex;
@@ -140,4 +143,36 @@ fn million_flow_nat_table_is_packed_and_zeroed() {
         "{zeroed} B through alloc_zeroed for {buckets} buckets"
     );
     drop(nat);
+}
+
+/// A timeline keeps one latency histogram per (window, lane), and each
+/// holds only the span of buckets its window counted. 64 departures per
+/// window with latencies of 10 µs–1 ms land within 430 of the 3 776
+/// buckets `u64` needs, so 8 lanes × 200 windows hold at most 4 KiB of
+/// live heap per (window, lane), the whole recorder with every series
+/// included, where a dense histogram alone took 30 208 B. Measured
+/// 2 948 B; the bound is that plus ≈ 40 %.
+#[test]
+fn timeline_histograms_hold_their_span() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (lanes, windows, departures) = (8, 200, 64);
+    let window_ps = 100_000_000;
+    let before = LIVE.load(Relaxed);
+    let mut rec = TimelineRecorder::new(window_ps, lanes, vec!["rx_ring"]);
+    let mut rng = SplitMix64::new(39);
+    for w in 0..windows {
+        for lane in 0..lanes {
+            for d in 0..departures {
+                let at_ps = w * window_ps + d * (window_ps / departures);
+                let latency_ns = 10_000 + rng.next_u64() % 990_001;
+                rec.on_tx(lane, at_ps, 1_000, latency_ns);
+            }
+        }
+    }
+    let per_window = LIVE.load(Relaxed).saturating_sub(before) / (lanes * windows as usize);
+    assert!(
+        per_window <= 4096,
+        "{per_window} B of live heap per (window, lane)"
+    );
+    drop(rec);
 }

@@ -488,6 +488,151 @@ mod histogram {
     }
 }
 
+/// The span histogram against the dense one it replaced
+/// ([`ClassicHistogram`]): two histograms of each kind run the same
+/// record/merge/clear script, and after every step the one it touched
+/// must agree on count, min, max, mean and every percentile.
+mod histogram_lockstep {
+    use super::*;
+    use pm_integration_tests::ClassicHistogram;
+    use pm_telemetry::LatencyHistogram;
+
+    #[derive(Debug, Clone)]
+    enum Step {
+        Record(usize, u64),
+        RecordN(usize, u64, u64),
+        /// Merges the other histogram into this one.
+        Merge(usize),
+        Clear(usize),
+    }
+
+    /// Out-of-range and NaN percentiles included: both clamp.
+    const PERCENTILES: [f64; 11] = [
+        f64::NAN,
+        -5.0,
+        0.0,
+        0.1,
+        1.0,
+        50.0,
+        90.0,
+        99.0,
+        99.9,
+        100.0,
+        250.0,
+    ];
+
+    /// Half edge values (zero, the top of the linear region and the
+    /// first log bucket at the default precision, `u64::MAX`), half any
+    /// magnitude.
+    fn value() -> impl Strategy<Value = u64> {
+        (0u8..10, any::<u64>(), 0u32..64).prop_map(|(kind, v, shift)| match kind {
+            0 => 0,
+            1 => 1,
+            2 => 127,
+            3 => 128,
+            4 => u64::MAX,
+            _ => v >> shift,
+        })
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        (0u8..12, 0usize..2, value(), 0u64..1000).prop_map(|(kind, h, v, n)| match kind {
+            0..=5 => Step::Record(h, v),
+            6..=8 => Step::RecordN(h, v, n),
+            9..=10 => Step::Merge(h),
+            _ => Step::Clear(h),
+        })
+    }
+
+    fn agree(
+        fast: &LatencyHistogram,
+        classic: &ClassicHistogram,
+        step: &Step,
+    ) -> Result<(), proptest::TestCaseError> {
+        prop_assert_eq!(
+            (fast.count(), fast.min(), fast.max(), fast.mean().to_bits()),
+            (
+                classic.count(),
+                classic.min(),
+                classic.max(),
+                classic.mean().to_bits()
+            ),
+            "after {:?}",
+            step
+        );
+        for p in PERCENTILES {
+            prop_assert_eq!(
+                fast.percentile(p),
+                classic.percentile(p),
+                "p{} after {:?}",
+                p,
+                step
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// Equal precisions half the time (bucket-for-bucket merges),
+        /// differing otherwise (renormalising merges); a descending
+        /// script records its values highest first, so every span grows
+        /// downward.
+        #[test]
+        fn histogram_lockstep(
+            mut steps in proptest::collection::vec(step(), 1..64),
+            bits in (1u32..=8, 1u32..=8),
+            same_precision in any::<bool>(),
+            descending in any::<bool>(),
+        ) {
+            if descending {
+                let mut values: Vec<u64> = steps
+                    .iter()
+                    .filter_map(|s| match *s {
+                        Step::Record(_, v) | Step::RecordN(_, v, _) => Some(v),
+                        _ => None,
+                    })
+                    .collect();
+                values.sort_unstable_by(|a, b| b.cmp(a));
+                let mut values = values.into_iter();
+                for s in &mut steps {
+                    if let Step::Record(_, v) | Step::RecordN(_, v, _) = s {
+                        *v = values.next().expect("one value per record step");
+                    }
+                }
+            }
+            let bits = [bits.0, if same_precision { bits.0 } else { bits.1 }];
+            let mut fast = bits.map(LatencyHistogram::with_precision);
+            let mut classic = bits.map(ClassicHistogram::with_precision);
+            for step in &steps {
+                let h = match *step {
+                    Step::Record(h, v) => {
+                        fast[h].record(v);
+                        classic[h].record(v);
+                        h
+                    }
+                    Step::RecordN(h, v, n) => {
+                        fast[h].record_n(v, n);
+                        classic[h].record_n(v, n);
+                        h
+                    }
+                    Step::Merge(h) => {
+                        let (f, c) = (fast[1 - h].clone(), classic[1 - h].clone());
+                        fast[h].merge(&f);
+                        classic[h].merge(&c);
+                        h
+                    }
+                    Step::Clear(h) => {
+                        fast[h].clear();
+                        classic[h].clear();
+                        h
+                    }
+                };
+                agree(&fast[h], &classic[h], step)?;
+            }
+        }
+    }
+}
+
 mod packets {
     use super::*;
     use pm_packet::builder::PacketBuilder;

@@ -1,10 +1,13 @@
 //! The parallel sweep runner's contract: bit-identical results at any
-//! thread count, input-order collection, and panic isolation; and the
-//! command-line check a program runs on the flags it honours.
+//! thread count, input-order collection, and panic isolation; the
+//! command-line check a program runs on the flags it honours; and
+//! `pm-bench`'s output paths, checked before the sweep and reported
+//! after it.
 
 use packetmill::{
     Cli, Dataplane, ExperimentBuilder, Measurement, MetadataModel, Nf, OptLevel, SweepSpec,
 };
+use pm_bench::figures::{check_cli_outputs, write_cli_outputs};
 
 /// A 12-configuration mini-sweep spanning NFs, metadata models, and
 /// optimization levels — small enough to run three times in a test,
@@ -301,4 +304,32 @@ fn cli_only_names_the_first_flag_a_program_would_drop() {
 #[should_panic(expected = "--thread: not a Cli flag")]
 fn cli_only_rejects_a_misspelt_honoured_flag() {
     let _ = parsed(&[]).only(&["--thread"]);
+}
+
+/// A `--json`/`--trace` path in a missing directory is an error before
+/// anything runs; a bare file name (the working directory) and a path
+/// in an existing directory pass.
+#[test]
+fn output_paths_in_missing_directories_fail_before_the_sweep() {
+    let e = check_cli_outputs(&parsed(&["table1", "--json", "/no/such/dir/a.json"]))
+        .expect_err("a --json path in a missing directory");
+    assert!(e.starts_with("--json /no/such/dir/a.json: "), "{e}");
+    let e = check_cli_outputs(&parsed(&["table1", "--trace=no-such-dir/t.json"]))
+        .expect_err("a --trace path in a missing directory");
+    assert!(e.starts_with("--trace no-such-dir/t.json: "), "{e}");
+    let here = concat!(env!("CARGO_MANIFEST_DIR"), "/t.json");
+    assert_eq!(
+        check_cli_outputs(&parsed(&["table1", "--json", "a.json", "--trace", here])),
+        Ok(())
+    );
+}
+
+/// A write that fails after the sweep is reported as an error naming
+/// the flag and the path, not a panic.
+#[test]
+fn a_failed_output_write_is_an_error_not_a_panic() {
+    let dir = env!("CARGO_MANIFEST_DIR");
+    let e = write_cli_outputs(&parsed(&["table1", "--json", dir]), &[])
+        .expect_err("writing a directory fails");
+    assert!(e.starts_with(&format!("write --json {dir}: ")), "{e}");
 }
