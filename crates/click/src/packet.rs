@@ -79,13 +79,18 @@ pub const COPY_FIELDS: [&str; 11] = [
 ];
 
 /// A FIFO-cycling pool of `Packet` objects.
+///
+/// The free list is built on the first [`alloc`](Self::alloc) or
+/// [`free`](Self::free): a runtime whose plan never takes an object
+/// (X-Change, Overlaying, scalar replacement) holds no free list.
 #[derive(Debug)]
 pub struct ClickPool {
     region: Region,
     stride: u64,
+    /// Empty until first use, then every free slot in allocation order.
     free: VecDeque<u32>,
     /// `is_free[slot]`: the object is in `free`, not out with the
-    /// framework. The O(1) double-free check.
+    /// framework. The O(1) double-free check; empty until first use.
     is_free: Vec<bool>,
     lifo: bool,
     n: u32,
@@ -103,26 +108,37 @@ impl ClickPool {
 
     /// Like [`Self::new`], with `lifo = true` selecting stack recycling
     /// (most-recently-freed object reused first — the warm-pool ablation).
+    ///
+    /// The simulated region is reserved here, so everything allocated
+    /// after the pool lands where it would if the free list were built
+    /// now too.
     pub fn with_order(space: &mut AddressSpace, n: u32, layout: &StructLayout, lifo: bool) -> Self {
         assert!(n > 0, "empty packet pool");
         let stride = u64::from(layout.size_lines());
-        // Long-running pools interleave frees from many paths, so the
-        // allocation order is not a prefetchable stream; a deterministic
-        // shuffle models that.
-        let mut order: Vec<u32> = (0..n).collect();
+        ClickPool {
+            region: space.alloc_pages(stride * u64::from(n)),
+            stride,
+            free: VecDeque::new(),
+            is_free: Vec::new(),
+            lifo,
+            n,
+        }
+    }
+
+    /// Builds the free list on first use: every slot free, in a
+    /// fixed-seed shuffled order. Long-running pools interleave frees
+    /// from many paths, so the allocation order is not a prefetchable
+    /// stream; a deterministic shuffle models that.
+    #[cold]
+    fn build_free_list(&mut self) {
+        let mut order: Vec<u32> = (0..self.n).collect();
         let mut rng = pm_sim::SplitMix64::new(0x9001);
         for i in (1..order.len()).rev() {
             let j = rng.next_below(i as u64 + 1) as usize;
             order.swap(i, j);
         }
-        ClickPool {
-            region: space.alloc_pages(stride * u64::from(n)),
-            stride,
-            free: order.into(),
-            is_free: vec![true; n as usize],
-            lifo,
-            n,
-        }
+        self.free = order.into();
+        self.is_free = vec![true; self.n as usize];
     }
 
     /// Pool capacity.
@@ -132,7 +148,11 @@ impl ClickPool {
 
     /// Free objects.
     pub fn available(&self) -> usize {
-        self.free.len()
+        if self.is_free.is_empty() {
+            self.n as usize
+        } else {
+            self.free.len()
+        }
     }
 
     /// Object stride in bytes (whole cache lines).
@@ -157,6 +177,9 @@ impl ClickPool {
     /// free-list load (the object's header line — cold after a full pool
     /// cycle, which is the Copying model's hidden per-packet LLC load).
     pub fn alloc(&mut self, core: usize, mem: &mut MemoryHierarchy) -> (Option<u64>, Cost) {
+        if self.is_free.is_empty() {
+            self.build_free_list();
+        }
         match self.free.pop_front() {
             Some(slot) => {
                 self.is_free[slot as usize] = false;
@@ -181,6 +204,9 @@ impl ClickPool {
             "not a pool object address: {addr:#x}"
         );
         let slot = ((addr - self.region.base) / self.stride) as u32;
+        if self.is_free.is_empty() {
+            self.build_free_list();
+        }
         assert!(
             !std::mem::replace(&mut self.is_free[slot as usize], true),
             "double free of packet object {addr:#x}"
@@ -267,6 +293,18 @@ mod tests {
         let (a, _) = pool.alloc(0, &mut mem);
         pool.free(0, &mut mem, a.unwrap());
         pool.free(0, &mut mem, a.unwrap());
+    }
+
+    #[test]
+    fn untouched_pool_reserves_its_region_and_holds_no_free_list() {
+        let mut space = AddressSpace::new();
+        let layout = default_packet_layout();
+        let pool = ClickPool::new(&mut space, 1 << 17, &layout);
+        assert_eq!(pool.available(), 1 << 17);
+        assert_eq!((pool.free.capacity(), pool.is_free.capacity()), (0, 0));
+        // The region is reserved anyway: the next allocation lands after it.
+        let next = space.alloc_pages(1).base;
+        assert!(next >= pool.region.base + (1 << 17) * pool.stride());
     }
 
     #[test]

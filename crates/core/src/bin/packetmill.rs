@@ -124,12 +124,12 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String>
                     other => return Err(format!("unknown opt level {other:?}")),
                 }
             }
-            "--freq" => o.freq = num(&value()?)?,
+            "--freq" => o.freq = positive("--freq", &value()?)?,
             "--cores" => o.cores = at_least_one("--cores", &value()?)?,
             "--nics" => o.nics = at_least_one("--nics", &value()?)?,
-            "--offered" => o.offered = num(&value()?)?,
+            "--offered" => o.offered = positive("--offered", &value()?)?,
             "--packets" => o.packets = int(&value()?)?,
-            "--size" => o.size = Some(int(&value()?)?),
+            "--size" => o.size = Some(frame_size(&value()?)?),
             "--pcap" => o.pcap = Some(value()?),
             "--seed" => o.seed = int(&value()?)?,
             "--show-log" => o.show_log = true,
@@ -144,8 +144,14 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String>
     Ok(o)
 }
 
-fn num(s: &str) -> Result<f64, String> {
-    s.parse().map_err(|_| format!("not a number: {s:?}"))
+/// A rate or a frequency: finite and above 0 (a zero offered load
+/// never finishes sending, a negative one sends everything at t = 0).
+fn positive(flag: &str, s: &str) -> Result<f64, String> {
+    match s.parse::<f64>() {
+        Ok(v) if v.is_finite() && v > 0.0 => Ok(v),
+        Ok(_) => Err(format!("{flag} must be finite and above 0, got {s:?}")),
+        Err(_) => Err(format!("not a number: {s:?}")),
+    }
 }
 
 /// An integer, read exactly: decimal, `k`/`M`-suffixed or `0x` hex —
@@ -154,6 +160,14 @@ fn int<T: TryFrom<u64>>(s: &str) -> Result<T, String> {
     pm_sim::spec::parse_count(s)
         .and_then(|n| T::try_from(n).ok())
         .ok_or_else(|| format!("not an integer: {s:?}"))
+}
+
+/// A fixed frame size: an Ethernet frame without FCS, 64..=1500 bytes.
+fn frame_size(s: &str) -> Result<usize, String> {
+    match int(s)? {
+        n @ 64..=1500 => Ok(n),
+        n => Err(format!("--size must be in 64..=1500 bytes, got {n}")),
+    }
 }
 
 /// A core or NIC count.
@@ -382,5 +396,26 @@ mod tests {
         ] {
             assert!(parse(&bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn out_of_range_numbers_are_errors() {
+        for flag in ["--offered", "--freq"] {
+            for bad in ["0", "-5", "inf", "nan"] {
+                let error = format!("{flag} must be finite and above 0, got {bad:?}");
+                assert_eq!(parse(&[flag, bad]), Err(error));
+            }
+        }
+        assert_eq!(
+            parse(&["--freq", "fast"]),
+            Err("not a number: \"fast\"".to_string())
+        );
+        for bad in ["10", "63", "1501", "100000"] {
+            let error = format!("--size must be in 64..=1500 bytes, got {bad}");
+            assert_eq!(parse(&["--size", bad]), Err(error));
+        }
+        let o = parse(&["--offered", "0.5", "--freq", "1e-3", "--size", "1500"]).expect("in range");
+        assert_eq!((o.offered, o.freq, o.size), (0.5, 1e-3, Some(1500)));
+        assert_eq!(parse(&["--size", "64"]).map(|o| o.size), Ok(Some(64)));
     }
 }

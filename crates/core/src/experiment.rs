@@ -114,12 +114,24 @@ pub enum OptLevel {
 pub enum ExperimentError {
     /// The configuration failed to parse or build.
     Config(ConfigError),
+    /// A testbed setting no run can use: a zero offered load never
+    /// finishes sending, a negative one sends every frame at t = 0, and
+    /// a core cannot tick at a zero or non-finite frequency.
+    OutOfRange {
+        /// The builder setting, e.g. `"offered_gbps"`.
+        param: &'static str,
+        /// The value it was given.
+        value: f64,
+    },
 }
 
 impl fmt::Display for ExperimentError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ExperimentError::Config(e) => write!(f, "configuration error: {e}"),
+            ExperimentError::OutOfRange { param, value } => {
+                write!(f, "{param} must be finite and above 0, got {value}")
+            }
         }
     }
 }
@@ -128,6 +140,7 @@ impl Error for ExperimentError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             ExperimentError::Config(e) => Some(e),
+            ExperimentError::OutOfRange { .. } => None,
         }
     }
 }
@@ -397,7 +410,18 @@ impl ExperimentBuilder {
 
     /// Builds the optimized IR (configuration + plan) without running —
     /// useful for inspecting the transformation log.
+    ///
+    /// Every run starts here, so this is where an out-of-range offered
+    /// load or frequency is reported, before anything is built.
     pub fn build_ir(&self) -> Result<MillIr, ExperimentError> {
+        for (param, value) in [
+            ("offered_gbps", self.offered_gbps),
+            ("frequency_ghz", self.freq_ghz),
+        ] {
+            if !(value.is_finite() && value > 0.0) {
+                return Err(ExperimentError::OutOfRange { param, value });
+            }
+        }
         let config = ConfigGraph::parse(&self.nf.config_text())?;
         let mut ir = MillIr::new(config, self.model);
         if let Some(pm_dpdk::MempoolMode::Lifo) = self.pool_mode {
@@ -677,6 +701,36 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, ExperimentError::Config(_)));
         assert!(err.to_string().contains("configuration error"));
+    }
+
+    #[test]
+    fn out_of_range_testbed_is_an_error_not_a_hang() {
+        let base = || ExperimentBuilder::new(Nf::Forwarder).packets(100);
+        let cases = [
+            (base().offered_gbps(0.0), "offered_gbps"),
+            (base().offered_gbps(-5.0), "offered_gbps"),
+            (base().offered_gbps(f64::INFINITY), "offered_gbps"),
+            (base().frequency_ghz(0.0), "frequency_ghz"),
+            (base().frequency_ghz(f64::NAN), "frequency_ghz"),
+        ];
+        for (builder, name) in cases {
+            for err in [
+                builder.run().map(drop).unwrap_err(),
+                builder.run_with_report().map(drop).unwrap_err(),
+                builder
+                    .run_with_dataplane(|| Box::new(pm_frameworks::l2fwd::L2Fwd::plain()))
+                    .map(drop)
+                    .unwrap_err(),
+            ] {
+                assert!(
+                    matches!(err, ExperimentError::OutOfRange { param, .. } if param == name),
+                    "{err}"
+                );
+                assert!(err
+                    .to_string()
+                    .starts_with(&format!("{name} must be finite and above 0")));
+            }
+        }
     }
 
     #[test]

@@ -6,10 +6,12 @@
 #![forbid(unsafe_code)]
 
 pub mod classic;
+pub mod classic_click_pool;
 pub mod classic_cuckoo;
 pub mod classic_histogram;
 
 pub use classic::ClassicSetAssocCache;
+pub use classic_click_pool::ClassicClickPool;
 pub use classic_cuckoo::ClassicCuckoo;
 pub use classic_histogram::ClassicHistogram;
 

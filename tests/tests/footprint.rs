@@ -1,5 +1,6 @@
 //! Host footprint: the heap a run needs does not grow with its queue
-//! count, a trace holds headers, not payload, a flow table holds
+//! count, a packet pool nobody allocates from holds no free list, a
+//! trace holds headers, not payload, a flow table holds
 //! packed bytes in zeroed pages, and a timeline's latency histograms
 //! hold only the buckets they counted. The DMA pool is geometry only and
 //! packet bytes live once, in the cached trace, as each frame's headers
@@ -10,7 +11,7 @@
 //! which counts whatever else the binary runs.
 
 use packetmill::{ExperimentBuilder, MetadataModel, Nf, OptLevel, Trace, TraceConfig};
-use pm_click::{Args, Element};
+use pm_click::{default_packet_layout, Args, ClickPool, Element};
 use pm_elements::configs::buckets_for;
 use pm_elements::nat::IpRewriter;
 use pm_mem::AddressSpace;
@@ -83,8 +84,10 @@ static SERIAL: Mutex<()> = Mutex::new(());
 
 /// An 8-core run's peak live heap, the cached trace included, stays
 /// far below what one pool image per queue cost on its own (11.4 MB
-/// each, about 100 MiB for the whole run). Measured 11.2 MiB; the bound
-/// is that plus 50 %.
+/// each, about 100 MiB for the whole run). X-Change takes no packet
+/// object, so no queue's runtime builds a free list either (640 KiB
+/// each before). Measured 6.2 MiB (11.2 MiB with eager free lists); the
+/// bound is that plus 50 %.
 #[test]
 fn eight_core_run_holds_no_per_queue_byte_image() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -101,7 +104,25 @@ fn eight_core_run_holds_no_per_queue_byte_image() {
     PEAK.store(LIVE.load(Relaxed), Relaxed);
     run();
     let peak_mib = PEAK.load(Relaxed) as f64 / f64::from(1 << 20);
-    assert!(peak_mib < 16.8, "peak live heap {peak_mib:.1} MiB");
+    assert!(peak_mib < 9.3, "peak live heap {peak_mib:.1} MiB");
+}
+
+/// A packet pool builds its free list on first use: a runtime-sized
+/// pool (131 072 objects) that never allocates, as under X-Change,
+/// Overlaying or scalar replacement, holds at most 1 KiB of live heap,
+/// where the eager pool held a 512 KiB shuffled free list and 128 KiB
+/// of free flags.
+#[test]
+fn unused_packet_pool_holds_no_heap() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let mut space = AddressSpace::new();
+    let layout = default_packet_layout();
+    let before = LIVE.load(Relaxed);
+    let pool = ClickPool::new(&mut space, 1 << 17, &layout);
+    let held = LIVE.load(Relaxed).saturating_sub(before);
+    assert_eq!(pool.available(), 1 << 17);
+    assert!(held <= 1024, "{held} B of live heap in an unused pool");
+    drop(pool);
 }
 
 /// A trace holds each frame's headers and a fill run, not its ≈ 1 KB

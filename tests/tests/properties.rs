@@ -633,6 +633,184 @@ mod histogram_lockstep {
     }
 }
 
+/// The lazily built packet-object pool against the eager one it
+/// replaced ([`ClassicClickPool`]): lock-step, every step must agree on
+/// the address handed out, the cost charged, the free count and any
+/// panic (double free, a foreign address, a free before any alloc).
+mod click_pool_lockstep {
+    use super::*;
+    use pm_click::{default_packet_layout, ClickPool};
+    use pm_integration_tests::ClassicClickPool;
+    use pm_mem::{AddressSpace, MemoryHierarchy};
+    use pm_sim::SplitMix64;
+    use std::collections::HashMap;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    #[derive(Debug, Clone)]
+    enum Step {
+        Alloc,
+        /// Frees the `i`-th (mod count) object out with the framework.
+        Free(usize),
+        /// Frees object `slot` (mod n) whether it is out or not: a
+        /// double free unless it is out.
+        FreeSlot(u32),
+        /// Frees an address that is not an object base: below the
+        /// region, past its end, or inside an object.
+        Foreign(u8, u32),
+    }
+
+    /// Mostly allocs and frees of live objects, so pools both drain and
+    /// refill; every fifth step a free that may panic.
+    fn step() -> impl Strategy<Value = Step> {
+        (0u8..10, any::<u32>(), 0u8..3).prop_map(|(kind, x, how)| match kind {
+            0..=3 => Step::Alloc,
+            4..=7 => Step::Free(x as usize),
+            8 => Step::FreeSlot(x),
+            _ => Step::Foreign(how, x),
+        })
+    }
+
+    /// The two pools over equal address spaces and equal cache models.
+    struct Pair {
+        fast: ClickPool,
+        classic: ClassicClickPool,
+        mem: [MemoryHierarchy; 2],
+        base: u64,
+        stride: u64,
+        n: u32,
+        /// Addresses out with the framework, and each one's index.
+        out: Vec<u64>,
+        at: HashMap<u64, usize>,
+    }
+
+    /// The panic message, if `f` panicked.
+    fn outcome<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+        catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default()
+        })
+    }
+
+    impl Pair {
+        fn new(n: u32, lifo: bool) -> Pair {
+            let layout = default_packet_layout();
+            let fast = ClickPool::with_order(&mut AddressSpace::new(), n, &layout, lifo);
+            let classic = ClassicClickPool::with_order(&mut AddressSpace::new(), n, &layout, lifo);
+            let stride = fast.stride();
+            Pair {
+                fast,
+                classic,
+                mem: [MemoryHierarchy::skylake(1), MemoryHierarchy::skylake(1)],
+                base: AddressSpace::new().alloc_pages(stride * u64::from(n)).base,
+                stride,
+                n,
+                out: Vec::new(),
+                at: HashMap::new(),
+            }
+        }
+
+        fn free(&mut self, addr: u64) -> Result<(), proptest::TestCaseError> {
+            let [m0, m1] = &mut self.mem;
+            let fast = outcome(|| self.fast.free(0, m0, addr));
+            let classic = outcome(|| self.classic.free(0, m1, addr));
+            prop_assert_eq!(&fast, &classic, "free {:#x}", addr);
+            if fast.is_ok() {
+                let i = self.at.remove(&addr).expect("a freed object was out");
+                self.out.swap_remove(i);
+                if let Some(&moved) = self.out.get(i) {
+                    self.at.insert(moved, i);
+                }
+            }
+            Ok(())
+        }
+
+        fn apply(&mut self, step: &Step) -> Result<(), proptest::TestCaseError> {
+            match *step {
+                Step::Alloc => {
+                    let [m0, m1] = &mut self.mem;
+                    let fast = self.fast.alloc(0, m0);
+                    prop_assert_eq!(fast, self.classic.alloc(0, m1), "alloc");
+                    if let Some(addr) = fast.0 {
+                        self.at.insert(addr, self.out.len());
+                        self.out.push(addr);
+                    }
+                }
+                Step::Free(_) if self.out.is_empty() => {}
+                Step::Free(i) => self.free(self.out[i % self.out.len()])?,
+                Step::FreeSlot(slot) => {
+                    self.free(self.base + u64::from(slot % self.n) * self.stride)?
+                }
+                Step::Foreign(how, x) => {
+                    let end = self.base + u64::from(self.n) * self.stride;
+                    let addr = match how {
+                        0 => self.base - 1 - u64::from(x) % self.base,
+                        1 => end + u64::from(x),
+                        _ => (self.base + u64::from(x) % (end - self.base)) | 1,
+                    };
+                    self.free(addr)?;
+                }
+            }
+            prop_assert_eq!(
+                self.fast.available(),
+                self.classic.available(),
+                "available after {:?}",
+                step
+            );
+            Ok(())
+        }
+    }
+
+    proptest! {
+        /// `free_first` opens the script with a free of a pool that has
+        /// never allocated: a double free in both.
+        #[test]
+        fn click_pool_lockstep(
+            steps in proptest::collection::vec(step(), 1..200),
+            n in 1u32..=64,
+            lifo in any::<bool>(),
+            free_first in any::<bool>(),
+        ) {
+            let mut pair = Pair::new(n, lifo);
+            prop_assert_eq!(pair.fast.available(), pair.classic.available());
+            if free_first {
+                pair.apply(&Step::FreeSlot(steps.len() as u32))?;
+            }
+            for step in &steps {
+                pair.apply(step)?;
+            }
+        }
+    }
+
+    /// The runtime's pool size, FIFO and LIFO: a free before any alloc,
+    /// then a script that drains the pool past empty and refills it.
+    #[test]
+    fn click_pool_lockstep_full_size() {
+        let n = 1 << 17;
+        for lifo in [false, true] {
+            let mut pair = Pair::new(n, lifo);
+            let mut rng = SplitMix64::new(40 + u64::from(lifo));
+            let mut run = |step: Step| pair.apply(&step).map_err(|e| format!("lifo={lifo}: {e}"));
+            run(Step::FreeSlot(12_345)).unwrap();
+            for i in 0..3 * u64::from(n) {
+                // Allocs outnumber frees 7:1 for the first 3n/2 steps,
+                // then frees outnumber allocs 7:1.
+                let drain = i < 3 * u64::from(n) / 2;
+                let x = rng.next_u64();
+                let step = match x % 1024 {
+                    0 => Step::FreeSlot((x >> 8) as u32),
+                    1 => Step::Foreign((x >> 8) as u8 % 3, (x >> 16) as u32),
+                    k if (k % 8 == 0) == drain => Step::Free((x >> 8) as usize),
+                    _ => Step::Alloc,
+                };
+                run(step).unwrap();
+            }
+        }
+    }
+}
+
 mod packets {
     use super::*;
     use pm_packet::builder::PacketBuilder;
