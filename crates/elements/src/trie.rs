@@ -69,8 +69,15 @@ impl RadixTrie {
     /// Panics if `len > 32`.
     pub fn insert(&mut self, prefix: u32, len: u8, route: Route) {
         assert!(len <= 32, "prefix length {len} > 32");
-        let mut idx = 0usize;
-        for depth in 0..len {
+        let idx = self.walk(0, prefix, 0, len);
+        self.set(idx, route);
+    }
+
+    /// Follows `prefix`'s bits `from..to` down from node `idx`, the node
+    /// at depth `from` on its path, creating each missing node, and
+    /// returns the node at depth `to`.
+    fn walk(&mut self, mut idx: usize, prefix: u32, from: u8, to: u8) -> usize {
+        for depth in from..to {
             let bit = ((prefix >> (31 - depth)) & 1) as usize;
             let next = self.nodes[idx].children[bit];
             idx = if next == NONE {
@@ -82,6 +89,10 @@ impl RadixTrie {
                 next as usize
             };
         }
+        idx
+    }
+
+    fn set(&mut self, idx: usize, route: Route) {
         let node = &mut self.nodes[idx];
         (node.gateway, node.port, node.has) = (route.gateway, route.port, true);
     }
@@ -110,6 +121,34 @@ impl RadixTrie {
     /// Longest-prefix-match lookup without visit tracking.
     pub fn lookup(&self, ip: u32) -> Option<Route> {
         self.lookup_visit(ip, |_| {})
+    }
+}
+
+/// Depth of the nodes [`RadixTrie::extend`] indexes by prefix bits.
+const INDEX_DEPTH: u8 = 16;
+
+/// Bulk insert of `(prefix, len, route)` triples, in order: the trie it
+/// leaves equals one [`RadixTrie::insert`] per triple, node for node.
+/// A transient 2¹⁶-entry index from a prefix's top 16 bits to its
+/// depth-16 node, filled as walks reach that depth, lets a prefix of 16
+/// bits or more start there; it skips only nodes that already exist,
+/// so nodes are created in the same order.
+impl Extend<(u32, u8, Route)> for RadixTrie {
+    fn extend<I: IntoIterator<Item = (u32, u8, Route)>>(&mut self, routes: I) {
+        let mut index = vec![NONE; 1 << INDEX_DEPTH];
+        for (prefix, len, route) in routes {
+            assert!(len <= 32, "prefix length {len} > 32");
+            let idx = if len < INDEX_DEPTH {
+                self.walk(0, prefix, 0, len)
+            } else {
+                let at = &mut index[(prefix >> (32 - INDEX_DEPTH)) as usize];
+                if *at == NONE {
+                    *at = self.walk(0, prefix, 0, INDEX_DEPTH) as u32;
+                }
+                self.walk(*at as usize, prefix, INDEX_DEPTH, len)
+            };
+            self.set(idx, route);
+        }
     }
 }
 

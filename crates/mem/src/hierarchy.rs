@@ -75,8 +75,9 @@ impl HierarchyParams {
     /// Skylake Xeon Gold 6140-like geometry (the paper's DUT):
     /// 32-KiB 8-way L1D, 1-MiB 16-way L2, ~23-MiB 11-way shared LLC
     /// (32768 sets; the real part has 24.75 MiB but a power-of-two set
-    /// count keeps the model fast), DDIO limited to 8 ways as in the
-    /// paper's `IIO LLC WAYS = 0x7F8` configuration.
+    /// count keeps the model fast), and DMA fills limited to 4 of the 11
+    /// ways. The paper's `IIO LLC WAYS = 0x7F8` gives DDIO 8; the model's
+    /// 4 + 7 split of DMA and demand ways is a calibration (DESIGN.md §8).
     pub fn skylake(cores: usize) -> Self {
         HierarchyParams {
             cores,

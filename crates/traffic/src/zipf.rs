@@ -2,14 +2,22 @@
 //!
 //! Flow popularity in campus/ISP traces is heavy-tailed; a Zipf law with
 //! exponent near 1 is the standard model. Implemented as an inverse-CDF
-//! table for O(log n) deterministic sampling.
+//! table with a guide table (Chen & Asau, "On generating random variates
+//! from an empirical distribution", 1974): a draw searches only the
+//! ranks between two guide entries, not the whole table.
 
 use pm_sim::SplitMix64;
+
+/// Most guide entries a table keeps (256 KiB of `u32`).
+const MAX_GUIDE: usize = 1 << 16;
 
 /// A Zipf(α) sampler over `0..n`.
 #[derive(Debug, Clone)]
 pub struct Zipf {
     cdf: Vec<f64>,
+    /// `guide[j]` is the first rank whose CDF is at least `j / G`, for
+    /// `j` in `0..=G`, where `G = guide.len() - 1` is a power of two.
+    guide: Vec<u32>,
 }
 
 impl Zipf {
@@ -17,9 +25,10 @@ impl Zipf {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0` or `alpha < 0`.
+    /// Panics if `n == 0`, `n > u32::MAX` or `alpha < 0`.
     pub fn new(n: usize, alpha: f64) -> Self {
         assert!(n > 0, "empty universe");
+        assert!(u32::try_from(n).is_ok(), "more than u32::MAX ranks");
         assert!(alpha >= 0.0, "negative exponent");
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0;
@@ -28,10 +37,19 @@ impl Zipf {
             cdf.push(acc);
         }
         let total = acc;
-        for c in &mut cdf {
+        // Normalise, and fill the guide as the CDF crosses each j / G.
+        // G is a power of two, so `c·G` is exact and `j <= c·G` is
+        // `j / G <= c`.
+        let g = n.next_power_of_two().min(MAX_GUIDE);
+        let mut guide = Vec::with_capacity(g + 1);
+        for (rank, c) in cdf.iter_mut().enumerate() {
             *c /= total;
+            while guide.len() <= g && guide.len() as f64 <= *c * g as f64 {
+                guide.push(rank as u32);
+            }
         }
-        Zipf { cdf }
+        guide.resize(g + 1, n as u32);
+        Zipf { cdf, guide }
     }
 
     /// Number of ranks.
@@ -46,8 +64,18 @@ impl Zipf {
 
     /// Samples a rank in `0..n` (0 is the most popular).
     pub fn sample(&self, rng: &mut SplitMix64) -> usize {
-        let u = rng.next_f64();
-        self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
+        self.rank(rng.next_f64())
+    }
+
+    /// The first rank whose CDF is at least `u`, for `u` in `[0, 1)`.
+    /// With `j = ⌊u·G⌋`, `j / G ≤ u < (j + 1) / G`, and the CDF is
+    /// non-decreasing, so that rank lies in `guide[j]..=guide[j + 1]`.
+    fn rank(&self, u: f64) -> usize {
+        let g = self.guide.len() - 1;
+        let j = (u * g as f64) as usize;
+        let (lo, hi) = (self.guide[j] as usize, self.guide[j + 1] as usize);
+        let r = lo + self.cdf[lo..hi].partition_point(|&c| c < u);
+        r.min(self.cdf.len() - 1)
     }
 
     /// The analytic CDF at `rank`: the probability mass of ranks
@@ -109,6 +137,55 @@ mod tests {
         let mut b = SplitMix64::new(7);
         for _ in 0..100 {
             assert_eq!(z.sample(&mut a), z.sample(&mut b));
+        }
+    }
+
+    /// The search the guide table narrows: the whole CDF.
+    fn oracle(z: &Zipf, u: f64) -> usize {
+        z.cdf.partition_point(|&c| c < u).min(z.len() - 1)
+    }
+
+    #[test]
+    fn guided_rank_equals_the_whole_cdf_search() {
+        let below_one = 1.0 - f64::EPSILON / 2.0;
+        assert!(below_one < 1.0 && below_one.next_up() == 1.0);
+        let mut rng = SplitMix64::new(0x6D1DE);
+        for case in 0..120 {
+            let n = match case {
+                0..=2 => 1,
+                3 => 1 << 16,
+                4 => (1 << 16) + 1,
+                5 => 300_000,
+                _ => 1 + rng.next_below(if case % 4 == 0 { 100_000 } else { 3_000 }) as usize,
+            };
+            let alpha = match case % 6 {
+                0 => 0.0,
+                1 => 4.0,
+                _ => rng.next_f64() * 4.0,
+            };
+            let z = Zipf::new(n, alpha);
+            let g = z.guide.len() - 1;
+            assert!(g.is_power_of_two() && g <= MAX_GUIDE && g <= n.next_power_of_two());
+            let mut us = vec![0.0, below_one];
+            for j in 0..g {
+                let edge = j as f64 / g as f64;
+                us.extend([
+                    edge,
+                    edge.next_up(),
+                    ((j + 1) as f64 / g as f64).next_down(),
+                ]);
+            }
+            for &c in z.cdf.iter().take(5_000) {
+                us.extend([c.next_down(), c, c.next_up()]);
+            }
+            for u in us.into_iter().filter(|u| (0.0..1.0).contains(u)) {
+                assert_eq!(z.rank(u), oracle(&z, u), "n {n} alpha {alpha} u {u:e}");
+            }
+            let mut draws = SplitMix64::new(rng.next_u64());
+            let mut reference = draws.clone();
+            for _ in 0..2_000 {
+                assert_eq!(z.sample(&mut draws), oracle(&z, reference.next_f64()));
+            }
         }
     }
 
