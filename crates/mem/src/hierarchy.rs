@@ -144,8 +144,8 @@ impl MemCounters {
     }
 }
 
-/// Sentinel for the per-core last-line / last-page memo slots. Never a
-/// real line or page identifier.
+/// Sentinel for the per-core last-page memo slot and the page-key memos.
+/// Never a real page identifier.
 const NONE64: u64 = u64::MAX;
 
 /// The `[load, store] × [L1, L2, Llc, Dram]` stall table. The store row
@@ -176,13 +176,6 @@ struct CoreCaches {
     l1: SetAssocCache,
     l2: SetAssocCache,
     tlb: Tlb,
-    /// Line address of this core's most recent demand touch. Invariant:
-    /// when set, that line is L1-resident and the MRU of its set, and its
-    /// page is the TLB's last-page slot — so a repeat access collapses to
-    /// counter bumps plus the L1-hit cost. Cleared whenever the line is
-    /// invalidated out from under the core (DMA write, LLC
-    /// back-invalidation).
-    last_line: u64,
     /// 4-KiB virtual page number of this core's most recent translation
     /// (pre-`page_key`, so a hugepage remapping must clear it).
     last_vpage: u64,
@@ -257,7 +250,6 @@ impl MemoryHierarchy {
                     l1: SetAssocCache::covering(p.l1, ADDR_LIMIT),
                     l2: SetAssocCache::covering(p.l2, ADDR_LIMIT),
                     tlb: Tlb::skylake(),
-                    last_line: NONE64,
                     last_vpage: NONE64,
                 })
                 .collect(),
@@ -378,13 +370,13 @@ impl MemoryHierarchy {
     }
 
     /// Charges a multi-line sequential touch in one batched call: every
-    /// spanned line is accessed exactly as [`Self::access_line`] would,
-    /// but the page-key lookup and TLB structure are consulted only once
-    /// per 4-KiB page (subsequent same-page lines take the free MRU-slot
-    /// hit they are guaranteed to be), and the attribution ledger is
-    /// updated once per call instead of once per line. Access-for-access
-    /// identical to a loop of single-line accesses: same costs, same
-    /// counters, same cache and TLB state.
+    /// spanned line is accessed in turn, but the page-key lookup and TLB
+    /// structure are consulted only once per 4-KiB page (subsequent
+    /// same-page lines take the free last-page hit they are guaranteed to
+    /// be), and the attribution ledger is updated once per call instead
+    /// of once per line. Access-for-access identical to a loop of
+    /// single-line accesses: same costs, same counters, same cache and
+    /// TLB state.
     pub fn access_range(&mut self, core: usize, addr: u64, len: u64, kind: AccessKind) -> Cost {
         let n = lines_spanned(addr, len);
         if n == 0 {
@@ -397,14 +389,6 @@ impl MemoryHierarchy {
             cost += self.access_line_raw(core, line_addr, kind);
             line_addr += LINE;
         }
-        self.attribute_since(before);
-        cost
-    }
-
-    /// Accesses a single line. Prefer [`Self::access`] for ranged data.
-    pub fn access_line(&mut self, core: usize, addr: u64, kind: AccessKind) -> Cost {
-        let before = self.snapshot();
-        let cost = self.access_line_raw(core, addr, kind);
         self.attribute_since(before);
         cost
     }
@@ -426,31 +410,17 @@ impl MemoryHierarchy {
     }
 
     /// One line access without the attribution snapshot (callers batch
-    /// it). The last-line filter short-circuits the dominant pattern —
-    /// re-touching the line the core touched last — to two counter bumps
-    /// and the L1-hit cost; see the invariant on [`CoreCaches::last_line`].
+    /// it).
     ///
     /// The whole hit path (this, [`Self::translate`], [`Self::touch`]) is
     /// forced into the callers' per-line loops: outcomes travel as
     /// one-byte codes in registers, the `Cost` comes from the tables, and
-    /// whatever the memos and the L1 front slots do not settle is one
-    /// out-of-line call per structure.
+    /// whatever the last-page memo and the L1 front slots do not settle
+    /// is one out-of-line call per structure.
     #[inline(always)]
     fn access_line_raw(&mut self, core: usize, addr: u64, kind: AccessKind) -> Cost {
-        let line = addr & !(LINE - 1);
-        let c = &mut self.cores[core];
-        if c.last_line == line {
-            c.tlb.repeat_last();
-            if kind == AccessKind::Load {
-                self.counters.loads += 1;
-            } else {
-                self.counters.stores += 1;
-            }
-            return self.stall[kind as usize][Level::L1 as usize];
-        }
         let tlb = self.translate::<true>(core, addr);
-        let level = self.touch::<true>(core, line, kind == AccessKind::Load);
-        self.cores[core].last_line = line;
+        let level = self.touch::<true>(core, addr & !(LINE - 1), kind == AccessKind::Load);
         self.tlb_cost[tlb as usize] + self.stall[kind as usize][level as usize]
     }
 
@@ -472,15 +442,13 @@ impl MemoryHierarchy {
     fn translate<const COUNT: bool>(&mut self, core: usize, addr: u64) -> TlbOutcome {
         // Same 4-KiB vpage as the previous translation ⇒ same page key ⇒
         // a guaranteed free DTLB hit: skip the range search entirely.
-        let c = &mut self.cores[core];
-        if c.last_vpage == addr >> 12 {
-            c.tlb.repeat_last();
+        if self.cores[core].last_vpage == addr >> 12 {
             return TlbOutcome::Dtlb;
         }
         self.translate_new_page::<COUNT>(core, addr)
     }
 
-    /// A translation off the last vpage — nine in ten on a real packet
+    /// A translation off the last vpage — most of them on a real packet
     /// mix. Most still end here, call-free: per-packet accesses hop between
     /// a handful of pages (buffer, metadata, element state), each the MRU
     /// entry of its own DTLB set.
@@ -592,24 +560,19 @@ impl MemoryHierarchy {
 
     fn back_invalidate(&mut self, line: u64) {
         // A line absent from the resident filter is provably in no
-        // core's L1/L2 and matches no last-line memo (memo lines are
-        // L1-resident by invariant) — the scan would be a no-op, so skip
-        // it. Present lines are removed: the scan below purges every
-        // private copy.
+        // core's L1/L2 — the scan would be a no-op, so skip it. Present
+        // lines are removed: the scan below purges every private copy.
         if self.fast && !self.resident.remove(line) {
             return;
         }
         self.purge_private(line);
     }
 
-    /// Drops `line` from every core's L1/L2 and last-line memo.
+    /// Drops `line` from every core's L1/L2.
     fn purge_private(&mut self, line: u64) {
         for c in &mut self.cores {
             c.l1.invalidate(line);
             c.l2.invalidate(line);
-            if c.last_line == line {
-                c.last_line = NONE64;
-            }
         }
     }
 
@@ -637,16 +600,6 @@ impl MemoryHierarchy {
                 self.back_invalidate(evicted);
             }
             line += LINE;
-        }
-    }
-
-    /// Charges a heterogeneous DMA-write charge set — several disjoint
-    /// spans delivered by one NIC event (payload plus descriptor) — in
-    /// one call. Exactly equivalent to calling [`Self::dma_write`] on
-    /// each span in order.
-    pub fn dma_write_set(&mut self, spans: &[(u64, u64)]) {
-        for &(addr, len) in spans {
-            self.dma_write(addr, len);
         }
     }
 
@@ -684,19 +637,21 @@ impl MemoryHierarchy {
             // warm touch directly — it reports where the line was found,
             // and "filled from DRAM" is exactly "resident nowhere", the
             // probes' miss condition. Interleaving warm and probe per
-            // line is sound for short runs: consecutive lines index
-            // distinct sets in every cache (n ≤ 8 < the smallest set
-            // count), so warming line i can neither insert nor evict a
-            // later line j — allocations land in other sets, and any
-            // back-invalidated LLC victim shares its set with line i,
-            // not j. The later probe therefore sees exactly the state
-            // the probe-first ordering would.
+            // line is sound for short runs: every L1/L2 line is also in
+            // the inclusive LLC, so "resident nowhere" is "not in the
+            // LLC", and n ≤ 8 consecutive lines index n distinct LLC
+            // sets (every geometry has at least 8). Warming line i can
+            // evict a later line j from a private cache (the tiny L1 has
+            // 4 sets) but that leaves j in the LLC; it can only evict
+            // (and back-invalidate) an LLC victim from line i's own set,
+            // never j. So line j is resident nowhere after warming line
+            // i exactly when it was before, and the DRAM count equals
+            // the probe-first ordering's.
             for _ in 0..n {
                 // Quiet variants: a prefetch moves cache/TLB state but
                 // counts no demand events.
                 let level = self.touch::<false>(core, line, true);
                 let _ = self.translate::<false>(core, line);
-                self.cores[core].last_line = line;
                 if level == Level::Dram {
                     cost += Cost::stall_ns(self.lat.dram_ns * 0.3);
                     self.counters.prefetch_misses += 1;
@@ -728,9 +683,6 @@ impl MemoryHierarchy {
         for _ in 0..n {
             let _ = self.touch::<true>(core, line, true);
             let _ = self.translate::<true>(core, line);
-            // Maintain the last-line invariant: `line` is now this
-            // core's most recent touch and sits MRU in its L1 set.
-            self.cores[core].last_line = line;
             line += LINE;
         }
         self.counters = saved;
@@ -768,18 +720,9 @@ impl MemoryHierarchy {
         self.attribute_since(before);
     }
 
-    /// Resolves one program for each row of `rows` (a batch sharing one
-    /// program — the PMD's 32-packet rx loop), with a **single**
-    /// attribution update for the whole batch. Bit-identical to calling
-    /// [`Self::run_program`] once per row: per-row costs still
-    /// accumulate into `acc` in row order (`f64` order is part of the
-    /// contract), and hoisting the attribution snapshot is sound because
-    /// counter deltas are `u64` sums — associative — and every row
-    /// charges the same current scope.
-    ///
-    /// Deliberately not folded into one generic body with
-    /// [`Self::run_program`]: that measured 2 % slower on
-    /// `io_line_rate` (0 of 8 alternating pairs won).
+    /// [`Self::run_program`] once per row of `rows` (a batch sharing one
+    /// program — the PMD's 32-packet rx loop), costs accumulating into
+    /// `acc` in row order.
     pub fn run_program_batch<const N: usize>(
         &mut self,
         core: usize,
@@ -787,18 +730,9 @@ impl MemoryHierarchy {
         rows: &[[u64; N]],
         acc: &mut Cost,
     ) {
-        debug_assert!(N >= prog.base_count(), "missing base registers");
-        if !self.fast {
-            for row in rows {
-                self.run_program_reference(core, prog, row, acc);
-            }
-            return;
-        }
-        let before = self.snapshot();
         for row in rows {
-            self.walk_program(core, prog, row, acc);
+            self.run_program(core, prog, row, acc);
         }
-        self.attribute_since(before);
     }
 
     /// The default resolver: one tight step walk, without per-call
@@ -868,12 +802,11 @@ impl MemoryHierarchy {
     }
 
     /// Flushes this core's private L1/L2 (the shared LLC and the TLB are
-    /// untouched) and drops the core's memos.
+    /// untouched) and drops the core's last-page memo.
     pub fn flush_private(&mut self, core: usize) {
         let c = &mut self.cores[core];
         c.l1.flush();
         c.l2.flush();
-        c.last_line = NONE64;
         c.last_vpage = NONE64;
     }
 
@@ -1220,7 +1153,7 @@ mod tests {
             };
             assert_eq!(bits(table[AccessKind::Store as usize][level]), bits(store));
         }
-        // The last-line filter's own spelling of an L1 store hit.
+        // An L1 store hit, spelled as one product.
         assert_eq!(
             bits(table[AccessKind::Store as usize][Level::L1 as usize]),
             bits(Cost::stall_cycles(lat.l1_hit_cy * lat.store_stall_factor))
@@ -1239,7 +1172,7 @@ mod tests {
         assert_eq!(bits(tlb[TlbOutcome::Walk as usize]), bits(walk));
 
         // And through the front door: a cold store pays walk + DRAM × f,
-        // its repeat the last-line L1 store hit.
+        // its repeat a free DTLB hit + the L1 store hit.
         let mut m = MemoryHierarchy::new(&HierarchyParams {
             lat,
             ..tiny_params()
@@ -1256,7 +1189,7 @@ mod tests {
     fn range_attribution_is_lazy_and_exact() {
         let mut m = tiny();
         m.access_range(0, 0x10_000, 256, AccessKind::Load);
-        m.access_line(0, 0x10_000, AccessKind::Store);
+        m.access_range(0, 0x10_000, 8, AccessKind::Store);
         m.prefetch(0, 0x30_000, 64);
         assert!(m.profile_records().is_empty());
 
@@ -1279,6 +1212,97 @@ mod tests {
         }
     }
 
+    /// Remapping a page onto a hugepage must charge the next touch of
+    /// any line in it a fresh translation — the line the core touched
+    /// last included, just like a first touch of its neighbour.
+    #[test]
+    fn hugepage_remap_charges_the_next_touch_a_walk() {
+        let lat = LatencyModel::default();
+        let walk = tlb_cost_table(&lat)[TlbOutcome::Walk as usize];
+        let load = stall_table(&lat)[AccessKind::Load as usize];
+        let region = crate::Region {
+            base: 0x20_0000,
+            size: 0x20_0000,
+        };
+        let mut same = tiny();
+        let mut next = tiny();
+        for m in [&mut same, &mut next] {
+            m.access(0, 0x20_0000, 8, AccessKind::Load);
+            m.mark_hugepages(region);
+        }
+        let (before_same, before_next) = (same.counters(), next.counters());
+        let again = same.access(0, 0x20_0000, 8, AccessKind::Load);
+        let neighbour = next.access(0, 0x20_0040, 8, AccessKind::Load);
+        assert_eq!(again, walk + load[Level::L1 as usize]);
+        assert_eq!(neighbour, walk + load[Level::Dram as usize]);
+        for d in [
+            same.counters().delta_since(&before_same),
+            next.counters().delta_since(&before_next),
+        ] {
+            assert_eq!((d.dtlb_misses, d.page_walks), (1, 1), "{d:?}");
+        }
+    }
+
+    /// The small-range prefetch path (n ≤ 8 lines) interleaves the warm
+    /// touch with the "resident nowhere" test; it must count exactly the
+    /// lines a probe beforehand reports in DRAM, charge each the exposed
+    /// 0.3 × DRAM latency, move no other counter, and leave every line
+    /// in L1 — over warm, cold, DMA-written and L2-only lines alike.
+    #[test]
+    fn small_prefetch_counts_exactly_the_dram_lines() {
+        let lat = LatencyModel::default();
+        let mut m = tiny();
+        let mut seen = [0u64; 4];
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut rand = |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        // 512 lines: four times the LLC, so cold lines stay common.
+        let line = |i: u64| 0x40_000 + i * LINE;
+        for _ in 0..3000 {
+            match rand(4) {
+                0 => {
+                    m.access(rand(2) as usize, line(rand(512)), 8, AccessKind::Load);
+                }
+                1 => m.dma_write(line(rand(512)), 64 * (1 + rand(2))),
+                _ => {
+                    let core = rand(2) as usize;
+                    let n = 1 + rand(8);
+                    let addr = line(rand(512 - 8)) + rand(64);
+                    let lines: Vec<u64> = (0..n).map(|k| (addr & !(LINE - 1)) + k * LINE).collect();
+                    let levels: Vec<Level> =
+                        lines.iter().map(|&l| m.probe_level(core, l)).collect();
+                    for &level in &levels {
+                        seen[level as usize] += 1;
+                    }
+                    let dram = levels.iter().filter(|&&l| l == Level::Dram).count() as u64;
+                    let before = m.counters();
+                    let cost = m.prefetch(core, addr, n * LINE - (addr & (LINE - 1)));
+                    let want =
+                        (0..dram).fold(Cost::ZERO, |c, _| c + Cost::stall_ns(lat.dram_ns * 0.3));
+                    assert_eq!(cost, want, "{n} lines from {addr:#x}, {levels:?}");
+                    assert!((cost.uncore_ns - dram as f64 * 0.3 * lat.dram_ns).abs() < 1e-9);
+                    let delta = m.counters().delta_since(&before);
+                    assert_eq!(
+                        delta,
+                        MemCounters {
+                            prefetch_misses: dram,
+                            ..MemCounters::default()
+                        }
+                    );
+                    for &l in &lines {
+                        assert_eq!(m.probe_level(core, l), Level::L1, "line {l:#x}");
+                    }
+                }
+            }
+        }
+        // Every source level was prefetched from, L2-only lines included.
+        assert!(seen.iter().all(|&k| k > 20), "levels seen {seen:?}");
+    }
+
     #[test]
     #[should_panic(expected = "ddio_ways")]
     fn bad_ddio_ways() {
@@ -1292,7 +1316,7 @@ mod tests {
     /// Batch resolution over strided rows — sub-line WQE slots, a cold
     /// row in the middle, and line-crossing strides over a warmed
     /// region — accumulates the same bits in row order as per-row
-    /// reference runs, with one attribution window for the batch.
+    /// reference runs, counters and attribution included.
     #[test]
     fn batch_resolution_matches_per_row_reference() {
         let mut m = tiny();

@@ -5,9 +5,8 @@
 //! every delivered line even though the vast majority of DMA'd lines were
 //! never demand-touched by any core. This filter records every line that
 //! is demand- or warm-filled into a private cache; a line absent from the
-//! filter is therefore provably absent from every L1/L2 (and, via the
-//! last-line invariant, from every last-line memo), so the invalidation
-//! scan can be skipped with bit-identical simulated state.
+//! filter is therefore provably absent from every L1/L2, so the
+//! invalidation scan can be skipped with bit-identical simulated state.
 //!
 //! False positives are harmless (the scan runs and finds nothing); the
 //! filter only ever skips work that would have been a no-op. Entries are

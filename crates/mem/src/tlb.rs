@@ -15,24 +15,21 @@ use crate::cache::{CacheParams, SetAssocCache};
 /// all-ones value.
 const NO_PAGE: u64 = u64::MAX;
 
-/// A two-level TLB (per-core DTLB backed by a unified STLB).
+/// A two-level TLB (per-core DTLB backed by a unified STLB) over page
+/// keys the caller computes (the hierarchy mixes 4-KiB and 2-MiB pages).
+/// Miss counts live in the hierarchy's `MemCounters`.
 ///
-/// Implemented as set-associative caches over page addresses, fronted by
-/// a one-entry MRU slot holding the most recently translated page: the
+/// Implemented as set-associative caches over page keys, fronted by a
+/// one-entry MRU slot holding the most recently translated page: the
 /// dominant access pattern (consecutive touches inside one page) resolves
 /// without consulting the DTLB structure at all. The slot is pure
 /// memoization — after any translation the page is the DTLB's
 /// most-recently-used entry, so a repeat is always a free DTLB hit and
-/// skipping the lookup changes no state and no counter except the access
-/// count, which the slot maintains itself.
+/// skipping the lookup changes no state.
 #[derive(Debug, Clone)]
 pub struct Tlb {
-    page_shift: u32,
     dtlb: SetAssocCache,
     stlb: SetAssocCache,
-    dtlb_misses: u64,
-    stlb_misses: u64,
-    accesses: u64,
     /// The page passed to the most recent [`Tlb::translate_page`] call.
     last_page: u64,
 }
@@ -50,9 +47,9 @@ pub enum TlbOutcome {
 
 impl Tlb {
     /// Creates a TLB with Skylake-like geometry: 64-entry 4-way DTLB,
-    /// 1536-entry 12-way STLB, 4-KiB pages.
+    /// 1536-entry 12-way STLB.
     pub fn skylake() -> Self {
-        Tlb::new(64, 4, 1536, 12, 12)
+        Tlb::new(64, 4, 1536, 12)
     }
 
     /// Creates a TLB with explicit geometry.
@@ -68,7 +65,6 @@ impl Tlb {
         dtlb_assoc: usize,
         stlb_entries: usize,
         stlb_assoc: usize,
-        page_shift: u32,
     ) -> Self {
         // Reuse the cache structure with a "line size" of one page-entry
         // (8 bytes, arbitrary — only the set math matters).
@@ -81,30 +77,18 @@ impl Tlb {
             )
         };
         Tlb {
-            page_shift,
             dtlb: level(dtlb_entries, dtlb_assoc),
             stlb: level(stlb_entries, stlb_assoc),
-            dtlb_misses: 0,
-            stlb_misses: 0,
-            accesses: 0,
             last_page: NO_PAGE,
         }
     }
 
-    /// Translates the page containing byte address `addr` (4-KiB pages).
-    #[inline]
-    pub fn translate(&mut self, addr: u64) -> TlbOutcome {
-        self.translate_page(addr >> self.page_shift)
-    }
-
-    /// Translates a pre-computed page identifier (callers with mixed
-    /// page sizes compute their own keys).
+    /// Translates a page key.
     #[inline]
     pub fn translate_page(&mut self, page: u64) -> TlbOutcome {
         if self.translate_page_mru(page) {
             return TlbOutcome::Dtlb;
         }
-        self.accesses += 1;
         self.last_page = page;
         // Feed page numbers (shifted) as "addresses" to the entry caches;
         // multiply by the entry size so the set math sees distinct lines.
@@ -112,11 +96,9 @@ impl Tlb {
         if self.dtlb.access(key).hit {
             return TlbOutcome::Dtlb;
         }
-        self.dtlb_misses += 1;
         if self.stlb.access(key).hit {
             return TlbOutcome::Stlb;
         }
-        self.stlb_misses += 1;
         TlbOutcome::Walk
     }
 
@@ -133,43 +115,7 @@ impl Tlb {
             }
             self.last_page = page;
         }
-        self.accesses += 1;
         true
-    }
-
-    /// Fast path for a caller that already knows this translation targets
-    /// the same page as the immediately preceding [`Tlb::translate_page`]
-    /// call: counts the access and returns. Equivalent to re-translating
-    /// that page (a guaranteed free DTLB hit).
-    #[inline]
-    pub fn repeat_last(&mut self) {
-        debug_assert!(self.last_page != NO_PAGE, "no previous translation");
-        self.accesses += 1;
-    }
-
-    /// Total translations requested.
-    pub fn accesses(&self) -> u64 {
-        self.accesses
-    }
-
-    /// DTLB misses (including those that hit STLB).
-    pub fn dtlb_misses(&self) -> u64 {
-        self.dtlb_misses
-    }
-
-    /// Full page walks.
-    pub fn stlb_misses(&self) -> u64 {
-        self.stlb_misses
-    }
-
-    /// Clears all entries and counters.
-    pub fn reset(&mut self) {
-        self.dtlb.flush();
-        self.stlb.flush();
-        self.dtlb_misses = 0;
-        self.stlb_misses = 0;
-        self.accesses = 0;
-        self.last_page = NO_PAGE;
     }
 }
 
@@ -177,28 +123,31 @@ impl Tlb {
 mod tests {
     use super::*;
 
+    /// Translates the 4-KiB page holding `addr`.
+    fn translate(t: &mut Tlb, addr: u64) -> TlbOutcome {
+        t.translate_page(addr >> 12)
+    }
+
     #[test]
     fn same_page_hits_after_walk() {
         let mut t = Tlb::skylake();
-        assert_eq!(t.translate(0x1_0000), TlbOutcome::Walk);
-        assert_eq!(t.translate(0x1_0040), TlbOutcome::Dtlb);
-        assert_eq!(t.translate(0x1_0fff), TlbOutcome::Dtlb);
-        assert_eq!(t.translate(0x1_1000), TlbOutcome::Walk, "next page");
+        assert_eq!(translate(&mut t, 0x1_0000), TlbOutcome::Walk);
+        assert_eq!(translate(&mut t, 0x1_0040), TlbOutcome::Dtlb);
+        assert_eq!(translate(&mut t, 0x1_0fff), TlbOutcome::Dtlb);
+        assert_eq!(translate(&mut t, 0x1_1000), TlbOutcome::Walk, "next page");
     }
 
     #[test]
     fn small_working_set_stays_in_dtlb() {
         let mut t = Tlb::skylake();
         for p in 0..16u64 {
-            t.translate(p << 12);
+            translate(&mut t, p << 12);
         }
-        let walks_before = t.stlb_misses();
         for _ in 0..100 {
             for p in 0..16u64 {
-                assert_eq!(t.translate(p << 12), TlbOutcome::Dtlb);
+                assert_eq!(translate(&mut t, p << 12), TlbOutcome::Dtlb);
             }
         }
-        assert_eq!(t.stlb_misses(), walks_before);
     }
 
     #[test]
@@ -206,12 +155,12 @@ mod tests {
         let mut t = Tlb::skylake();
         // Touch 256 pages: way more than the 64-entry DTLB, well within STLB.
         for p in 0..256u64 {
-            t.translate(p << 12);
+            translate(&mut t, p << 12);
         }
         // Second sweep: DTLB thrashes but STLB holds every page.
         let mut stlb_hits = 0;
         for p in 0..256u64 {
-            if t.translate(p << 12) == TlbOutcome::Stlb {
+            if translate(&mut t, p << 12) == TlbOutcome::Stlb {
                 stlb_hits += 1;
             }
         }
@@ -222,27 +171,12 @@ mod tests {
     fn huge_working_set_walks() {
         let mut t = Tlb::skylake();
         for p in 0..8192u64 {
-            t.translate(p << 12);
+            translate(&mut t, p << 12);
         }
-        let walks = t.stlb_misses();
-        for p in 0..8192u64 {
-            t.translate(p << 12);
-        }
-        assert!(
-            t.stlb_misses() > walks + 4000,
-            "second sweep of 8k pages should still walk"
-        );
-    }
-
-    #[test]
-    fn repeat_last_counts_as_dtlb_hit() {
-        let mut t = Tlb::skylake();
-        assert_eq!(t.translate(0x5000), TlbOutcome::Walk);
-        let misses = t.dtlb_misses();
-        t.repeat_last();
-        assert_eq!(t.accesses(), 2);
-        assert_eq!(t.dtlb_misses(), misses, "repeat is a free DTLB hit");
-        assert_eq!(t.translate(0x5001), TlbOutcome::Dtlb, "same page memoized");
+        let walks = (0..8192u64)
+            .filter(|p| translate(&mut t, p << 12) == TlbOutcome::Walk)
+            .count();
+        assert!(walks > 4000, "second sweep of 8k pages should still walk");
     }
 
     #[test]
@@ -261,21 +195,10 @@ mod tests {
             } else {
                 assert_eq!(a.translate_page(page), want, "page {page}");
             }
-            assert_eq!(a.accesses(), b.accesses());
-            assert_eq!(a.dtlb_misses(), b.dtlb_misses());
-            assert_eq!(a.stlb_misses(), b.stlb_misses());
+            assert_eq!(a.dtlb, b.dtlb, "DTLB after page {page}");
+            assert_eq!(a.stlb, b.stlb, "STLB after page {page}");
+            assert_eq!(a.last_page, b.last_page);
         }
-        assert_eq!(a.dtlb, b.dtlb);
-        assert_eq!(a.stlb, b.stlb);
         assert!(fronted > 1000, "front path barely exercised: {fronted}");
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut t = Tlb::skylake();
-        t.translate(0);
-        t.reset();
-        assert_eq!(t.accesses(), 0);
-        assert_eq!(t.translate(0), TlbOutcome::Walk);
     }
 }

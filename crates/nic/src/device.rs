@@ -300,9 +300,10 @@ impl Nic {
             seq,
             desc_addr: 0, // filled by push_completion
         });
-        // One NIC event writes payload then completion descriptor: a
-        // heterogeneous two-span DDIO charge set, payload lines first.
-        mem.dma_write_set(&[(buf.data_addr, len as u64), (desc_addr, DESC_BYTES)]);
+        // One NIC event writes payload then completion descriptor,
+        // payload lines first.
+        mem.dma_write(buf.data_addr, len as u64);
+        mem.dma_write(desc_addr, DESC_BYTES);
 
         self.stats.rx_packets += 1;
         self.stats.rx_bytes += len as u64;

@@ -1202,7 +1202,7 @@ mod access_programs {
     }
 
     /// Base-address pool chosen so random scripts produce repeats
-    /// (last-line / last-page memo hits), same-L1-set conflicts (stride
+    /// (last-page memo and L1-MRU hits), same-L1-set conflicts (stride
     /// 256), same-LLC-set conflicts (stride 2048), page crossings,
     /// touches inside the hugepage-backed region marked at setup
     /// (0x40_000..), and one unaligned base (0x30_010) that changes how
