@@ -505,12 +505,20 @@ impl Engine {
         let mut rr = vec![0usize; cores];
         let mut clocks = Clocks::new(cores);
         let mut w = Window::default();
+        // The timeline's latest checkpoint: the instant and LLC misses at
+        // the top of the last iteration, observed once more after the
+        // loop (the final empty poll can still miss in the LLC).
+        let mut last = None;
         loop {
             let core = clocks.next();
             let now = clocks.at[core];
             self.deliver_up_to(now);
-            if self.timeline.is_some() {
-                self.observe_recorder(now);
+            if let Some(tl) = &self.timeline {
+                let llc_misses = self.mem.counters().llc_load_misses;
+                if tl.due(now.as_ps()) {
+                    self.observe_recorder(now, llc_misses);
+                }
+                last = Some((now, llc_misses));
             }
             let my_pairs = &core_pairs[core];
             if my_pairs.is_empty() {
@@ -537,6 +545,11 @@ impl Engine {
             if measured {
                 w.cost += cost;
             }
+        }
+        // An empty poll drops nothing, so the drop counters still read as
+        // they did at the last checkpoint.
+        if let Some((now, llc_misses)) = last {
+            self.observe_recorder(now, llc_misses);
         }
         // The recorders close at the last instant the run touched: the
         // final core clocks and the last wire departure.
@@ -821,11 +834,11 @@ impl Engine {
         l
     }
 
-    /// Feeds the timeline's cumulative counter series at `now`. Pure
-    /// reads of engine state — the recorder charges nothing.
-    fn observe_recorder(&mut self, now: SimTime) {
+    /// Feeds the timeline's cumulative counter series at `now`, with the
+    /// LLC misses read then. Pure reads of engine state — the recorder
+    /// charges nothing.
+    fn observe_recorder(&mut self, now: SimTime, llc_misses: u64) {
         let ledger = self.tally();
-        let llc_misses = self.mem.counters().llc_load_misses;
         if let Some(tl) = self.timeline.as_mut() {
             tl.observe_llc(now.as_ps(), llc_misses);
             tl.observe_drops(now.as_ps(), &DropCause::ALL.map(|c| ledger.count(c)));

@@ -210,6 +210,10 @@ pub struct MemoryHierarchy {
     key_memo: Box<[(u64, u64)]>,
     /// Per-scope attribution table; `None` unless profiling is enabled.
     attribution: Option<Attribution>,
+    /// `counters` at the last scope switch, plus the NIC DMA counted
+    /// since: the pending interval `counters − mark` belongs to the
+    /// current scope.
+    mark: MemCounters,
     /// Over-approximation of all lines held by any core's L1/L2 — lets
     /// the DMA/back-invalidation paths skip per-core scans for lines no
     /// core ever touched. See [`crate::resident`].
@@ -264,6 +268,7 @@ impl MemoryHierarchy {
             last_huge: (NONE64, 0),
             key_memo: vec![(NONE64, 0); 4096].into_boxed_slice(),
             attribution: None,
+            mark: MemCounters::default(),
             resident: ResidentFilter::new(),
             fast: true,
         }
@@ -373,44 +378,23 @@ impl MemoryHierarchy {
     /// spanned line is accessed in turn, but the page-key lookup and TLB
     /// structure are consulted only once per 4-KiB page (subsequent
     /// same-page lines take the free last-page hit they are guaranteed to
-    /// be), and the attribution ledger is updated once per call instead
-    /// of once per line. Access-for-access identical to a loop of
-    /// single-line accesses: same costs, same counters, same cache and
-    /// TLB state.
+    /// be). Access-for-access identical to a loop of single-line
+    /// accesses: same costs, same counters, same cache and TLB state.
     pub fn access_range(&mut self, core: usize, addr: u64, len: u64, kind: AccessKind) -> Cost {
         let n = lines_spanned(addr, len);
         if n == 0 {
             return Cost::ZERO;
         }
-        let before = self.snapshot();
         let mut cost = Cost::ZERO;
         let mut line_addr = addr & !(LINE - 1);
         for _ in 0..n {
             cost += self.access_line_raw(core, line_addr, kind);
             line_addr += LINE;
         }
-        self.attribute_since(before);
         cost
     }
 
-    /// The counter block, copied only when attribution is on (96 bytes;
-    /// `bool::then_some` would copy them eagerly on every call).
-    #[inline(always)]
-    fn snapshot(&self) -> Option<MemCounters> {
-        self.attribution.as_ref().map(|_| self.counters)
-    }
-
-    /// Attributes the counter delta since [`Self::snapshot`] to the
-    /// current scope.
-    #[inline(always)]
-    fn attribute_since(&mut self, before: Option<MemCounters>) {
-        if let (Some(before), Some(attr)) = (before, &mut self.attribution) {
-            attr.add_counters(&self.counters.delta_since(&before));
-        }
-    }
-
-    /// One line access without the attribution snapshot (callers batch
-    /// it).
+    /// One line access.
     ///
     /// The whole hit path (this, [`Self::translate`], [`Self::touch`]) is
     /// forced into the callers' per-line loops: outcomes travel as
@@ -579,10 +563,12 @@ impl MemoryHierarchy {
     /// Models a NIC DMA write of `len` bytes at `addr` (RX path).
     ///
     /// Lines are allocated into the LLC restricted to the DDIO ways; any
-    /// stale copies in core caches are invalidated. Costs no core time.
+    /// stale copies in core caches are invalidated. Costs no core time
+    /// and is attributed to no scope (the mark moves with the counter).
     pub fn dma_write(&mut self, addr: u64, len: u64) {
         let n = lines_spanned(addr, len);
         self.counters.dma_write_lines += n;
+        self.mark.dma_write_lines += n;
         let mut line = addr & !(LINE - 1);
         for _ in 0..n {
             let out = self.llc.access_ways(line, self.ddio_ways);
@@ -606,8 +592,11 @@ impl MemoryHierarchy {
     /// Models a NIC DMA read of `len` bytes at `addr` (TX path).
     ///
     /// Reads are served from the LLC when resident and do not allocate.
+    /// Attributed to no scope, like [`Self::dma_write`].
     pub fn dma_read(&mut self, addr: u64, len: u64) {
-        self.counters.dma_read_lines += lines_spanned(addr, len);
+        let n = lines_spanned(addr, len);
+        self.counters.dma_read_lines += n;
+        self.mark.dma_read_lines += n;
     }
 
     /// Software/hardware prefetch: brings a range into this core's caches
@@ -616,17 +605,6 @@ impl MemoryHierarchy {
     /// to DRAM (DDIO overflow) cannot be issued early enough and exposes
     /// part of the memory latency.
     pub fn prefetch(&mut self, core: usize, addr: u64, len: u64) -> Cost {
-        let before = self.snapshot();
-        let cost = self.prefetch_raw(core, addr, len);
-        self.attribute_since(before);
-        cost
-    }
-
-    /// [`Self::prefetch`] without the attribution update (program
-    /// resolution batches one update over the whole charge set). The only
-    /// counter a prefetch can move is `prefetch_misses`, so the caller's
-    /// windowed delta attributes exactly what the inline update did.
-    fn prefetch_raw(&mut self, core: usize, addr: u64, len: u64) -> Cost {
         let mut cost = Cost::ZERO;
         let n = lines_spanned(addr, len);
         let mut line = addr & !(LINE - 1);
@@ -697,7 +675,7 @@ impl MemoryHierarchy {
     /// sequence through [`Self::access_range`] / [`Self::prefetch`] /
     /// [`Cost::compute`] one call at a time — same costs to the same
     /// `f64` bit, same counters, same cache/TLB state — but resolved in
-    /// one tight loop with a single attribution update.
+    /// one tight loop.
     ///
     /// `bases` supplies the program's base registers; cost is
     /// accumulated into `acc` step by step (the caller's accumulation
@@ -715,9 +693,7 @@ impl MemoryHierarchy {
             self.run_program_reference(core, prog, bases, acc);
             return;
         }
-        let before = self.snapshot();
         self.walk_program(core, prog, bases, acc);
-        self.attribute_since(before);
     }
 
     /// [`Self::run_program`] once per row of `rows` (a batch sharing one
@@ -735,8 +711,7 @@ impl MemoryHierarchy {
         }
     }
 
-    /// The default resolver: one tight step walk, without per-call
-    /// attribution (callers batch it).
+    /// The default resolver: one tight step walk.
     fn walk_program(&mut self, core: usize, prog: &AccessProgram, bases: &[u64], acc: &mut Cost) {
         for step in &prog.steps {
             match step.op {
@@ -744,7 +719,7 @@ impl MemoryHierarchy {
                 StepOp::Charge(c) => *acc += c,
                 StepOp::Prefetch => {
                     let a = step.addr(bases);
-                    *acc += self.prefetch_raw(core, a, u64::from(step.len));
+                    *acc += self.prefetch(core, a, u64::from(step.len));
                 }
                 StepOp::Load | StepOp::Store => {
                     let kind = if matches!(step.op, StepOp::Load) {
@@ -838,6 +813,7 @@ impl MemoryHierarchy {
     pub fn enable_attribution(&mut self) {
         if self.attribution.is_none() {
             self.attribution = Some(Attribution::new());
+            self.mark = self.counters;
         }
     }
 
@@ -858,10 +834,16 @@ impl MemoryHierarchy {
 
     /// Makes `id` the current scope for subsequent cache/TLB events and
     /// returns the previous scope (restore it when the scoped section
-    /// ends). No-op returning `id` when attribution is off.
+    /// ends). The events since the last switch go to the outgoing scope:
+    /// no call switches scope midway, so that is the scope each event's
+    /// call ran in. No-op returning `id` when attribution is off.
     pub fn set_scope(&mut self, id: ScopeId) -> ScopeId {
         match &mut self.attribution {
-            Some(attr) => attr.set_current(id),
+            Some(attr) => {
+                attr.add_counters(&self.counters.delta_since(&self.mark));
+                self.mark = self.counters;
+                attr.set_current(id)
+            }
             None => id,
         }
     }
@@ -885,6 +867,7 @@ impl MemoryHierarchy {
     pub fn profile_reset(&mut self) {
         if let Some(attr) = &mut self.attribution {
             attr.reset();
+            self.mark = self.counters;
         }
     }
 
@@ -894,7 +877,7 @@ impl MemoryHierarchy {
     pub fn profile_records(&self) -> Vec<(String, ScopeProfile)> {
         self.attribution
             .as_ref()
-            .map(|a| a.records())
+            .map(|a| a.records(&self.counters.delta_since(&self.mark)))
             .unwrap_or_default()
     }
 }
@@ -1183,8 +1166,8 @@ mod tests {
         assert_eq!(bits(again), bits(table[1][Level::L1 as usize]));
     }
 
-    /// The counter snapshot is taken only when attribution is on: off, no
-    /// record appears; on, the scope gets exactly the counter delta.
+    /// Off, no record appears; on, the scope gets exactly the counter
+    /// delta, folded into the records before the scope ever switches.
     #[test]
     fn range_attribution_is_lazy_and_exact() {
         let mut m = tiny();
@@ -1301,6 +1284,102 @@ mod tests {
         }
         // Every source level was prefetched from, L2-only lines included.
         assert!(seen.iter().all(|&k| k > 20), "levels seen {seen:?}");
+    }
+
+    /// The per-core last-vpage memo, the page-key memo and the TLB's
+    /// last-page slot against a plain [`Tlb`] fed page keys computed
+    /// here from the test's own copy of the hugepage ranges: random line
+    /// touches on two cores, with whole 2-MiB blocks remapped now and
+    /// then — mostly the block the last touch fell in, so the next touch
+    /// of that very page must see the new key.
+    #[test]
+    fn translation_memos_match_a_plain_tlb_across_remaps() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut rand = |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        const HUGE: u64 = 1 << 21;
+        const BLOCKS: u64 = 16;
+        let mut remaps = 0;
+        for _ in 0..6 {
+            let mut m = tiny();
+            let mut tlbs = [Tlb::skylake(), Tlb::skylake()];
+            let mut huge = [false; BLOCKS as usize];
+            let key = |huge: &[bool], addr: u64| {
+                if huge[(addr / HUGE) as usize] {
+                    (addr >> 21) | (1 << 30)
+                } else {
+                    addr >> 12
+                }
+            };
+            let mut last = 0u64;
+            for _ in 0..4000 {
+                let addr = match rand(16) {
+                    0 => {
+                        let block = if rand(4) == 0 {
+                            rand(BLOCKS)
+                        } else {
+                            last / HUGE
+                        };
+                        if !huge[block as usize] {
+                            huge[block as usize] = true;
+                            m.mark_hugepages(crate::Region {
+                                base: block * HUGE,
+                                size: HUGE,
+                            });
+                            remaps += 1;
+                        }
+                        continue;
+                    }
+                    1..=7 => (last & !0xFFF) + rand(64) * LINE,
+                    8..=11 => rand(48) * 4096 + rand(64) * LINE,
+                    _ => rand(BLOCKS * HUGE / LINE) * LINE,
+                };
+                last = addr;
+                let core = rand(2) as usize;
+                let want = tlbs[core].translate_page(key(&huge, addr));
+                let before = m.counters();
+                m.access(core, addr, 8, AccessKind::Load);
+                let d = m.counters().delta_since(&before);
+                assert_eq!(
+                    (d.dtlb_misses, d.page_walks),
+                    (
+                        u64::from(want != TlbOutcome::Dtlb),
+                        u64::from(want == TlbOutcome::Walk)
+                    ),
+                    "core {core} touching {addr:#x}, huge blocks {huge:?}"
+                );
+            }
+        }
+        assert!(remaps > 40, "only {remaps} remaps");
+    }
+
+    /// A scope id minted by another hierarchy is foreign here: charging
+    /// it must panic, not vanish from the ledger.
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn foreign_scope_charge_panics() {
+        let mut other = tiny();
+        other.enable_attribution();
+        let foreign = other.register_scope("Elsewhere");
+        let mut m = tiny();
+        m.enable_attribution();
+        m.profile_charge_at(foreign, Cost::compute(1));
+    }
+
+    /// Likewise for packet counts.
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn foreign_scope_packets_panic() {
+        let mut other = tiny();
+        other.enable_attribution();
+        let foreign = other.register_scope("Elsewhere");
+        let mut m = tiny();
+        m.enable_attribution();
+        m.profile_packets_at(foreign, 1);
     }
 
     #[test]

@@ -5,6 +5,9 @@
 //! event and every explicitly charged [`Cost`] with the *currently
 //! executing scope* — an element of the NF graph or one of the synthetic
 //! pipeline stages (`rx/pmd`, `tx`, `mempool`, `metadata`, `scheduler`).
+//! Counters are attributed per scope interval: each scope switch folds
+//! the counter delta since the previous switch into the outgoing scope.
+//! NIC DMA runs on no core and is attributed to no scope.
 //!
 //! Attribution is strictly bookkeeping: enabling it never changes cache
 //! state, charged costs, or any measurement, so profiled and unprofiled
@@ -86,32 +89,20 @@ impl Attribution {
         prev
     }
 
+    /// Folds a counter interval into the current scope.
     pub(crate) fn add_counters(&mut self, delta: &MemCounters) {
-        let base = &mut self.scopes[self.current].1.counters;
-        base.loads += delta.loads;
-        base.stores += delta.stores;
-        base.l1d_load_misses += delta.l1d_load_misses;
-        base.llc_loads += delta.llc_loads;
-        base.llc_load_misses += delta.llc_load_misses;
-        base.llc_stores += delta.llc_stores;
-        base.llc_store_misses += delta.llc_store_misses;
-        base.dma_write_lines += delta.dma_write_lines;
-        base.dma_read_lines += delta.dma_read_lines;
-        base.dtlb_misses += delta.dtlb_misses;
-        base.page_walks += delta.page_walks;
-        base.prefetch_misses += delta.prefetch_misses;
+        add(&mut self.scopes[self.current].1.counters, delta);
     }
 
+    /// Panics on a foreign `id`: a dropped charge would leave the ledger
+    /// unreconciled without a word.
     pub(crate) fn charge(&mut self, id: ScopeId, cost: Cost) {
-        if let Some((_, p)) = self.scopes.get_mut(id.0) {
-            p.cost += cost;
-        }
+        self.scopes[id.0].1.cost += cost;
     }
 
+    /// Panics on a foreign `id`, like [`Self::charge`].
     pub(crate) fn add_packets(&mut self, id: ScopeId, n: u64) {
-        if let Some((_, p)) = self.scopes.get_mut(id.0) {
-            p.packets += n;
-        }
+        self.scopes[id.0].1.packets += n;
     }
 
     pub(crate) fn reset(&mut self) {
@@ -120,7 +111,27 @@ impl Attribution {
         }
     }
 
-    pub(crate) fn records(&self) -> Vec<(String, ScopeProfile)> {
-        self.scopes.clone()
+    /// The records, with the `pending` interval not yet folded (the
+    /// events since the last scope switch) added to the current scope.
+    pub(crate) fn records(&self, pending: &MemCounters) -> Vec<(String, ScopeProfile)> {
+        let mut scopes = self.scopes.clone();
+        add(&mut scopes[self.current].1.counters, pending);
+        scopes
     }
+}
+
+/// `base += delta`, field by field.
+fn add(base: &mut MemCounters, delta: &MemCounters) {
+    base.loads += delta.loads;
+    base.stores += delta.stores;
+    base.l1d_load_misses += delta.l1d_load_misses;
+    base.llc_loads += delta.llc_loads;
+    base.llc_load_misses += delta.llc_load_misses;
+    base.llc_stores += delta.llc_stores;
+    base.llc_store_misses += delta.llc_store_misses;
+    base.dma_write_lines += delta.dma_write_lines;
+    base.dma_read_lines += delta.dma_read_lines;
+    base.dtlb_misses += delta.dtlb_misses;
+    base.page_walks += delta.page_walks;
+    base.prefetch_misses += delta.prefetch_misses;
 }

@@ -58,7 +58,7 @@ impl WindowSampler {
     /// Closes every window boundary passed since the previous observation,
     /// attributing the delta to the window in which it was observed.
     pub fn observe(&mut self, now_ns: f64, value: u64) {
-        while now_ns >= self.next_boundary {
+        while self.due(now_ns) {
             self.samples.push(Sample {
                 end_ns: self.next_boundary,
                 delta: value.saturating_sub(self.last_value),
@@ -66,6 +66,12 @@ impl WindowSampler {
             self.last_value = value;
             self.next_boundary += self.window_ns;
         }
+    }
+
+    /// Whether an observation at `now_ns` closes a window. One that does
+    /// not changes nothing here.
+    pub(crate) fn due(&self, now_ns: f64) -> bool {
+        now_ns >= self.next_boundary
     }
 
     /// Closes any partial final window and returns all samples.

@@ -96,6 +96,15 @@ impl TimelineRecorder {
         (at_ps / self.window_ps) as usize
     }
 
+    /// Whether an observation at `now_ps` closes a window of the
+    /// cumulative series (they share one window and start). Between due
+    /// checkpoints only the latest observation matters to
+    /// [`Self::finish`], so a caller may skip the others and observe the
+    /// last checkpoint once before finishing.
+    pub fn due(&self, now_ps: u64) -> bool {
+        self.llc.due(now_ps as f64 / 1e3)
+    }
+
     /// Reports the cumulative LLC-miss counter at a checkpoint.
     pub fn observe_llc(&mut self, now_ps: u64, cumulative: u64) {
         self.llc.observe(now_ps as f64 / 1e3, cumulative);
@@ -485,5 +494,91 @@ mod tests {
         let g = t.gbps(0);
         assert!((g[0] - 100.0).abs() < 1e-9, "got {}", g[0]);
         assert_eq!(g[1], 0.0);
+    }
+
+    /// `(ps, llc, [fcs, nf])` cumulative checkpoints.
+    type Checkpoint = (u64, u64, [u64; 2]);
+
+    /// A recorder fed `cps`, at every checkpoint or — `gated` — only when
+    /// [`TimelineRecorder::due`] plus once more at `last`, then finished
+    /// at `end_ps`.
+    fn replay(
+        window_ps: u64,
+        cps: &[Checkpoint],
+        gated: bool,
+        last: Checkpoint,
+        end_ps: u64,
+    ) -> TimelineReport {
+        let mut r = TimelineRecorder::new(window_ps, 1, vec!["fcs", "nf"]);
+        let observe = |r: &mut TimelineRecorder, (t, llc, drops): Checkpoint| {
+            r.observe_llc(t, llc);
+            r.observe_drops(t, &drops);
+        };
+        for &cp in cps {
+            if !gated || r.due(cp.0) {
+                observe(&mut r, cp);
+            }
+        }
+        if gated {
+            observe(&mut r, last);
+        }
+        r.finish(end_ps)
+    }
+
+    proptest::proptest! {
+        /// Observing the cumulative series only when a window closes,
+        /// plus one final observation of the last checkpoint, finishes
+        /// into the same report as observing every checkpoint — over
+        /// random monotone checkpoints, counters and window widths,
+        /// checkpoints on boundaries and runs that end past the last
+        /// checkpoint included.
+        #[test]
+        fn due_gated_observation_finishes_the_same(
+            window_ps in 1u64..5_000_000,
+            steps in proptest::collection::vec(
+                ((0u64..4, 0u64..3_000_000), 0u64..50, (0u64..3, 0u64..3)),
+                1..200,
+            ),
+            tail_ps in 0u64..10_000_000,
+        ) {
+            let mut cps = Vec::new();
+            let (mut t, mut llc, mut fcs, mut nf) = (0, 0, 0, 0);
+            for ((shape, dt), dl, (df, dn)) in steps {
+                // Some steps land exactly on a boundary or stand still.
+                t = match shape {
+                    0 => (t / window_ps + 1) * window_ps,
+                    1 => t,
+                    _ => t + dt,
+                };
+                llc += dl;
+                fcs += df;
+                nf += dn;
+                cps.push((t, llc, [fcs, nf]));
+            }
+            let last = *cps.last().unwrap();
+            let end = t + tail_ps;
+            proptest::prop_assert_eq!(
+                replay(window_ps, &cps, true, last, end),
+                replay(window_ps, &cps, false, last, end)
+            );
+        }
+    }
+
+    /// The final observation must carry the last checkpoint's values: a
+    /// counter that moves after it (as the LLC can in the engine's final
+    /// empty poll) must not reach the report, and here it would.
+    #[test]
+    fn final_observation_uses_the_last_checkpoint() {
+        let cps = [
+            (50 * US, 10, [1, 0]),
+            (120 * US, 25, [1, 2]),
+            (130 * US, 30, [1, 2]),
+        ];
+        let last = cps[2];
+        let every = replay(100 * US, &cps, false, last, 250 * US);
+        assert_eq!(every, replay(100 * US, &cps, true, last, 250 * US));
+        assert_eq!(every.llc_misses, vec![25, 5, 0]);
+        let later = (last.0, 31, last.2);
+        assert_ne!(every, replay(100 * US, &cps, true, later, 250 * US));
     }
 }

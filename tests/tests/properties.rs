@@ -1183,8 +1183,9 @@ mod mtf_cache {
 mod access_programs {
     use super::*;
     use pm_mem::{
-        AccessKind, AccessProgram, CacheParams, Cost, HierarchyParams, LatencyModel,
-        MemoryHierarchy, ProgramBuilder, Region, SCOPE_RX,
+        AccessKind, AccessProgram, CacheParams, Cost, HierarchyParams, LatencyModel, MemCounters,
+        MemoryHierarchy, ProgramBuilder, Region, ScopeId, ScopeProfile, SCOPE_MEMPOOL,
+        SCOPE_METADATA, SCOPE_RX, SCOPE_SCHEDULER, SCOPE_TX,
     };
 
     /// Tiny two-core geometry (L1 512 B/2w, L2 2 KiB/2w, LLC 8 KiB/4w,
@@ -1321,7 +1322,7 @@ mod access_programs {
 
     proptest! {
         /// Lock-step equivalence of the default resolver (tight walk,
-        /// resident filter, batched attribution) against the reference
+        /// resident filter) against the reference
         /// per-call walk: over arbitrary interleavings of program runs,
         /// strided burst resolutions (`run_program_batch`), single
         /// accesses, prefetches, DMA invalidations, and private-cache
@@ -1421,6 +1422,114 @@ mod access_programs {
                 }
             }
             prop_assert_eq!(fast.profile_records(), slow.profile_records());
+        }
+    }
+
+    /// `base += d`, field by field.
+    fn add(base: &mut MemCounters, d: &MemCounters) {
+        base.loads += d.loads;
+        base.stores += d.stores;
+        base.l1d_load_misses += d.l1d_load_misses;
+        base.llc_loads += d.llc_loads;
+        base.llc_load_misses += d.llc_load_misses;
+        base.llc_stores += d.llc_stores;
+        base.llc_store_misses += d.llc_store_misses;
+        base.dma_write_lines += d.dma_write_lines;
+        base.dma_read_lines += d.dma_read_lines;
+        base.dtlb_misses += d.dtlb_misses;
+        base.page_walks += d.page_walks;
+        base.prefetch_misses += d.prefetch_misses;
+    }
+
+    proptest! {
+        /// Attribution against an oracle that shares none of its
+        /// mechanism: the test reads `counters()` around every core-side
+        /// call and credits the difference to the scope it set last,
+        /// leaves NIC DMA and `warm` out, zeroes on `profile_reset`, and
+        /// compares with `profile_records()` after every step — over
+        /// scope switches among the built-in and two registered scopes,
+        /// program runs, burst resolutions, ranged accesses, prefetches,
+        /// DMA writes and reads, warms and resets, on either resolver.
+        #[test]
+        fn attribution_matches_a_per_call_oracle(
+            reference in any::<bool>(),
+            script in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..250),
+        ) {
+            let progs = programs();
+            let mut m = if reference {
+                MemoryHierarchy::with_reference_walk(&params())
+            } else {
+                MemoryHierarchy::new(&params())
+            };
+            m.mark_hugepages(Region { base: 0x40_000, size: 0x40_000 });
+            // Events before attribution is on belong to no scope.
+            m.access(0, 0x10_000, 8, AccessKind::Load);
+            m.enable_attribution();
+            // Records are in registration order: built-ins, then these.
+            let mut scopes: Vec<ScopeId> =
+                vec![SCOPE_RX, SCOPE_TX, SCOPE_MEMPOOL, SCOPE_METADATA, SCOPE_SCHEDULER];
+            scopes.push(m.register_scope("first"));
+            scopes.push(m.register_scope("second"));
+            let mut want = vec![MemCounters::default(); scopes.len()];
+            let mut current = 4; // the scheduler
+            for (i, &(sel, a, b)) in script.iter().enumerate() {
+                let (core, base) = (usize::from(b & 1), BASES[usize::from(a) % BASES.len()]);
+                let mut acc = Cost::ZERO;
+                let before = m.counters();
+                let mut charged = true;
+                match sel % 12 {
+                    0..=2 => {
+                        current = usize::from(a) % scopes.len();
+                        m.set_scope(scopes[current]);
+                    }
+                    3 => {
+                        let prog = &progs[usize::from(sel >> 4) % N_PROGS];
+                        let bases = [base, BASES[usize::from(b) % BASES.len()]];
+                        m.run_program(core, prog, &bases, &mut acc);
+                    }
+                    4 => {
+                        let prog = &progs[usize::from(sel >> 4) % N_PROGS];
+                        let rows: Vec<[u64; 2]> = (0..u64::from(b % 5) + 1)
+                            .map(|k| [base + k * 64, 0x41_000 + k * 16])
+                            .collect();
+                        m.run_program_batch(core, prog, &rows, &mut acc);
+                    }
+                    5..=6 => {
+                        let kind = if b & 8 != 0 { AccessKind::Store } else { AccessKind::Load };
+                        let addr = base + u64::from(b >> 4) * 8;
+                        m.access_range(core, addr, u64::from(a % 200), kind);
+                    }
+                    7 => {
+                        m.prefetch(core, base, 64 * (u64::from(b % 12) + 1));
+                    }
+                    8 => {
+                        charged = false;
+                        m.dma_write(base, 64 + u64::from(b));
+                    }
+                    9 => {
+                        charged = false;
+                        m.dma_read(base, 64 + u64::from(b));
+                    }
+                    10 => {
+                        charged = false;
+                        m.warm(core, base, 64 + u64::from(b));
+                    }
+                    _ => {
+                        charged = false;
+                        m.profile_reset();
+                        want.fill(MemCounters::default());
+                    }
+                }
+                if charged {
+                    add(&mut want[current], &m.counters().delta_since(&before));
+                }
+                let got = m.profile_records();
+                prop_assert_eq!(got.len(), scopes.len());
+                for (k, (name, p)) in got.iter().enumerate() {
+                    let expect = ScopeProfile { counters: want[k], ..ScopeProfile::default() };
+                    prop_assert_eq!(p, &expect, "op {}: scope {} ({})", i, k, name);
+                }
+            }
         }
     }
 }
